@@ -6,7 +6,8 @@ Modules, bottom up:
 - ``errors``: shared failure taxonomy and CLI exit-code table.
 - ``expr``: exact symbolic atoms (bump profiles, radial maps).
 - ``quadrature``: 1d/ball/tensor rules and the scheme record.
-- ``bessel``: modified Bessel backends for even-dimension kernels.
+- ``bessel``: K_nu for the kernels: scipy's ``kv``, with elementary
+  closed forms at half-integer orders.
 - ``kernels``: translation-invariant kernel data (propagator powers,
   delta kernels, cutoffs, extension specs).
 - ``propagator``: closed-form P(r), pairings, extensions of two-point

@@ -2,110 +2,27 @@
 
 The propagator layer needs K_nu(x) for nu = d/2 - 1 and the next few
 orders up (radial derivatives shift the order by one).  Even dimensions
-give integer orders, odd dimensions half-integer ones.  Two classical
-representations cover the positive axis:
+give integer orders, odd dimensions half-integer ones.
 
-* the ascending series about x = 0 (with the log term at integer
-  order), used for x <= 2;
-* the Laplace-type integral K_nu(x) = int_0^oo exp(-x cosh t)
-  cosh(nu t) dt, summed with the trapezoid rule, used for x > 2.  The
-  integrand extends to an analytic function decaying doubly
-  exponentially along the real line, so the trapezoid sum converges
-  spectrally; step 0.08 leaves the truncation far below 1e-14.
-
-Half-integer orders short-circuit to elementary closed forms.  Orders
-above the base pair are reached with the upward recurrence
+Half-integer orders use the elementary closed forms for K_{1/2} and
+K_{3/2}; higher ones are reached with the upward recurrence
 K_{nu+1}(x) = K_{nu-1}(x) + (2 nu / x) K_nu(x), stable in this
-direction because K grows with the order.
-
-Accuracy degrades for orders close to (but not at) an integer, where
-the series branch subtracts two nearly equal Bessel-I values; the
-orders that occur in this package are exact integers and
-half-integers.
+direction because K grows with the order.  Every other order goes to
+``scipy.special.kv``.
 """
 
 import math
 
 import numpy as np
+from scipy.special import kv
 
 from .errors import DomainError
-
-_EULER = 0.5772156649015328606065
-
-_TRAP_STEP = 0.08
-
-
-def _harmonic(n: int) -> float:
-    return sum(1.0 / j for j in range(1, n + 1))
 
 
 def _k_half_pair(x):
     """(K_{1/2}, K_{3/2}) from the elementary closed forms."""
     k_half = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x)
     return k_half, k_half * (1.0 + 1.0 / x)
-
-
-def _k_int_series(n: int, x):
-    """Ascending series for integer order n >= 0, valid 0 < x <= 2."""
-    q = x * x / 4.0
-    half = 0.5 * x
-    term = np.ones_like(x) / math.factorial(n)
-    psi_a = -_EULER
-    psi_b = -_EULER + _harmonic(n)
-    s_i = np.zeros_like(x)
-    s_psi = np.zeros_like(x)
-    for k in range(60):
-        s_i += term
-        s_psi += (psi_a + psi_b) * term
-        if k > 8 and np.all(np.abs(term) <= 1e-18 * np.abs(s_i)):
-            break
-        kk = k + 1
-        term = term * q / (kk * (n + kk))
-        psi_a += 1.0 / kk
-        psi_b += 1.0 / (n + kk)
-    bessel_i = half**n * s_i
-    finite = np.zeros_like(x)
-    for j in range(n):
-        finite += (math.factorial(n - j - 1) / math.factorial(j)) * (-q) ** j
-    if n:
-        finite *= 0.5 * half ** (-n)
-    sign = -1.0 if n % 2 == 0 else 1.0  # (-1)^(n+1)
-    return finite + sign * np.log(half) * bessel_i - sign * 0.5 * half**n * s_psi
-
-
-def _bessel_i_series(nu: float, x):
-    q = x * x / 4.0
-    term = (0.5 * x) ** nu / math.gamma(nu + 1.0)
-    acc = np.zeros_like(x)
-    for k in range(60):
-        acc += term
-        if k > 8 and np.all(np.abs(term) <= 1e-18 * np.abs(acc)):
-            break
-        term = term * q / ((k + 1.0) * (nu + k + 1.0))
-    return acc
-
-
-def _k_frac_series(nu: float, x):
-    """Reflection formula for non-integer order, valid 0 < x <= 2."""
-    return (np.pi / (2.0 * math.sin(np.pi * nu))) * (
-        _bessel_i_series(-nu, x) - _bessel_i_series(nu, x)
-    )
-
-
-def _k_integral(nu: float, x):
-    """Trapezoid sum of the cosh-integral representation, x > 2."""
-    h = _TRAP_STEP
-    acc = 0.5 * np.exp(-x)
-    k = 1
-    while k < 4000:
-        t = k * h
-        with np.errstate(over="ignore", under="ignore"):
-            f = np.exp(-x * np.cosh(t)) * np.cosh(nu * t)
-        acc = acc + f
-        if t > 1.0 and np.all(f <= 1e-19 * acc):
-            break
-        k += 1
-    return h * acc
 
 
 def besselk(nu: float, x):
@@ -123,38 +40,15 @@ def besselk(nu: float, x):
     base = nu - math.floor(nu + 1e-12)
     if abs(base - 0.5) < 1e-12:
         k_lo, k_hi = _k_half_pair(arr)
-        lo_order = 0.5
+        if abs(nu - 0.5) < 1e-9:
+            out = k_lo
+        else:
+            # walk K_{mu+1} = K_{mu-1} + (2 mu / x) K_mu up to the target
+            mu = 1.5
+            while mu + 1e-9 < nu:
+                k_lo, k_hi = k_hi, k_lo + (2.0 * mu / arr) * k_hi
+                mu += 1.0
+            out = k_hi
     else:
-        if abs(base) < 1e-12:
-            base = 0.0
-        k_lo = np.empty_like(arr)
-        k_hi = np.empty_like(arr)
-        small = arr <= 2.0
-        for mask, evaluate in ((small, "series"), (~small, "integral")):
-            if not np.any(mask):
-                continue
-            xs = arr[mask]
-            if evaluate == "series":
-                if base == 0.0:
-                    k_lo[mask] = _k_int_series(0, xs)
-                    k_hi[mask] = _k_int_series(1, xs)
-                else:
-                    k_lo[mask] = _k_frac_series(base, xs)
-                    k_hi[mask] = _k_frac_series(base + 1.0, xs)
-            else:
-                k_lo[mask] = _k_integral(base, xs)
-                k_hi[mask] = _k_integral(base + 1.0, xs)
-        lo_order = base
-
-    if abs(nu - lo_order) < 1e-9:
-        out = k_lo
-    elif abs(nu - lo_order - 1.0) < 1e-9:
-        out = k_hi
-    else:
-        # walk K_{mu+1} = K_{mu-1} + (2 mu / x) K_mu up to the target
-        mu = lo_order + 1.0
-        while mu + 1e-9 < nu:
-            k_lo, k_hi = k_hi, k_lo + (2.0 * mu / arr) * k_hi
-            mu += 1.0
-        out = k_hi
+        out = kv(nu, arr)
     return float(out[0]) if scalar else out

@@ -30,7 +30,7 @@ from .functionals import (FieldConfiguration, LocalFunctional, MonomialTerm,
 from .graphs import (conjugated_merge_series, cross_edge_series,
                      enumerate_graphs, expansion_terms, symmetry_factor)
 from .kernels import CutoffFunction, ExtensionSpec, PropFactor, ScalarDistribution
-from .propagator import Propagator, pair, verify_fundamental_solution
+from .propagator import green_function, pair, verify_fundamental_solution
 from .quadrature import DEFAULT_SCHEME
 from .renorm import (DEFAULT_LAMBDAS, classify_theory, degree_of_divergence,
                      recursive_renormalize, scaling_degree_analytic,
@@ -535,7 +535,7 @@ def _run_renormalize(config: RunConfig) -> List[ReportSection]:
         n_points, d, m,
         tuple(PropFactor(i, j, p) for i, j, p in config.factors))
     scheme = config.scheme()
-    prop = Propagator(d, m)
+    prop = green_function(d, m)
 
     if config.bare:
         out = t
@@ -650,7 +650,7 @@ def _run_verify(config: RunConfig) -> List[ReportSection]:
         rows.append((name, _num(value), _num(threshold),
                      "PASS" if passed else "FAIL"))
 
-    P = Propagator(d, m)
+    P = green_function(d, m)
     for idx in range(2):
         radius = float(rng.uniform(0.8, 1.5))
         center = tuple(float(c) for c in rng.uniform(-0.3, 0.3, size=d)

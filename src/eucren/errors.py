@@ -71,12 +71,14 @@ EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_NONINTEGRABLE = 4
 EXIT_QUADRATURE = 5
+EXIT_UNSUPPORTED = 6
 
 EXIT_CODE_BY_ERROR = {
     ParseError: EXIT_PARSE,
     DomainError: EXIT_DOMAIN,
     NonIntegrableSingularity: EXIT_NONINTEGRABLE,
     QuadratureFailure: EXIT_QUADRATURE,
+    UnsupportedCase: EXIT_UNSUPPORTED,
 }
 
 

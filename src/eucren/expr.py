@@ -287,9 +287,6 @@ class RadialMap:
         g = -lap.gexpr + sp.Float(m) ** 2 * self.gexpr
         return RadialMap(self.d, self.center, g, self.support_radius)
 
-    def scaled_by(self, factor) -> "RadialMap":
-        return RadialMap(self.d, self.center, sp.sympify(factor) * self.gexpr, self.support_radius)
-
     def profile_taylor_u(self, order: int):
         """Exact Taylor coefficients of g(u) at u = 0 (list, length order+1)."""
         u = _u_symbol()

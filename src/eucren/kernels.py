@@ -88,11 +88,6 @@ class ExtensionSpec:
     def counterterm(self, alpha: MultiIndex) -> float:
         return self.counterterm_dict().get(tuple(alpha), 0.0)
 
-    @property
-    def max_counterterm_order(self) -> int:
-        orders = [sum(a) for a, v in self.counterterms if v != 0.0]
-        return max(orders) if orders else 0
-
     def with_counterterms(self, counterterms: Dict[MultiIndex, float]) -> "ExtensionSpec":
         return ExtensionSpec.make(self.cutoff, counterterms)
 

@@ -27,13 +27,12 @@ radial form here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import sympy as sp
+from scipy.spatial.distance import cdist
 
 from .bessel import besselk
 from .errors import (
@@ -49,9 +48,9 @@ from .quadrature import (
     ProfileSpline,
     QuadratureScheme,
     ball_rule,
+    contract,
     correlation_profile,
     pair_tensor,
-    quad_1d,
     radial_pair,
     sphere_area,
     subtracted_radial_pair,
@@ -142,11 +141,42 @@ class Propagator:
             return c * r ** (-order) * besselk(order, self.m * r)
         return deriv
 
-    def truncation_radius(self, power: int, tol: float = 1e-16) -> Optional[float]:
-        """Radius beyond which P^power is below tol (None if massless)."""
-        if self.m == 0.0:
-            return None
-        return -math.log(tol) / (power * self.m) + 2.0 / self.m
+    def block(self, power: int, left=(), right=()) -> Callable:
+        """Kernel matrix (x, y) -> d_x^left d_y^right P^power(|x - y|)
+        between two point sets, as ``quadrature.contract`` takes it.
+
+        Decorations use the u-derivatives of P with u = |x - y|^2; they
+        are implemented on single powers up to total order 2.  A
+        derivative in y is minus the one in x.
+        """
+        alpha = [0] * self.d
+        for deco in (left, right):
+            for i, a in enumerate(deco):
+                alpha[i] += a
+        order = sum(alpha)
+        if order == 0:
+            return lambda x, y: self(cdist(x, y)) ** power
+        if power != 1:
+            raise UnsupportedCase(
+                "decorations are supported on single powers only")
+        if order > 2:
+            raise UnsupportedCase(
+                "decorated kernels implemented to total order 2")
+        sign = (-1.0) ** sum(right)
+        p1 = self.u_derivative(1)
+        p2 = self.u_derivative(2)
+        axes = [i for i, a in enumerate(alpha) for _ in range(a)]
+
+        def block(x, y):
+            u = cdist(x, y, "sqeuclidean")
+            diff = [x[:, None, i] - y[None, :, i] for i in axes]
+            if order == 1:
+                return sign * 2.0 * diff[0] * p1(u)
+            out = 4.0 * diff[0] * diff[1] * p2(u)
+            if axes[0] == axes[1]:
+                out += 2.0 * p1(u)
+            return sign * out
+        return block
 
 
 def green_function(d: int, m: float) -> Propagator:
@@ -276,7 +306,7 @@ _CORR_CACHE: dict = {}
 
 
 def _correlation(f, g, d: int, scheme: QuadratureScheme) -> ProfileSpline:
-    key = (f, g, d, scheme.profile_samples, scheme.angular_n)
+    key = (f, g, d, scheme)
     prof = _CORR_CACHE.get(key)
     if prof is None:
         prof = correlation_profile(f.gu(), f.radius, g.gu(), g.radius, d, scheme)
@@ -296,7 +326,7 @@ def pair_extension(t: ScalarDistribution, phi,
     factor = t.factors[0]
     if factor.deriv_order:
         raise UnsupportedCase("decorated factors have no radial extension route")
-    prop = Propagator(t.d, t.m)
+    prop = green_function(t.d, t.m)
     view = phi if isinstance(phi, RadialTestView) else radial_view(phi)
     kernel = prop.power_callable(factor.power)
     rho_div = _pair_divergence_degree(prop, factor)
@@ -341,54 +371,16 @@ def pair_extension(t: ScalarDistribution, phi,
     return value
 
 
-def _test_integral(f, d: int, scheme: QuadratureScheme) -> float:
-    gu = f.gu()
-    area = sphere_area(d)
-    return area * quad_1d(
-        lambda rho: rho ** (d - 1) * float(np.atleast_1d(gu(np.float64(rho * rho)))[0]),
-        0.0, f.radius, scheme)
-
-
 def _decorated_tensor(prop: Propagator, factor: PropFactor, f, g,
                       scheme: QuadratureScheme) -> float:
     """Tensor-Gauss pairing of a decorated single propagator on
     disjoint supports."""
-    if factor.power != 1:
-        raise UnsupportedCase("decorations are supported on single powers only")
-    alpha = tuple(a + b for a, b in zip(
-        tuple(factor.left_deriv) + (0,) * prop.d,
-        tuple(factor.right_deriv) + (0,) * prop.d))
-    alpha = alpha[:prop.d]
-    total = sum(alpha)
-    sign = (-1.0) ** sum(factor.right_deriv)
-    if total > 2:
-        raise UnsupportedCase("decorated kernels implemented to total order 2")
-    p1 = prop.u_derivative(1)
-    p2 = prop.u_derivative(2)
-
-    def kernel_block(x, y):
-        diff = x[:, None, :] - y[None, :, :]
-        u = np.sum(diff * diff, axis=-1)
-        if total == 0:
-            return prop(np.sqrt(u))
-        if total == 1:
-            i = alpha.index(1)
-            return 2.0 * diff[:, :, i] * p1(u)
-        if 2 in alpha:
-            i = alpha.index(2)
-            return 2.0 * p1(u) + 4.0 * diff[:, :, i] ** 2 * p2(u)
-        i, j = [k for k, a in enumerate(alpha) if a == 1]
-        return 4.0 * diff[:, :, i] * diff[:, :, j] * p2(u)
-
+    block = prop.block(factor.power, factor.left_deriv, factor.right_deriv)
     xp, xw = ball_rule(prop.d, f.center, f.radius, scheme.gauss_n)
     yp, yw = ball_rule(prop.d, g.center, g.radius, scheme.gauss_n)
     fx = np.asarray(f(xp), dtype=float) * xw
     gy = np.asarray(g(yp), dtype=float) * yw
-    total_val = 0.0
-    for start in range(0, len(xp), 1024):
-        stop = min(start + 1024, len(xp))
-        total_val += fx[start:stop] @ kernel_block(xp[start:stop], yp) @ gy
-    return sign * float(total_val)
+    return float(fx @ contract(block, xp, yp, gy))
 
 
 def _pair_two(t: ScalarDistribution, f, g, scheme: QuadratureScheme,
@@ -398,7 +390,7 @@ def _pair_two(t: ScalarDistribution, f, g, scheme: QuadratureScheme,
         raise UnsupportedCase(
             "two-point kernels carry their extension on the factor, not "
             "as an overall spec")
-    prop = Propagator(t.d, t.m)
+    prop = green_function(t.d, t.m)
     overlap = _tests_overlap(f, g)
 
     if factor.deriv_order:
@@ -451,7 +443,7 @@ def pair(t: ScalarDistribution, tests: Sequence,
     result = 1.0
     for verts, _ in t.components():
         if len(verts) == 1:
-            result *= _test_integral(tests[verts[0]], t.d, scheme)
+            result *= tests[verts[0]].integral(scheme)
             continue
         sub = t.relabelled(verts)
         sub_tests = [tests[v] for v in verts]

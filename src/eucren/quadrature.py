@@ -16,7 +16,11 @@ integrals plus small tensor rules:
   zero over the sphere, so one subtraction covers both degrees).
 
 * ``ProfileSpline`` caches a smooth radial profile on a window as a
-  cubic spline; used for convolution and correlation profiles.
+  cubic spline; used for correlation profiles.
+
+* ``contract`` applies a kernel matrix between two point sets to a
+  vector, a block of rows at a time; every tensor-rule pairing and
+  graph-term contraction goes through it.
 
 Outer 1-d integrals go through QUADPACK (scipy.integrate.quad); a
 nonzero error flag or an absolute-error report far above the requested
@@ -37,8 +41,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.spatial.distance import cdist
 
-from .errors import QuadratureFailure
+from .errors import QuadratureFailure, UnsupportedCase
 
 __all__ = [
     "QuadratureScheme",
@@ -52,7 +57,7 @@ __all__ = [
     "subtracted_radial_pair",
     "ProfileSpline",
     "correlation_profile",
-    "convolution_profile",
+    "contract",
     "pair_tensor",
 ]
 
@@ -167,7 +172,7 @@ def ball_rule(d: int, center, radius: float, n: int):
         ], axis=-1).reshape(-1, 3)
         wts = (WR * R**2 * WMU * w_phi).reshape(-1)
         return pts, wts
-    raise ValueError(f"ball_rule supports d in 1..3, got {d}")
+    raise UnsupportedCase(f"ball rules are implemented for d in 1..3, got {d}")
 
 
 def angular_average(gu: Callable, c: float, d: int, n: int = 96) -> Callable:
@@ -335,30 +340,30 @@ def _radial_eval(gu, rho):
     return gu(rho * rho)
 
 
-def convolution_profile(kernel: Callable, singular_power: float,
-                        decay_scale: Optional[float],
-                        g_gu: Callable, g_support: float,
-                        s_max: float, d: int,
-                        scheme: QuadratureScheme = DEFAULT_SCHEME) -> ProfileSpline:
-    """A(s) = int K(|z|) g(z - s e1) dz as a spline on [0, s_max].
+# rows of the first point set per kernel block in ``contract``
+_BLOCK_ROWS = 256
 
-    ``singular_power`` is the algebraic blow-up of K at 0 (K ~ rho^-p);
-    it must leave rho^(d-1) K integrable.  ``decay_scale`` is an
-    e-folding length for truncating a non-compact kernel; None means
-    the kernel is supported inside the sampled region anyway.
+
+def contract(block: Callable, xp: np.ndarray, yp: np.ndarray,
+             v: np.ndarray) -> np.ndarray:
+    """K(xp, yp) @ v without forming the whole kernel matrix.
+
+    ``block(x, y)`` returns the kernel matrix between two point sets;
+    it is called on successive row blocks of ``xp`` against all of
+    ``yp``, so the working memory is a few blocks of
+    _BLOCK_ROWS x len(yp).
     """
-    s_grid = np.linspace(0.0, s_max, scheme.profile_samples)
-    vals = np.empty_like(s_grid)
-    for i, s in enumerate(s_grid):
-        vals[i] = radial_pair(kernel, g_gu, g_support, s, d, scheme)
-    return ProfileSpline(s_grid, vals, s_max)
+    out = np.empty(len(xp))
+    for lo in range(0, len(xp), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        out[lo:hi] = np.asarray(block(xp[lo:hi], yp), dtype=float) @ v
+    return out
 
 
 def pair_tensor(kernel: Callable, d: int,
                 f_center, f_radius: float, f_values: Callable,
                 g_center, g_radius: float, g_values: Callable,
-                scheme: QuadratureScheme = DEFAULT_SCHEME,
-                block: int = 1024) -> float:
+                scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
     """Direct tensor-Gauss evaluation of int int f(x) K(|x-y|) g(y) dx dy.
 
     Fallback for integrands with no radial structure.  Accurate only
@@ -370,10 +375,4 @@ def pair_tensor(kernel: Callable, d: int,
     yp, yw = ball_rule(d, g_center, g_radius, scheme.gauss_n)
     fx = np.asarray(f_values(xp), dtype=float) * xw
     gy = np.asarray(g_values(yp), dtype=float) * yw
-    total = 0.0
-    for start in range(0, len(xp), block):
-        stop = min(start + block, len(xp))
-        diff = xp[start:stop, None, :] - yp[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        total += fx[start:stop] @ kernel(dist) @ gy
-    return float(total)
+    return float(fx @ contract(lambda x, y: kernel(cdist(x, y)), xp, yp, gy))

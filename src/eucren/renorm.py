@@ -36,7 +36,7 @@ from .kernels import (
     ScalarDistribution,
     counterterm_count,
 )
-from .propagator import Propagator, pair_extension, radial_view
+from .propagator import Propagator, green_function, pair_extension, radial_view
 from .quadrature import (
     DEFAULT_SCHEME,
     QuadratureScheme,
@@ -98,7 +98,7 @@ def scaling_degree_analytic(
     derivative order; a point mass scales exactly like lambda^-d."""
     if isinstance(t, DeltaKernel):
         return ScalingDegree(t.d + sum(t.deriv))
-    prop = Propagator(t.d, t.m)
+    prop = green_function(t.d, t.m)
     total = 0
     for factor in t.factors:
         total += factor.power * prop.sd + factor.deriv_order
@@ -188,7 +188,7 @@ def extend(t: ScalarDistribution, spec: ExtensionSpec) -> ScalarDistribution:
     """
     if t.overall is not None:
         raise DomainError("kernel already carries an overall extension")
-    prop = Propagator(t.d, t.m)
+    prop = green_function(t.d, t.m)
 
     if t.n_points == 2:
         factor = t.factors[0]
@@ -229,7 +229,7 @@ def recursive_renormalize(
     if t.overall is not None:
         raise DomainError("kernel already carries an overall extension")
     specs = dict(specs or {})
-    prop = Propagator(t.d, t.m)
+    prop = green_function(t.d, t.m)
 
     divergent = [f for f in t.factors
                  if _pair_rho(prop, f) >= 0 and not f.renormalized]
@@ -269,7 +269,7 @@ def counterterm_shift(t: ScalarDistribution, old: CutoffFunction,
     so adding this value to C_0 reproduces the old extension."""
     if t.n_points != 2 or len(t.factors) != 1:
         raise DomainError("cutoff compensation applies to pair kernels")
-    prop = Propagator(t.d, t.m)
+    prop = green_function(t.d, t.m)
     factor = t.factors[0]
     if _pair_rho(prop, factor) != 0 or factor.deriv_order:
         raise DomainError(

@@ -5,9 +5,14 @@ power series whose k-th coefficient contracts the k-th derivative
 kernels through k propagators; the n-fold version sums tadpole-free
 multigraphs with reciprocal-symmetry-factor weights.  Both are
 evaluated numerically at a background configuration: each graph term
-is a product over connected components, and every component within the
-supported envelope (single multi-edges, two-edge paths, isolated
-vertices) reduces to Gauss ball rules over the coefficient supports.
+is a product over connected components.  Every component that is a
+tree (an isolated vertex, a multi-edge, a path, a star, ...) is
+summed by one message pass toward its lowest vertex: each vertex's
+weights on the Gauss ball rule of its coefficient support, times the
+messages of its own children, are contracted through the edge's
+propagator power onto the parent's nodes.  Components with a cycle
+are outside the numeric envelope, and derivative decorations are
+evaluated only on a component that is a single power-one edge.
 
 The result of multiplying two local functionals is not local: the
 second derivative of the pointwise product contains a cross kernel
@@ -48,8 +53,8 @@ from .functionals import (
 )
 from .graphs import MultiGraph, expansion_terms, vertex_pairs
 from .kernels import PropFactor, ScalarDistribution
-from .propagator import Propagator, _decorated_tensor, pair
-from .quadrature import DEFAULT_SCHEME, QuadratureScheme, ball_rule
+from .propagator import green_function, pair
+from .quadrature import DEFAULT_SCHEME, QuadratureScheme, ball_rule, contract
 
 __all__ = [
     "FormalSeries",
@@ -136,9 +141,6 @@ class ProductResult:
 # -- numeric graph-term evaluation ---------------------------------------
 
 
-_CHUNK = 1024
-
-
 class _GraphEvaluator:
     """Evaluates graph amplitudes at a fixed background configuration.
 
@@ -159,7 +161,7 @@ class _GraphEvaluator:
         if phi.d != d:
             raise DomainError("background dimension does not match")
         self.d = d
-        self.prop = Propagator(d, m)
+        self.prop = green_function(d, m)
         self._rules: Dict = {}
         self._field_vals: Dict = {}
         self._kernels: Dict = {}
@@ -178,8 +180,8 @@ class _GraphEvaluator:
         return key, self._rules[key]
 
     def _weights(self, dk: DKTerm):
-        """Nodes, quadrature weights, and the vertex weight function
-        coefficient * prod (d^a phi) on the nodes."""
+        """Rule key, nodes, quadrature weights, and the vertex weight
+        function coefficient * prod (d^a phi) on the nodes."""
         key, (pts, wts) = self._rule(dk.coefficient)
         vals = np.asarray(dk.coefficient(pts), dtype=float)
         for alpha in dk.residual:
@@ -189,152 +191,79 @@ class _GraphEvaluator:
                 fv = np.asarray(self.phi.diff(alpha)(pts), dtype=float)
                 self._field_vals[fkey] = fv
             vals = vals * fv
-        return pts, wts, vals
-
-    def _edge_contract(self, power: int, pts_a, ua, pts_b, ub) -> float:
-        kernel = self.prop.power_callable(power)
-        sq_b = np.sum(pts_b * pts_b, axis=1)
-        acc = 0.0
-        for lo in range(0, len(pts_a), _CHUNK):
-            hi = min(lo + _CHUNK, len(pts_a))
-            block = pts_a[lo:hi]
-            d2 = (np.sum(block * block, axis=1)[:, None] + sq_b[None, :]
-                  - 2.0 * (block @ pts_b.T))
-            dist = np.sqrt(np.maximum(d2, 0.0))
-            acc += ua[lo:hi] @ np.asarray(kernel(dist), dtype=float) @ ub
-        return float(acc)
-
-    def _leg_values(self, power: int, pts_leg, u_leg, pts_piv) -> np.ndarray:
-        """Propagator-power convolution of a weighted leg onto pivot nodes."""
-        kernel = self.prop.power_callable(power)
-        sq_leg = np.sum(pts_leg * pts_leg, axis=1)
-        out = np.empty(len(pts_piv))
-        for lo in range(0, len(pts_piv), _CHUNK):
-            hi = min(lo + _CHUNK, len(pts_piv))
-            block = pts_piv[lo:hi]
-            d2 = (np.sum(block * block, axis=1)[:, None] + sq_leg[None, :]
-                  - 2.0 * (block @ pts_leg.T))
-            out[lo:hi] = np.asarray(
-                kernel(np.sqrt(np.maximum(d2, 0.0))), dtype=float) @ u_leg
-        return out
+        return key, pts, wts, vals
 
     @staticmethod
     def _plain(dk: DKTerm) -> bool:
         return all(sum(a) == 0 for a in dk.arg_derivs)
 
-    def _single_vertex(self, kern: DerivativeKernel) -> float:
-        total = 0.0
-        for dk in kern.terms:
-            _, wts, vals = self._weights(dk)
-            total += float(dk.prefactor) * float(wts @ vals)
-        return total
-
-    def _two_vertex(self, power: int, ka: DerivativeKernel,
-                    kb: DerivativeKernel) -> float:
-        total = 0.0
-        for ta in ka.terms:
-            for tb in kb.terms:
-                pref = float(ta.prefactor * tb.prefactor)
-                if self._plain(ta) and self._plain(tb):
-                    pa, wa, ua = self._weights(ta)
-                    pb, wb, ub = self._weights(tb)
-                    total += pref * self._edge_contract(
-                        power, pa, wa * ua, pb, wb * ub)
-                    continue
-                if power != 1:
-                    raise UnsupportedCase(
-                        "derivative decorations on multiple parallel edges "
-                        "are outside the numeric envelope")
-                factor = PropFactor(0, 1, 1, left_deriv=ta.arg_derivs[0],
-                                    right_deriv=tb.arg_derivs[0])
-                shim_a = _WeightShim.from_term(self, ta)
-                shim_b = _WeightShim.from_term(self, tb)
-                total += pref * _decorated_tensor(
-                    self.prop, factor, shim_a, shim_b, self.scheme)
-        return total
-
-    def _path(self, pivot_kernel, leg1, leg2) -> float:
-        """leg = (power, DerivativeKernel) hanging off the shared pivot."""
-        (pw1, kern1), (pw2, kern2) = leg1, leg2
-        total = 0.0
-        for tp in pivot_kernel.terms:
-            if not self._plain(tp):
-                raise UnsupportedCase(
-                    "derivative decorations at a path pivot are outside "
-                    "the numeric envelope")
-            pp, wp, up = self._weights(tp)
-            for t1 in kern1.terms:
-                if not self._plain(t1):
-                    raise UnsupportedCase(
-                        "derivative decorations on path legs are outside "
-                        "the numeric envelope")
-                p1, w1, u1 = self._weights(t1)
-                leg1_vals = self._leg_values(pw1, p1, w1 * u1, pp)
-                for t2 in kern2.terms:
-                    if not self._plain(t2):
-                        raise UnsupportedCase(
-                            "derivative decorations on path legs are "
-                            "outside the numeric envelope")
-                    p2, w2, u2 = self._weights(t2)
-                    leg2_vals = self._leg_values(pw2, p2, w2 * u2, pp)
-                    pref = float(tp.prefactor * t1.prefactor * t2.prefactor)
-                    total += pref * float((wp * up) @ (leg1_vals * leg2_vals))
-        return total
-
     def term_value(self, graph: MultiGraph) -> float:
+        kerns = [self.kernel(v, graph.degree(v)) for v in range(graph.n)]
+        if any(k.is_zero for k in kerns):
+            return 0.0
         value = 1.0
         for verts in _components(graph):
-            edges = [(i, j, m) for i, j, m in graph.edges()
-                     if i in verts and j in verts]
-            kerns = {i: self.kernel(i, graph.degree(i)) for i in verts}
-            if any(k.is_zero for k in kerns.values()):
-                return 0.0
-            if not edges:
-                (i,) = verts
-                value *= self._single_vertex(kerns[i])
-            elif len(edges) == 1:
-                i, j, m = edges[0]
-                value *= self._two_vertex(m, kerns[i], kerns[j])
-            elif len(edges) == 2:
-                (i1, j1, m1), (i2, j2, m2) = edges
-                shared = set((i1, j1)) & set((i2, j2))
-                pivot = shared.pop()
-                end1 = i1 + j1 - pivot
-                end2 = i2 + j2 - pivot
-                value *= self._path(kerns[pivot],
-                                    (m1, kerns[end1]), (m2, kerns[end2]))
-            else:
+            edges = [(i, j, m) for i, j, m in graph.edges() if i in verts]
+            if len(edges) != len(verts) - 1:
                 raise UnsupportedCase(
-                    "connected graph pieces beyond one pair or a two-edge "
-                    "path are outside the numeric envelope")
+                    "graph components with a cycle are outside the "
+                    "numeric envelope")
+            single_edge = len(edges) == 1 and edges[0][2] == 1
+            if not single_edge and not all(
+                    self._plain(dk) for v in verts for dk in kerns[v].terms):
+                raise UnsupportedCase(
+                    "derivative decorations are evaluated only on a "
+                    "component that is a single power-one edge")
+            tree = _Tree(self, kerns, edges)
+            value *= tree.root_value(verts[0])
         return value
 
 
-class _WeightShim:
-    """Ball-supported callable: coefficient times background factors,
-    shaped like a test function for the decorated tensor rule."""
+class _Tree:
+    """One message pass over a tree component of a graph term.
 
-    def __init__(self, d, center, radius, fn):
-        self.d = d
-        self.center = center
-        self.radius = radius
-        self._fn = fn
+    The message of vertex v to its parent is, on the parent's nodes x,
+    the sum over v's kernel terms of the edge kernel P^m(x, .) applied
+    to v's weights times the messages of v's own children.  Messages
+    are cached per parent ball rule and parent decoration."""
 
-    @classmethod
-    def from_term(cls, ev: _GraphEvaluator, dk: DKTerm) -> "_WeightShim":
-        coeff = dk.coefficient
-        fields = [ev.phi.diff(a) for a in dk.residual]
+    def __init__(self, ev: _GraphEvaluator, kerns, edges):
+        self.ev = ev
+        self.kerns = kerns
+        self.adj: Dict[int, Dict[int, int]] = {}
+        for i, j, m in edges:
+            self.adj.setdefault(i, {})[j] = m
+            self.adj.setdefault(j, {})[i] = m
+        self._messages: Dict = {}
 
-        def fn(pts):
-            vals = np.asarray(coeff(pts), dtype=float)
-            for fld in fields:
-                vals = vals * np.asarray(fld(pts), dtype=float)
-            return vals
+    def _below(self, v: int, parent: Optional[int], key, pts, dk: DKTerm):
+        """Product of the messages of v's children on one of v's rules."""
+        out = 1.0
+        for c in self.adj.get(v, {}):
+            if c != parent:
+                out = out * self._message(c, v, key, pts, dk.arg_derivs[0])
+        return out
 
-        return cls(coeff.d, coeff.center, coeff.radius, fn)
+    def _message(self, v: int, parent: int, parent_key, x, left):
+        mkey = (v, parent_key, left)
+        if mkey not in self._messages:
+            power = self.adj[v][parent]
+            out = np.zeros(len(x))
+            for dk in self.kerns[v].terms:
+                key, pts, wts, vals = self.ev._weights(dk)
+                vals = vals * self._below(v, parent, key, pts, dk)
+                block = self.ev.prop.block(power, left, dk.arg_derivs[0])
+                out += float(dk.prefactor) * contract(block, x, pts, wts * vals)
+            self._messages[mkey] = out
+        return self._messages[mkey]
 
-    def __call__(self, pts):
-        return self._fn(pts)
+    def root_value(self, root: int) -> float:
+        total = 0.0
+        for dk in self.kerns[root].terms:
+            key, pts, wts, vals = self.ev._weights(dk)
+            vals = vals * self._below(root, None, key, pts, dk)
+            total += float(dk.prefactor) * float(wts @ vals)
+        return total
 
 
 def _components(graph: MultiGraph) -> List[Tuple[int, ...]]:

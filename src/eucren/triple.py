@@ -59,9 +59,9 @@ from .errors import (
 )
 from .kernels import ExtensionSpec, ScalarDistribution
 from .propagator import (
-    Propagator,
     RadialTestView,
     _tests_overlap,
+    green_function,
     pair_extension,
 )
 from .quadrature import (
@@ -237,7 +237,7 @@ def triple_pairing(m: float, powers: Tuple[int, int, int],
     ``e1`` renormalizes the K1 factor at z1 = 0, ``overall`` the joint
     origin.  Their counterterms must be order 0.
     """
-    prop = Propagator(3, m)
+    prop = green_function(3, m)
     a, b, c = powers
     if c > 1:
         raise UnsupportedCase(
@@ -346,16 +346,15 @@ _FIELD_CACHE: dict = {}
 def _leg_profile(d: int, m: float, factor, leg, lo: float, hi: float,
                  scheme: QuadratureScheme) -> ProfileSpline:
     """Radial profile rho -> <K_edge, leg(x - .)> for |x - c_leg| = rho."""
-    n = max(160, scheme.profile_samples // 2)
     key = (d, m, factor.power, factor.extension, leg,
-           round(lo, 12), round(hi, 12), n)
+           round(lo, 12), round(hi, 12), scheme)
     prof = _LEG_CACHE.get(key)
     if prof is not None:
         return prof
     sub = ScalarDistribution.single_power(d, m, factor.power,
                                           extension=factor.extension)
     gu = leg.gu()
-    grid = np.linspace(lo, hi, n)
+    grid = np.linspace(lo, hi, max(160, scheme.profile_samples // 2))
     vals = np.empty_like(grid)
     for k, rho in enumerate(grid):
         view = RadialTestView(
@@ -406,7 +405,7 @@ def pair_three(t: ScalarDistribution, tests,
                 "derivative decorations on three-point kernels are "
                 "outside the numeric envelope")
 
-    prop = Propagator(t.d, t.m)
+    prop = green_function(t.d, t.m)
     for factor in t.factors:
         if factor.renormalized:
             continue

@@ -68,18 +68,24 @@ def mc_pair_radial(kernel, d: int, f_center, f_radius, f_values,
     return scale * float(np.mean(vals)), scale * float(np.std(vals) / np.sqrt(n))
 
 
-def mc_triple(k01, k02, k12, d: int, tests, n: int = 1_000_000, seed: int = 0):
-    """Monte Carlo pairing of K01(|x0-x1|) K02(|x0-x2|) K12(|x1-x2|)
-    against three ball-supported tests (pass lambda s: 1.0 + 0*s for an
-    absent edge)."""
+def mc_graph(edges, d: int, tests, n: int = 1_000_000, seed: int = 0):
+    """Monte Carlo pairing of prod K(|x_i - x_j|) over ``edges``, a
+    sequence of (i, j, K), against ball-supported tests."""
     rng = np.random.default_rng(seed)
     pts = [sample_ball(rng, d, t.center, t.radius, n) for t in tests]
     vals = np.ones(n)
     for t, p in zip(tests, pts):
         vals *= np.asarray(t(p), dtype=float)
-    for (i, j), k in (((0, 1), k01), ((0, 2), k02), ((1, 2), k12)):
+    for i, j, k in edges:
         vals *= np.asarray(k(np.linalg.norm(pts[i] - pts[j], axis=1)))
     vol = 1.0
     for t in tests:
         vol *= ball_volume(d, t.radius)
     return vol * float(np.mean(vals)), vol * float(np.std(vals) / np.sqrt(n))
+
+
+def mc_triple(k01, k02, k12, d: int, tests, n: int = 1_000_000, seed: int = 0):
+    """Monte Carlo pairing of K01(|x0-x1|) K02(|x0-x2|) K12(|x1-x2|)
+    against three ball-supported tests (pass lambda s: 1.0 + 0*s for an
+    absent edge)."""
+    return mc_graph(((0, 1, k01), (0, 2, k02), (1, 2, k12)), d, tests, n, seed)

@@ -366,6 +366,21 @@ class TestMain:
             "[functional g]\ncenter=0.5,0,0\nradius=0.8\n")
         assert main(["--config", str(cfg)]) == 4
 
+    def test_massless_low_dimension_exit(self, tmp_path, capsys):
+        # no decaying massless propagator exists in d = 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "command=product d=2 m=0 order=1\n"
+            "[functional F]\ncenter=0,0\npower=2\nradius=0.9\n"
+            "[functional G]\ncenter=2.5,0\npower=2\nradius=0.9\n")
+        assert main(["--config", str(cfg)]) == 6
+        assert "ok = true" not in capsys.readouterr().out
+
+    def test_verify_beyond_ball_rules_exit(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command=verify d=4 m=1\n")
+        assert main(["--config", str(cfg)]) == 6
+
     def test_flag_overrides_echoed(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "report.txt"

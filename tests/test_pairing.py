@@ -16,8 +16,9 @@ from eucren.errors import (
 )
 from eucren.functionals import TestFunction
 from eucren.kernels import CutoffFunction, ExtensionSpec, PropFactor, ScalarDistribution
+from eucren import propagator, triple
 from eucren.propagator import Propagator, pair
-from eucren.quadrature import QuadratureScheme
+from eucren.quadrature import DEFAULT_SCHEME, QuadratureScheme
 from eucren.triple import analytic_field, grid_field, pair_three, triple_pairing
 
 from helpers import mc_ball, mc_pair, mc_pair_radial, mc_triple
@@ -261,3 +262,31 @@ class TestComposite:
                                          PropFactor(2, 3, 1)))
         with pytest.raises(UnsupportedCase):
             pair(t, tests)
+
+
+class TestSchemeCaches:
+    """Cached profiles are reused only under the scheme that built them:
+    a coarse call must not leak into a later default-scheme call."""
+
+    coarse = QuadratureScheme(rtol=1e-2)
+
+    def check(self, cache, t, tests):
+        cache.clear()
+        first = pair(t, tests, self.coarse)
+        warm = pair(t, tests, DEFAULT_SCHEME)
+        cache.clear()
+        cold = pair(t, tests, DEFAULT_SCHEME)
+        assert warm == cold
+        assert warm != first
+
+    def test_correlation_profile(self):
+        f = TestFunction(3, (0.0, 0.0, 0.0), 1.0)
+        g = TestFunction(3, (0.6, 0.0, 0.0), 0.9)
+        self.check(propagator._CORR_CACHE, single(1), (f, g))
+
+    def test_path_leg_profile(self):
+        a = TestFunction(3, (-2.2, 0.0, 0.0), 1.0)
+        piv = TestFunction(3, (0.0, 0.0, 0.0), 1.0)
+        b = TestFunction(3, (0.8, 0.3, 0.0), 0.8)
+        t = ScalarDistribution(3, 3, M, (PropFactor(0, 1, 2), PropFactor(1, 2, 1)))
+        self.check(triple._LEG_CACHE, t, (a, piv, b))

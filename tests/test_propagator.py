@@ -162,3 +162,56 @@ class TestWavefront:
         t = ScalarDistribution(2, 3, 1.0, (PropFactor(0, 1, 2),))
         with pytest.raises(UnsupportedKernel):
             wavefront(t)
+
+
+class TestKernelBlocks:
+    """Decorated kernel blocks against derivatives in r of the d = 3
+    Yukawa potential: d_i P = P'(r) z_i / r, and
+    d_i d_j P = P'' z_i z_j / r^2 + P' (delta_ij / r - z_i z_j / r^3),
+    with z = x - y and d_y = -d_x."""
+
+    x = np.array([[0.1, 0.2, -0.3], [0.5, -0.4, 0.2]])
+    y = np.array([[2.4, 0.1, 0.0], [2.0, -1.1, 0.6], [2.9, 0.3, -0.5]])
+
+    def radial(self):
+        z = self.x[:, None, :] - self.y[None, :, :]
+        r = np.linalg.norm(z, axis=-1)
+        p1 = -np.exp(-r) * (1.0 + r) / (4 * np.pi * r**2)
+        p2 = np.exp(-r) * (2.0 + 2.0 * r + r**2) / (4 * np.pi * r**3)
+        return z, r, p1, p2
+
+    def hessian(self, i, j):
+        z, r, p1, p2 = self.radial()
+        zz = z[..., i] * z[..., j]
+        return p2 * zz / r**2 + p1 * ((i == j) / r - zz / r**3)
+
+    def test_plain_power(self):
+        _, r, _, _ = self.radial()
+        block = green_function(3, 1.0).block(2)
+        np.testing.assert_allclose(block(self.x, self.y),
+                                   (np.exp(-r) / (4 * np.pi * r)) ** 2,
+                                   rtol=1e-13)
+
+    def test_first_order(self):
+        z, r, p1, _ = self.radial()
+        P = green_function(3, 1.0)
+        np.testing.assert_allclose(P.block(1, (0, 0, 1))(self.x, self.y),
+                                   p1 * z[..., 2] / r, rtol=1e-12)
+        np.testing.assert_allclose(P.block(1, (), (0, 1, 0))(self.x, self.y),
+                                   -p1 * z[..., 1] / r, rtol=1e-12)
+
+    def test_second_order(self):
+        P = green_function(3, 1.0)
+        np.testing.assert_allclose(
+            P.block(1, (1, 0, 0), (0, 1, 0))(self.x, self.y),
+            -self.hessian(0, 1), rtol=1e-12)
+        np.testing.assert_allclose(
+            P.block(1, (0, 2, 0))(self.x, self.y),
+            self.hessian(1, 1), rtol=1e-12)
+
+    def test_limits(self):
+        P = green_function(3, 1.0)
+        with pytest.raises(UnsupportedCase):
+            P.block(2, (1, 0, 0))
+        with pytest.raises(UnsupportedCase):
+            P.block(1, (2, 0, 0), (1, 0, 0))

@@ -5,11 +5,13 @@ import pytest
 
 from eucren.errors import QuadratureFailure
 from eucren.expr import RadialMap
+from eucren.propagator import green_function
 from eucren.quadrature import (
     DEFAULT_SCHEME,
     ProfileSpline,
     angular_average,
     ball_rule,
+    contract,
     correlation_profile,
     pair_tensor,
     quad_1d,
@@ -188,3 +190,22 @@ class TestProfilesAndTensor:
         ref, err = mc_pair(kernel, 2, f.center, 0.6, f, g.center, 0.8, g,
                            n=400_000, seed=3)
         assert val == pytest.approx(ref, abs=4 * err)
+
+
+class TestContract:
+    # 432 nodes in the first rule: two row blocks, the second partial
+    xp, _ = ball_rule(3, (0.0, 0.0, 0.0), 1.0, 6)
+    yp, yw = ball_rule(3, (2.4, 0.3, 0.0), 0.8, 5)
+    v = yw * np.cos(np.arange(len(yw)))
+
+    def check(self, block):
+        dense = block(self.xp, self.yp) @ self.v
+        got = contract(block, self.xp, self.yp, self.v)
+        np.testing.assert_allclose(got, dense, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(dense)))
+
+    def test_radial_block(self):
+        self.check(green_function(3, 1.0).block(2))
+
+    def test_decorated_block(self):
+        self.check(green_function(3, 1.0).block(1, (1, 0, 0), (0, 1, 0)))

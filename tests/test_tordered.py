@@ -19,7 +19,7 @@ from eucren.tordered import (E_n, FormalSeries, block_product,
                              causal_factorization_check, product_expansion,
                              star_E, wick_expansion, wick_order_pair,
                              product_cross_support, split_support)
-from helpers import mc_ball, mc_pair, mc_triple
+from helpers import mc_ball, mc_graph, mc_pair, mc_triple
 
 D = 3
 M = 1.0
@@ -253,6 +253,55 @@ class TestNFoldProduct:
         bad = [self.Fs[0], LocalFunctional.linear(shifted), self.Fs[2]]
         with pytest.raises(DomainError):
             E_n(bad, PHI, M, 1, SCHEME)
+
+
+class TestTrees:
+    """Components on four vertices go through the same message pass as
+    pairs and paths.  The exactly saturated vertices carry no
+    background factor, so each graph value is k! prefactors times a
+    plain four-ball Monte Carlo integral."""
+
+    @staticmethod
+    def graph_value(functionals, order, edges):
+        result = product_expansion(functionals, PHI, M, order, SCHEME)
+        for _, graph, _, value in result.contributions:
+            if sorted(graph.edges()) == sorted(edges):
+                return value
+        raise AssertionError(f"no graph with edges {edges}")
+
+    def test_star_against_mc(self):
+        leaves = (F1,
+                  TestFunction(d=D, center=(-1.3, 2.1, 0.0), radius=0.9),
+                  TestFunction(d=D, center=(-1.2, -2.0, 0.8), radius=0.8,
+                               amplitude=1.3))
+        functionals = [LocalFunctional.phi_power(3, F0)] + [
+            LocalFunctional.linear(f) for f in leaves]
+        edges = [(0, 1, 1), (0, 2, 1), (0, 3, 1)]
+        value = self.graph_value(functionals, 3, edges)
+        ref, err = mc_graph([(i, j, prop) for i, j, _ in edges], D,
+                            (F0,) + leaves, n=600_000, seed=61)
+        close_to_mc(value, 6.0 * ref, 6.0 * err, rel=0.02)
+
+    def test_path_against_mc(self):
+        tests = (TestFunction(d=D, center=(-2.4, 0.0, 0.0), radius=0.9),
+                 F0, F1,
+                 TestFunction(d=D, center=(4.7, 0.9, 0.0), radius=0.9,
+                              amplitude=1.2))
+        functionals = [LocalFunctional.linear(tests[0]),
+                       LocalFunctional.phi_power(2, tests[1]),
+                       LocalFunctional.phi_power(2, tests[2]),
+                       LocalFunctional.linear(tests[3])]
+        edges = [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
+        value = self.graph_value(functionals, 3, edges)
+        ref, err = mc_graph([(i, j, prop) for i, j, _ in edges], D, tests,
+                            n=600_000, seed=62)
+        close_to_mc(value, 4.0 * ref, 4.0 * err, rel=0.02)
+
+    def test_cycle_is_rejected(self):
+        # three phi^2 slots at order 3 saturate only on the triangle
+        squares = [LocalFunctional.phi_power(2, f) for f in (F0, F1, F2)]
+        with pytest.raises(UnsupportedCase):
+            E_n(squares, PHI, M, 3, SCHEME)
 
 
 class TestCausality:
