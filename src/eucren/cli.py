@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, EucrenError, ParseError, exit_code_for
-from .functionals import (FieldConfiguration, LocalFunctional, MonomialTerm,
-                          TestFunction, additivity_check)
+from .functionals import (_DERIV_CAP, FieldConfiguration, LocalFunctional,
+                          MonomialTerm, TestFunction, additivity_check)
 from .graphs import (conjugated_merge_series, cross_edge_series,
                      enumerate_graphs, expansion_terms, symmetry_factor)
 from .kernels import CutoffFunction, ExtensionSpec, PropFactor, ScalarDistribution
@@ -112,9 +112,12 @@ def _int(text: str) -> int:
 
 def _float(text: str) -> float:
     try:
-        return float(text)
+        val = float(text)
     except ValueError:
         raise ValueError(f"expected a number, got {text!r}")
+    if not np.isfinite(val):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return val
 
 
 def _bounded_int(lo: int, what: str) -> Callable[[str], int]:
@@ -357,6 +360,11 @@ def parse_config(text: str) -> RunConfig:
                     raise ParseError(
                         f"multi-index {alpha} has wrong length in d={d}",
                         table["derivs"].line, table["derivs"].column)
+                if sum(alpha) > _DERIV_CAP:
+                    raise ParseError(
+                        f"multi-index {alpha} exceeds the derivative "
+                        f"order cap {_DERIV_CAP}",
+                        table["derivs"].line, table["derivs"].column)
         specs.append(spec)
     fields["functionals"] = tuple(specs)
 
@@ -413,7 +421,12 @@ class Report:
 
 
 def _num(x: float) -> str:
-    return f"{float(x):.12e}"
+    """The one format of every reported number.  A non-finite value
+    fails the run instead of reaching the report."""
+    x = float(x)
+    if not np.isfinite(x):
+        raise DomainError(f"the run produced a non-finite value ({x})")
+    return f"{x:.12e}"
 
 
 def _fmt_lambdas(vals: Sequence[float]) -> str:
@@ -552,10 +565,9 @@ def _run_renormalize(config: RunConfig) -> List[ReportSection]:
 
     rows = [("locus", "power", "sd", "status")]
     for factor in out.factors:
-        sd = factor.power * prop.sd + factor.deriv_order
         status = "extended" if factor.renormalized else "bare"
-        rows.append((f"{factor.i}-{factor.j}", str(factor.power), str(sd),
-                     status))
+        rows.append((f"{factor.i}-{factor.j}", str(factor.power),
+                     str(prop.edge_sd(factor)), status))
     pairs = [
         ("n_points", str(out.n_points)),
         ("overall_divergence", str(degree_of_divergence(out))),

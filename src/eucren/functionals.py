@@ -15,8 +15,11 @@ background configuration.
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
+import operator
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,9 +27,10 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import sympy as sp
 
 from .errors import PreconditionViolated, UnsupportedCase
-from .expr import RadialMap, SmoothMap
+from .expr import RadialMap, SmoothMap, coords
 from .quadrature import (
     DEFAULT_SCHEME,
     QuadratureScheme,
@@ -111,12 +115,6 @@ class TestFunction:
                             lam * self.radius,
                             self.amplitude * lam ** (-self.d))
 
-    def translated(self, shift) -> "TestFunction":
-        shift = np.atleast_1d(np.asarray(shift, dtype=float))
-        return TestFunction(self.d,
-                            tuple(c + s for c, s in zip(self.center, shift)),
-                            self.radius, self.amplitude)
-
     def to_field(self) -> "FieldConfiguration":
         return FieldConfiguration(self.radial_map().to_smoothmap(),
                                   support_ball=(self.center, self.radius))
@@ -171,14 +169,19 @@ class FieldConfiguration:
     @staticmethod
     def from_expression(text: str, d: int) -> "FieldConfiguration":
         """Parse an expression in x1..xd over the closed-form atoms
-        (polynomials, exp, sin, cos)."""
-        import sympy as sp
-        from .expr import coords
-        local = {f"x{i + 1}": s for i, s in enumerate(coords(d))}
-        expr = sp.sympify(text, locals=local)
-        extra = expr.free_symbols - set(coords(d))
-        if extra:
-            raise ValueError(f"unknown symbols in field expression: {extra}")
+        (polynomials, exp, sin, cos).
+
+        The text is never evaluated: its syntax tree is walked under a
+        whitelist (int and float literals, x1..xd, binary + - * / **,
+        unary + and -, one-argument exp, sin and cos) and the sympy
+        expression is built node by node.  Float literals keep their
+        source digits.  Anything else raises ValueError.
+        """
+        try:
+            tree = ast.parse(text.strip(), mode="eval")
+        except SyntaxError as exc:
+            raise ValueError(f"invalid field expression: {exc.msg}")
+        expr = _field_expr(tree.body, text.strip(), d)
         return FieldConfiguration(SmoothMap(expr, d))
 
     def __call__(self, points):
@@ -228,6 +231,38 @@ class FieldConfiguration:
 
     def __repr__(self):
         return f"FieldConfiguration({self.fn.expr})"
+
+
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv,
+               ast.Pow: operator.pow}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_FIELD_FUNCS = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos}
+
+
+def _field_expr(node: ast.AST, text: str, d: int):
+    """The sympy expression of one whitelisted syntax-tree node."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        if isinstance(node.value, int):
+            return sp.Integer(node.value)
+        return sp.Float(ast.get_source_segment(text, node))
+    if isinstance(node, ast.Name):
+        match = re.fullmatch(r"x([1-9]\d*)", node.id)
+        if match is None or int(match.group(1)) > d:
+            raise ValueError(f"unknown name {node.id!r} in field expression")
+        return coords(d)[int(match.group(1)) - 1]
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        return _BINARY_OPS[type(node.op)](_field_expr(node.left, text, d),
+                                          _field_expr(node.right, text, d))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        return _UNARY_OPS[type(node.op)](_field_expr(node.operand, text, d))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FIELD_FUNCS and len(node.args) == 1
+            and not node.keywords):
+        return _FIELD_FUNCS[node.func.id](_field_expr(node.args[0], text, d))
+    raise ValueError(
+        f"unsupported syntax {ast.get_source_segment(text, node)!r} in "
+        "field expression")
 
 
 @dataclass(frozen=True)
@@ -296,10 +331,6 @@ class LocalFunctional:
     def d(self) -> int:
         return self.terms[0].d
 
-    @property
-    def max_power(self) -> int:
-        return max(t.power for t in self.terms)
-
     @staticmethod
     def phi_power(k: int, f: TestFunction,
                   prefactor=Fraction(1)) -> "LocalFunctional":
@@ -337,9 +368,6 @@ def _term_value(term: MonomialTerm, phi: FieldConfiguration,
             return 0.0
         if isinstance(f, TestFunction):
             return pref * c ** term.power * f.integral(scheme)
-    if term.d > 3:
-        raise UnsupportedCase(
-            "generic evaluation uses ball rules limited to d <= 3")
     pts, wts = ball_rule(term.d, f.center, f.radius, scheme.gauss_n)
     vals = np.asarray(f(pts), dtype=float)
     for alpha in term.derivs:
@@ -433,8 +461,6 @@ def kernel_pair(K: DerivativeKernel, phi: FieldConfiguration,
     total = 0.0
     for t in K.terms:
         f = t.coefficient
-        if f.d > 3:
-            raise UnsupportedCase("kernel pairing limited to d <= 3")
         pts, wts = ball_rule(f.d, f.center, f.radius, scheme.gauss_n)
         vals = np.asarray(f(pts), dtype=float)
         for alpha in t.residual:
@@ -530,8 +556,6 @@ def additivity_check(F: LocalFunctional, phi: FieldConfiguration,
     total = 0.0
     for term in F.terms:
         f = term.coefficient
-        if term.d > 3:
-            raise UnsupportedCase("additivity check limited to d <= 3")
         pts, wts = ball_rule(term.d, f.center, f.radius, scheme.gauss_n)
         base = np.asarray(f(pts), dtype=float)
         acc = np.zeros(len(pts))
@@ -607,9 +631,6 @@ class BalancedFieldTerm:
         f = self.coefficient
         if not pending and isinstance(f, TestFunction):
             return pref * constant * f.integral(scheme)
-        if self.d > 3:
-            raise UnsupportedCase(
-                "generic evaluation uses ball rules limited to d <= 3")
         pts, wts = ball_rule(self.d, f.center, f.radius, scheme.gauss_n)
         vals = np.asarray(f(pts), dtype=float) * constant
         for cfg, alpha in pending:
@@ -673,9 +694,6 @@ def taylor_evaluate(terms: Sequence[BalancedFieldTerm],
     total = 0.0
     for key in order:
         f, group = groups[key]
-        if f.d > 3:
-            raise UnsupportedCase(
-                "generic evaluation uses ball rules limited to d <= 3")
         pts, wts = ball_rule(f.d, f.center, f.radius, scheme.gauss_n)
         acc = np.zeros(len(pts))
         for t in group:
@@ -725,7 +743,6 @@ def split_support(F: LocalFunctional, pieces: int,
         raise ValueError("need at least one piece")
     if pieces == 1:
         return [F]
-    from .expr import coords
     out_terms = [[] for _ in range(pieces)]
     for term in F.terms:
         f = term.coefficient

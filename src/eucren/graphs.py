@@ -10,6 +10,11 @@ parallel edges.
 Vertices are labelled (they are argument slots), so no isomorphism
 quotient is taken; two relabelings of the same shape are distinct
 terms and their weights add up to the unlabelled coefficient.
+
+``graph_to_amplitude`` is the one lowering of a graph against
+functional slots (the slots' derivative kernels plus one propagator
+power per populated pair); every numeric product route reads its
+graph terms through it.
 """
 
 from __future__ import annotations
@@ -44,16 +49,10 @@ def vertex_pairs(n: int) -> Tuple[Tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class MultiGraph:
-    """Edge multiplicities over the vertex pairs of ``vertex_pairs(n)``.
-
-    ``decorations`` optionally carries per-edge-copy endpoint
-    derivative multi-indices; enumeration produces undecorated graphs
-    and decorations enter only through amplitude lowering.
-    """
+    """Edge multiplicities over the vertex pairs of ``vertex_pairs(n)``."""
 
     n: int
     mult: Tuple[int, ...]
-    decorations: Tuple = ()
 
     def __post_init__(self):
         if self.n < 1:
@@ -177,19 +176,6 @@ class AmplitudeTerm:
     @property
     def is_zero(self) -> bool:
         return any(k.is_zero for k in self.kernels)
-
-    def describe(self) -> str:
-        if self.is_zero:
-            return "0"
-        slots = []
-        for i, k in enumerate(self.kernels):
-            subs = "".join(f"({self.graph.multiplicity(i, j)})"
-                           for j in range(self.graph.n) if j != i
-                           and self.graph.multiplicity(i, j) > 0)
-            slots.append(f"F{i + 1}^({k.order}){('_' + subs) if subs else ''}")
-        edges = " ".join(f"P{i + 1}{j + 1}^{m}" if m > 1 else f"P{i + 1}{j + 1}"
-                         for i, j, m in self.graph.edges())
-        return "< " + ", ".join(slots) + (f" | {edges} >" if edges else " >")
 
 
 def graph_to_amplitude(graph: MultiGraph,

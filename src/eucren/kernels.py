@@ -11,9 +11,9 @@ the extension logic in ``renorm``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,6 +98,26 @@ def counterterm_count(rho: int, ambient: int) -> int:
     if rho < 0:
         return 0
     return math.comb(rho + ambient, ambient)
+
+
+def components(n: int, pairs: Iterable[Tuple[int, int]]) -> List[Tuple[int, ...]]:
+    """Connected components of the graph on vertices 0..n-1 with the
+    given edges, isolated vertices included: sorted vertex tuples,
+    ordered by their lowest vertex."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in pairs:
+        parent[find(j)] = find(i)
+    groups: Dict[int, List[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(tuple(g) for g in groups.values())
 
 
 @dataclass(frozen=True)
@@ -194,27 +214,9 @@ class ScalarDistribution:
     def components(self) -> list:
         """Connected components of the factor graph, isolated points
         included; each entry is (sorted vertex tuple, factor tuple)."""
-        parent = list(range(self.n_points))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for f in self.factors:
-            ra, rb = find(f.i), find(f.j)
-            if ra != rb:
-                parent[rb] = ra
-        groups: Dict[int, list] = {}
-        for v in range(self.n_points):
-            groups.setdefault(find(v), []).append(v)
-        out = []
-        for root in sorted(groups, key=lambda r: min(groups[r])):
-            verts = tuple(sorted(groups[root]))
-            facs = tuple(f for f in self.factors if f.i in verts)
-            out.append((verts, facs))
-        return out
+        return [(verts, tuple(f for f in self.factors if f.i in verts))
+                for verts in components(self.n_points,
+                                        [f.pair for f in self.factors])]
 
     def relabelled(self, verts: Iterable[int]) -> "ScalarDistribution":
         """Restriction to a component of >= 2 vertices, renumbered 0..k-1."""

@@ -42,7 +42,7 @@ from .errors import (
     UnsupportedKernel,
 )
 from .expr import RadialMap, _u_symbol
-from .kernels import DeltaKernel, ExtensionSpec, PropFactor, ScalarDistribution
+from .kernels import DeltaKernel, PropFactor, ScalarDistribution
 from .quadrature import (
     DEFAULT_SCHEME,
     ProfileSpline,
@@ -84,6 +84,11 @@ class Propagator:
     def sd(self) -> int:
         """UV scaling degree at the coinciding-point locus."""
         return self.d - 2 if self.d >= 3 else 0
+
+    def edge_sd(self, factor: PropFactor) -> int:
+        """Scaling degree of one factor at its pair locus: power * sd
+        plus the derivative order of its decorations."""
+        return factor.power * self.sd + factor.deriv_order
 
     @property
     def has_log_singularity(self) -> bool:
@@ -293,10 +298,6 @@ def spline_view(profile: ProfileSpline, offset: float) -> RadialTestView:
         gradient_at_origin=None)
 
 
-def _pair_divergence_degree(prop: Propagator, factor: PropFactor) -> int:
-    return factor.power * prop.sd + factor.deriv_order - prop.d
-
-
 def _tests_overlap(f, g) -> bool:
     sep = float(np.linalg.norm(np.asarray(f.center) - np.asarray(g.center)))
     return sep < f.radius + g.radius
@@ -329,7 +330,7 @@ def pair_extension(t: ScalarDistribution, phi,
     prop = green_function(t.d, t.m)
     view = phi if isinstance(phi, RadialTestView) else radial_view(phi)
     kernel = prop.power_callable(factor.power)
-    rho_div = _pair_divergence_degree(prop, factor)
+    rho_div = prop.edge_sd(factor) - prop.d
 
     if factor.extension is None:
         if rho_div >= 0 and view.offset < view.support:
@@ -406,7 +407,7 @@ def _pair_two(t: ScalarDistribution, f, g, scheme: QuadratureScheme,
         offset = float(np.linalg.norm(np.asarray(f.center) - np.asarray(g.center)))
         return pair_extension(t, spline_view(prof, offset), scheme)
 
-    rho_div = _pair_divergence_degree(prop, factor)
+    rho_div = prop.edge_sd(factor) - prop.d
     if rho_div >= 0 and overlap:
         raise NonIntegrableSingularity(
             f"bare P^{factor.power} (d={t.d}) with divergence degree "

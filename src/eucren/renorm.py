@@ -32,11 +32,10 @@ from .kernels import (
     CutoffFunction,
     DeltaKernel,
     ExtensionSpec,
-    PropFactor,
     ScalarDistribution,
     counterterm_count,
 )
-from .propagator import Propagator, green_function, pair_extension, radial_view
+from .propagator import green_function, pair_extension, radial_view
 from .quadrature import (
     DEFAULT_SCHEME,
     QuadratureScheme,
@@ -99,10 +98,8 @@ def scaling_degree_analytic(
     if isinstance(t, DeltaKernel):
         return ScalingDegree(t.d + sum(t.deriv))
     prop = green_function(t.d, t.m)
-    total = 0
-    for factor in t.factors:
-        total += factor.power * prop.sd + factor.deriv_order
-    return ScalingDegree(total, prop.has_log_singularity)
+    return ScalingDegree(sum(prop.edge_sd(f) for f in t.factors),
+                         prop.has_log_singularity)
 
 
 def degree_of_divergence(t: ScalarDistribution) -> int:
@@ -169,10 +166,6 @@ def scaling_degree_numeric(t, phi,
 # -- extension at a locus --------------------------------------------------
 
 
-def _pair_rho(prop: Propagator, factor: PropFactor) -> int:
-    return factor.power * prop.sd + factor.deriv_order - prop.d
-
-
 def _spec_is_trivial(spec: ExtensionSpec) -> bool:
     return all(v == 0.0 for _, v in spec.counterterms)
 
@@ -194,7 +187,7 @@ def extend(t: ScalarDistribution, spec: ExtensionSpec) -> ScalarDistribution:
         factor = t.factors[0]
         if factor.renormalized:
             raise DomainError("factor is already renormalized")
-        if _pair_rho(prop, factor) < 0:
+        if prop.edge_sd(factor) < prop.d:
             if not _spec_is_trivial(spec):
                 warnings.warn(
                     "extension below threshold is unique; counterterm "
@@ -203,7 +196,7 @@ def extend(t: ScalarDistribution, spec: ExtensionSpec) -> ScalarDistribution:
         return replace(t, factors=(replace(factor, extension=spec),))
 
     for factor in t.factors:
-        if _pair_rho(prop, factor) >= 0 and not factor.renormalized:
+        if prop.edge_sd(factor) >= prop.d and not factor.renormalized:
             raise NotPrimitive(
                 f"pair locus ({factor.i},{factor.j}) diverges and is not "
                 "renormalized; run recursive_renormalize")
@@ -232,7 +225,7 @@ def recursive_renormalize(
     prop = green_function(t.d, t.m)
 
     divergent = [f for f in t.factors
-                 if _pair_rho(prop, f) >= 0 and not f.renormalized]
+                 if prop.edge_sd(f) >= prop.d and not f.renormalized]
     needs_overall = (t.n_points >= 3
                      and degree_of_divergence(t) >= 0)
     if not divergent and not needs_overall:
@@ -271,7 +264,7 @@ def counterterm_shift(t: ScalarDistribution, old: CutoffFunction,
         raise DomainError("cutoff compensation applies to pair kernels")
     prop = green_function(t.d, t.m)
     factor = t.factors[0]
-    if _pair_rho(prop, factor) != 0 or factor.deriv_order:
+    if prop.edge_sd(factor) != prop.d or factor.deriv_order:
         raise DomainError(
             "the order-zero compensation formula needs divergence degree 0")
     kernel = prop.power_callable(factor.power)

@@ -5,14 +5,17 @@ power series whose k-th coefficient contracts the k-th derivative
 kernels through k propagators; the n-fold version sums tadpole-free
 multigraphs with reciprocal-symmetry-factor weights.  Both are
 evaluated numerically at a background configuration: each graph term
-is a product over connected components.  Every component that is a
-tree (an isolated vertex, a multi-edge, a path, a star, ...) is
-summed by one message pass toward its lowest vertex: each vertex's
-weights on the Gauss ball rule of its coefficient support, times the
-messages of its own children, are contracted through the edge's
-propagator power onto the parent's nodes.  Components with a cycle
-are outside the numeric envelope, and derivative decorations are
-evaluated only on a component that is a single power-one edge.
+is lowered by ``graphs.graph_to_amplitude`` and is a product over
+connected components.  Every component that is a tree (an isolated
+vertex, a multi-edge, a path, a star, ...) is summed by one message
+pass toward its lowest vertex: each vertex's weights on the Gauss ball
+rule of its coefficient support, times the messages of its own
+children, are contracted through the edge's propagator power onto the
+parent's nodes.  Messages are shared across the graph terms of one
+expansion: graph terms that contain the same subtree reuse its
+message.  Components with a cycle are outside the numeric envelope,
+and derivative decorations are evaluated only on a component that is
+a single power-one edge.
 
 The result of multiplying two local functionals is not local: the
 second derivative of the pointwise product contains a cross kernel
@@ -42,7 +45,6 @@ from .errors import (
     UnsupportedCase,
 )
 from .functionals import (
-    DerivativeKernel,
     DKTerm,
     FieldConfiguration,
     LocalFunctional,
@@ -51,8 +53,9 @@ from .functionals import (
     split_support,
     supports_disjoint,
 )
-from .graphs import MultiGraph, expansion_terms, vertex_pairs
-from .kernels import PropFactor, ScalarDistribution
+from .graphs import (MultiGraph, expansion_terms, graph_to_amplitude,
+                     vertex_pairs)
+from .kernels import ScalarDistribution, components
 from .propagator import green_function, pair
 from .quadrature import DEFAULT_SCHEME, QuadratureScheme, ball_rule, contract
 
@@ -122,10 +125,6 @@ class FormalSeries:
         return FormalSeries(tuple((k, factor * v) for k, v in self.coeffs),
                             self.truncation)
 
-    def abs_coefficients(self) -> "FormalSeries":
-        return FormalSeries(tuple((k, abs(v)) for k, v in self.coeffs),
-                            self.truncation)
-
     def max_abs(self) -> float:
         return max((abs(v) for _, v in self.coeffs), default=0.0)
 
@@ -142,11 +141,14 @@ class ProductResult:
 
 
 class _GraphEvaluator:
-    """Evaluates graph amplitudes at a fixed background configuration.
+    """Evaluates graph terms at a fixed background configuration.
 
-    Ball rules, background-derivative values and derivative kernels
-    are cached per call site; the evaluator is single-use and cheap to
-    construct."""
+    The message of vertex v to its parent is, on the parent's nodes x,
+    the sum over v's kernel terms of the edge kernel P^m(x, .) applied
+    to v's weights times the messages of v's own children.  Ball rules,
+    background-derivative values and messages are cached for the
+    evaluator's lifetime; a message is keyed by the parent's rule and
+    decoration and by the edges of the subtree below the edge."""
 
     def __init__(self, functionals: Sequence[LocalFunctional],
                  phi: FieldConfiguration, m: float,
@@ -164,13 +166,7 @@ class _GraphEvaluator:
         self.prop = green_function(d, m)
         self._rules: Dict = {}
         self._field_vals: Dict = {}
-        self._kernels: Dict = {}
-
-    def kernel(self, slot: int, order: int) -> DerivativeKernel:
-        key = (slot, order)
-        if key not in self._kernels:
-            self._kernels[key] = derivative_kernel(self.functionals[slot], order)
-        return self._kernels[key]
+        self._messages: Dict = {}
 
     def _rule(self, coeff):
         key = (coeff.center, coeff.radius)
@@ -198,89 +194,71 @@ class _GraphEvaluator:
         return all(sum(a) == 0 for a in dk.arg_derivs)
 
     def term_value(self, graph: MultiGraph) -> float:
-        kerns = [self.kernel(v, graph.degree(v)) for v in range(graph.n)]
-        if any(k.is_zero for k in kerns):
+        amp = graph_to_amplitude(graph, self.functionals)
+        if amp.is_zero:
             return 0.0
         value = 1.0
-        for verts in _components(graph):
-            edges = [(i, j, m) for i, j, m in graph.edges() if i in verts]
+        for verts in components(graph.n, [f.pair for f in amp.factors]):
+            edges = [f for f in amp.factors if f.i in verts]
             if len(edges) != len(verts) - 1:
                 raise UnsupportedCase(
                     "graph components with a cycle are outside the "
                     "numeric envelope")
-            single_edge = len(edges) == 1 and edges[0][2] == 1
+            single_edge = len(edges) == 1 and edges[0].power == 1
             if not single_edge and not all(
-                    self._plain(dk) for v in verts for dk in kerns[v].terms):
+                    self._plain(dk) for v in verts
+                    for dk in amp.kernels[v].terms):
                 raise UnsupportedCase(
                     "derivative decorations are evaluated only on a "
                     "component that is a single power-one edge")
-            tree = _Tree(self, kerns, edges)
-            value *= tree.root_value(verts[0])
+            adj: Dict[int, Dict[int, int]] = {v: {} for v in verts}
+            for f in edges:
+                adj[f.i][f.j] = adj[f.j][f.i] = f.power
+            root = verts[0]
+            total = 0.0
+            for dk in amp.kernels[root].terms:
+                key, pts, wts, vals = self._weights(dk)
+                vals = vals * self._below(amp.kernels, adj, root, None,
+                                          key, pts, dk)
+                total += float(dk.prefactor) * float(wts @ vals)
+            value *= total
         return value
 
-
-class _Tree:
-    """One message pass over a tree component of a graph term.
-
-    The message of vertex v to its parent is, on the parent's nodes x,
-    the sum over v's kernel terms of the edge kernel P^m(x, .) applied
-    to v's weights times the messages of v's own children.  Messages
-    are cached per parent ball rule and parent decoration."""
-
-    def __init__(self, ev: _GraphEvaluator, kerns, edges):
-        self.ev = ev
-        self.kerns = kerns
-        self.adj: Dict[int, Dict[int, int]] = {}
-        for i, j, m in edges:
-            self.adj.setdefault(i, {})[j] = m
-            self.adj.setdefault(j, {})[i] = m
-        self._messages: Dict = {}
-
-    def _below(self, v: int, parent: Optional[int], key, pts, dk: DKTerm):
+    def _below(self, kerns, adj, v: int, parent: Optional[int], key, pts,
+               dk: DKTerm):
         """Product of the messages of v's children on one of v's rules."""
         out = 1.0
-        for c in self.adj.get(v, {}):
+        for c in adj[v]:
             if c != parent:
-                out = out * self._message(c, v, key, pts, dk.arg_derivs[0])
+                out = out * self._message(kerns, adj, c, v, key, pts,
+                                          dk.arg_derivs[0])
         return out
 
-    def _message(self, v: int, parent: int, parent_key, x, left):
-        mkey = (v, parent_key, left)
+    def _message(self, kerns, adj, v: int, parent: int, parent_key, x,
+                 left):
+        mkey = (v, parent_key, left, _subtree(adj, v, parent))
         if mkey not in self._messages:
-            power = self.adj[v][parent]
             out = np.zeros(len(x))
-            for dk in self.kerns[v].terms:
-                key, pts, wts, vals = self.ev._weights(dk)
-                vals = vals * self._below(v, parent, key, pts, dk)
-                block = self.ev.prop.block(power, left, dk.arg_derivs[0])
-                out += float(dk.prefactor) * contract(block, x, pts, wts * vals)
+            for dk in kerns[v].terms:
+                key, pts, wts, vals = self._weights(dk)
+                vals = vals * self._below(kerns, adj, v, parent, key, pts, dk)
+                block = self.prop.block(adj[v][parent], left,
+                                        dk.arg_derivs[0])
+                out += float(dk.prefactor) * contract(block, x, pts,
+                                                      wts * vals)
             self._messages[mkey] = out
         return self._messages[mkey]
 
-    def root_value(self, root: int) -> float:
-        total = 0.0
-        for dk in self.kerns[root].terms:
-            key, pts, wts, vals = self.ev._weights(dk)
-            vals = vals * self._below(root, None, key, pts, dk)
-            total += float(dk.prefactor) * float(wts @ vals)
-        return total
 
-
-def _components(graph: MultiGraph) -> List[Tuple[int, ...]]:
-    parent = list(range(graph.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j, _ in graph.edges():
-        parent[find(i)] = find(j)
-    groups: Dict[int, List[int]] = {}
-    for v in range(graph.n):
-        groups.setdefault(find(v), []).append(v)
-    return [tuple(sorted(g)) for g in sorted(groups.values())]
+def _subtree(adj, v: int, parent: int) -> Tuple[Tuple[int, int, int], ...]:
+    """Sorted edges (i, j, power) of the subtree that hangs from v,
+    the edge to its parent included."""
+    edges, stack = [], [(v, parent)]
+    while stack:
+        a, p = stack.pop()
+        edges.append((min(a, p), max(a, p), adj[a][p]))
+        stack.extend((c, a) for c in adj[a] if c != p)
+    return tuple(sorted(edges))
 
 
 # -- the products ---------------------------------------------------------
@@ -497,21 +475,15 @@ def wick_expansion(functionals: Sequence[LocalFunctional], m: float,
     d = functionals[0].d
     out: List[WickTerm] = []
     for term in expansion_terms(len(functionals), order):
-        graph = term.graph
-        if graph.total_edges == 0:
+        if term.order == 0:
             continue
-        kernels = [derivative_kernel(F, graph.degree(i))
-                   for i, F in enumerate(functionals)]
-        if any(k.is_zero for k in kernels):
-            continue
-        factors = tuple(PropFactor(i, j, mult) for i, j, mult in graph.edges())
+        amp = graph_to_amplitude(term.graph, functionals)
         # at zero background only fully contracted slots survive
-        survivors = []
-        for kern in kernels:
-            live = [dk for dk in kern.terms if not dk.residual]
-            survivors.append(live)
+        survivors = [[dk for dk in k.terms if not dk.residual]
+                     for k in amp.kernels]
         if not all(survivors):
             continue
+        kernel = ScalarDistribution(term.graph.n, d, m, amp.factors)
         for combo in itertools.product(*survivors):
             if any(sum(a) != 0 for dk in combo for a in dk.arg_derivs):
                 raise UnsupportedCase(
@@ -520,7 +492,6 @@ def wick_expansion(functionals: Sequence[LocalFunctional], m: float,
             weight = term.weight * math.prod(
                 (dk.prefactor for dk in combo), start=Fraction(1))
             tests = tuple(dk.coefficient for dk in combo)
-            kernel = ScalarDistribution(graph.n, d, m, factors)
             out.append(WickTerm(weight=weight, tests=tests, kernel=kernel))
     return out
 

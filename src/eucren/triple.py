@@ -409,14 +409,14 @@ def pair_three(t: ScalarDistribution, tests,
     for factor in t.factors:
         if factor.renormalized:
             continue
-        rho_pair = factor.power * prop.sd - t.d
+        rho_pair = prop.edge_sd(factor) - t.d
         if rho_pair >= 0 and _tests_overlap(tests[factor.i], tests[factor.j]):
             raise NonIntegrableSingularity(
                 f"bare P^{factor.power} on pair {factor.pair} has "
                 f"divergence degree {rho_pair} >= 0 against overlapping "
                 "tests")
 
-    sd_total = sum(f.power * prop.sd for f in t.factors)
+    sd_total = sum(prop.edge_sd(f) for f in t.factors)
     rho_overall = sd_total - 2 * t.d
     joint_locus = _common_support_point(tests)
     if rho_overall >= 0 and joint_locus:

@@ -41,10 +41,16 @@ class TestBesselK:
         np.testing.assert_allclose(ours, ref, rtol=1e-10)
 
     def test_switchover_is_seamless(self):
-        # values straddling the series/integral boundary at x = 2
-        x = np.linspace(1.9, 2.1, 41)
-        for nu in (0.0, 1.0, 0.5):
-            np.testing.assert_allclose(besselk(nu, x), scipy.special.kv(nu, x), rtol=1e-11)
+        # orders within 1e-12 of 1/2 take the closed form, orders
+        # further off go to kv; across that switch the values stay
+        # within 1e-10 relative of K_{1/2}
+        x = np.geomspace(0.05, 20.0, 41)
+        closed = np.sqrt(np.pi / (2 * x)) * np.exp(-x)
+        for nu in (0.5 - 1e-13, 0.5 + 1e-13):
+            np.testing.assert_array_equal(besselk(nu, x), closed)
+        for nu in (0.5 - 1e-11, 0.5 + 1e-11):
+            np.testing.assert_array_equal(besselk(nu, x), scipy.special.kv(nu, x))
+            np.testing.assert_allclose(besselk(nu, x), closed, rtol=1e-10)
 
     def test_half_integer_closed_form(self):
         x = np.array([0.3, 1.0, 4.2])

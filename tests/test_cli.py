@@ -381,6 +381,38 @@ class TestMain:
         cfg.write_text("command=verify d=4 m=1\n")
         assert main(["--config", str(cfg)]) == 6
 
+    def test_background_never_executed(self, tmp_path):
+        target = tmp_path / "written.txt"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "command=graphs d=3\n"
+            f'background = __import__("pathlib").Path("{target}")'
+            '.write_text("x")\n')
+        assert main(["--config", str(cfg)]) == 2
+        assert not target.exists()
+
+    def test_infinite_radius_is_parse_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command=renormalize d=3 factors=0-1:3 pair_radius=inf\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "line 1" in capsys.readouterr().err
+
+    def test_derivative_above_cap_is_parse_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command=product d=3\n[functional F]\n"
+                       "center=0,0,0\npower=1\nderivs=(3,0,0)\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "line 5" in capsys.readouterr().err
+
+    def test_nonfinite_result_is_domain_exit(self, tmp_path, capsys):
+        # the square root of the background is nan on half the support
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command=product d=1 order=0\n"
+                       "background = x1**0.5\n"
+                       "[functional F]\ncenter=0\npower=2\n")
+        assert main(["--config", str(cfg)]) == 3
+        assert "ok = true" not in capsys.readouterr().out
+
     def test_flag_overrides_echoed(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "report.txt"

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy as sp
 from scipy.integrate import quad
 
 from eucren.errors import PreconditionViolated
@@ -32,6 +33,7 @@ from eucren.functionals import (
     taylor_evaluate,
     taylor_expand,
 )
+from eucren.expr import coords
 from eucren.quadrature import QuadratureScheme
 
 TIGHT = QuadratureScheme(gauss_n=48)
@@ -201,6 +203,42 @@ class TestDerivativeKernel:
             shuffled = [psis[p] for p in perm]
             assert kernel_pair(K, phi, shuffled, TIGHT) == pytest.approx(
                 base, rel=1e-10, abs=1e-12)
+
+
+class TestFieldExpression:
+    """Background expressions are built from a whitelisted syntax tree,
+    never evaluated as code."""
+
+    @pytest.mark.parametrize("text, d", [
+        ("0", 3), ("x1", 1), ("1 + 0.5*x1", 1), ("1 + 0.2*x1", 1),
+        ("1 + 0.2*x1 - 0.1*x2 + 0.05*x1*x3", 3), ("sin(x1)", 1),
+        ("cos(x1)", 1), ("cos(2*x1)", 1), ("x1*exp(-x1**2)", 1),
+        ("exp(-x1**2)", 1), ("x1**2", 1), ("x1**2 - 1", 1),
+        ("sin(x1)*cos(x2)", 2), ("0.912345 + -0.123456*x1", 3),
+        ("-0.411931*x1 + 1.295321*sin(x2) + -0.0201", 2),
+        ("0.9785 + -0.0633*x1", 3), ("x1**0.5", 1), ("1/3 - x1/2", 1),
+        ("1.1455927773739436 + 0.14129167032734002*x1", 3),
+    ])
+    def test_same_tree_as_sympy_parser(self, text, d):
+        # the expressions used across the tests, the CLI and the
+        # benchmark configs; the trees must match exactly so that
+        # reports do not change
+        names = {f"x{i + 1}": s for i, s in enumerate(coords(d))}
+        expected = sp.sympify(text, locals=names)
+        got = FieldConfiguration.from_expression(text, d).fn.expr
+        assert sp.srepr(got) == sp.srepr(expected)
+
+    def test_float_literal_keeps_every_digit(self):
+        phi = FieldConfiguration.from_expression("1.1455927773739436*x1", 1)
+        assert float(phi(np.array([[1.0]]))[0]) == 1.1455927773739436
+
+    @pytest.mark.parametrize("text", [
+        '__import__("os").getcwd()', "x1.real", "lambda: x1", "x1[0]",
+        "log(x1)", "exp(x1, 2)", "x4", "y", "True", "'x1'", "x1^2", "1 +* x1",
+    ])
+    def test_outside_whitelist_rejected(self, text):
+        with pytest.raises(ValueError):
+            FieldConfiguration.from_expression(text, 3)
 
 
 class TestSupport:

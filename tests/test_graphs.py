@@ -204,7 +204,6 @@ class TestAmplitudeLowering:
             assert dk.residual == ()
         assert {(p.i, p.j): p.power for p in term.factors} == {
             (0, 1): 3, (0, 2): 2, (1, 2): 1}
-        assert "F1^(5)" in term.describe()
 
     def test_single_edge_linear(self):
         F = LocalFunctional.linear(self.f)
@@ -220,7 +219,6 @@ class TestAmplitudeLowering:
         G = LocalFunctional.phi_power(4, self.g)
         term = graph_to_amplitude(MultiGraph(2, (3,)), [F, G])
         assert term.is_zero
-        assert term.describe() == "0"
 
     def test_slot_count_mismatch(self):
         F = LocalFunctional.linear(self.f)

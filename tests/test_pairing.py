@@ -59,6 +59,16 @@ class TestTwoPoint:
         with pytest.raises(NonIntegrableSingularity):
             pair(single(3), (self.f, self.g_near))
 
+    def test_touching_cube_pairs(self):
+        # B(0, 1) and B((1.8, 0, 0), 0.8) touch at one point: the open
+        # interiors do not overlap, so the integrability gate lets the
+        # bare P^3 through, and both routes give the same value
+        touching = TestFunction(3, (1.8, 0.0, 0.0), 0.8)
+        v_rad = pair(single(3), (self.f, touching))
+        v_ten = pair(single(3), (self.f, touching), method="tensor")
+        assert v_rad > 0
+        np.testing.assert_allclose(v_ten, v_rad, rtol=1e-4)
+
     def test_disjoint_cube_vs_mc(self):
         val = pair(single(3), (self.f, self.g_far))
         ref, err = mc_pair(Propagator(3, M).power_callable(3), 3,

@@ -10,11 +10,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from eucren import tordered
 from eucren.errors import (DomainError, NonLinearInput,
                            PreconditionViolated, UnsupportedCase)
 from eucren.functionals import (FieldConfiguration, LocalFunctional,
-                                MonomialTerm, TestFunction, evaluate)
-from eucren.quadrature import QuadratureScheme
+                                MonomialTerm, TestFunction, evaluate,
+                                supports_disjoint)
+from eucren.quadrature import QuadratureScheme, contract
 from eucren.tordered import (E_n, FormalSeries, block_product,
                              causal_factorization_check, product_expansion,
                              star_E, wick_expansion, wick_order_pair,
@@ -157,6 +159,15 @@ class TestStarProduct:
         with pytest.raises(DomainError):
             star_E(LocalFunctional.linear(F0), LocalFunctional.linear(near),
                    PHI, M, 2, SCHEME)
+
+    def test_touching_supports_rejected(self):
+        # closed balls B(0, 1) and B((1.8, 0, 0), 0.8) share one point,
+        # so the supports are not disjoint and the product is undefined
+        touching = TestFunction(d=D, center=(1.8, 0.0, 0.0), radius=0.8)
+        F, G = LocalFunctional.linear(F0), LocalFunctional.linear(touching)
+        assert not supports_disjoint(F, G)
+        with pytest.raises(DomainError):
+            star_E(F, G, PHI, M, 1, SCHEME)
 
     def test_background_dimension_mismatch(self):
         with pytest.raises(DomainError):
@@ -302,6 +313,25 @@ class TestTrees:
         squares = [LocalFunctional.phi_power(2, f) for f in (F0, F1, F2)]
         with pytest.raises(UnsupportedCase):
             E_n(squares, PHI, M, 3, SCHEME)
+
+    def test_terms_share_subtree_messages(self, monkeypatch):
+        # the path 1-0-2 contains the single edges 0-1 and 0-2, and the
+        # path 0-1-2 the edge 1-2; a message is contracted once per
+        # expansion, so no contraction repeats an earlier one
+        vectors = []
+
+        def recording(block, x, y, v):
+            out = contract(block, x, y, v)
+            vectors.append(out.tobytes())
+            return out
+
+        monkeypatch.setattr(tordered, "contract", recording)
+        squares = [LocalFunctional.phi_power(
+            2, TestFunction(d=D, center=(c, 0.0, 0.0), radius=0.9))
+            for c in (0.0, 3.0, 6.0)]
+        product_expansion(squares, PHI, M, 2, QuadratureScheme(gauss_n=6))
+        assert vectors
+        assert len(set(vectors)) == len(vectors)
 
 
 class TestCausality:
