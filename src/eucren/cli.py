@@ -171,6 +171,9 @@ def _lambda_list(text: str) -> Tuple[float, ...]:
     for v in vals:
         if not 0.0 < v < 1.0:
             raise ValueError(f"lambda values must lie in (0, 1), got {v}")
+    if len(vals) < 6:
+        # the scaling fit drops the two largest and needs four more
+        raise ValueError(f"need at least six lambda values, got {len(vals)}")
     return vals
 
 

@@ -78,7 +78,10 @@ EXIT_CODE_BY_ERROR = {
     DomainError: EXIT_DOMAIN,
     NonIntegrableSingularity: EXIT_NONINTEGRABLE,
     QuadratureFailure: EXIT_QUADRATURE,
+    IllConditionedFit: EXIT_QUADRATURE,
     UnsupportedCase: EXIT_UNSUPPORTED,
+    NotPrimitive: EXIT_UNSUPPORTED,
+    OverlappingDivergence: EXIT_UNSUPPORTED,
 }
 
 

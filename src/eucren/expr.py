@@ -65,6 +65,14 @@ def _bumpcore_numpy(t):
 _LAMBDIFY_MODULES = [{"BumpCore": _bumpcore_numpy}, "numpy"]
 
 
+@lru_cache(maxsize=1024)
+def _compiled(args, expr):
+    """The numpy callable of ``expr`` in ``args``; both map types compile
+    through here, so an expression compiles once however many maps carry
+    it.  Floats of different precision compare unequal and never share."""
+    return sp.lambdify(args, expr, modules=_LAMBDIFY_MODULES)
+
+
 @lru_cache(maxsize=None)
 def coords(d: int) -> tuple:
     """The coordinate symbols x1..xd."""
@@ -76,39 +84,20 @@ def _u_symbol():
     return sp.Symbol("u", nonnegative=True)
 
 
-def _combine_radial(a, b):
-    """Radial-center metadata for a product/sum of two maps."""
-    if a == "any":
-        return b
-    if b == "any":
-        return a
-    if a is not None and b is not None and np.allclose(a, b):
-        return a
-    return None
-
-
 class SmoothMap:
     """A smooth function R^d -> R given as a sympy expression."""
 
-    __slots__ = ("d", "expr", "radial_center", "_fn")
+    __slots__ = ("d", "expr")
 
-    def __init__(self, expr, d: int, radial_center=None):
+    def __init__(self, expr, d: int):
         self.d = int(d)
         self.expr = sp.sympify(expr)
-        # radial_center: "any" for constants, a point for known rotation
-        # invariance about that point, None when unknown.
-        if radial_center is None and not self.expr.free_symbols:
-            radial_center = "any"
-        if isinstance(radial_center, (tuple, list, np.ndarray)):
-            radial_center = tuple(float(c) for c in radial_center)
-        self.radial_center = radial_center
-        self._fn = None
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def constant(value, d: int) -> "SmoothMap":
-        return SmoothMap(sp.sympify(value), d, radial_center="any")
+        return SmoothMap(sp.sympify(value), d)
 
     @staticmethod
     def coordinate(i: int, d: int) -> "SmoothMap":
@@ -122,11 +111,6 @@ class SmoothMap:
 
     # -- evaluation ----------------------------------------------------
 
-    def _lambdified(self):
-        if self._fn is None:
-            self._fn = sp.lambdify(coords(self.d), self.expr, modules=_LAMBDIFY_MODULES)
-        return self._fn
-
     def __call__(self, points):
         """Evaluate at points of shape (..., d) (or scalars when d == 1)."""
         pts = np.asarray(points, dtype=float)
@@ -135,7 +119,7 @@ class SmoothMap:
         else:
             comps = [pts[..., i] for i in range(self.d)]
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            out = self._lambdified()(*comps)
+            out = _compiled(coords(self.d), self.expr)(*comps)
         return np.broadcast_to(np.asarray(out, dtype=float), comps[0].shape).copy() \
             if np.ndim(out) == 0 and np.ndim(comps[0]) > 0 else np.asarray(out, dtype=float)
 
@@ -150,12 +134,11 @@ class SmoothMap:
         for i, a in enumerate(alpha):
             if a:
                 e = sp.diff(e, coords(self.d)[i], a)
-        center = self.radial_center if sum(alpha) == 0 else None
-        return SmoothMap(e, self.d, radial_center=center)
+        return SmoothMap(e, self.d)
 
     def laplacian(self) -> "SmoothMap":
         e = sum(sp.diff(self.expr, x, 2) for x in coords(self.d))
-        return SmoothMap(e, self.d, radial_center=self.radial_center)
+        return SmoothMap(e, self.d)
 
     # -- algebra -------------------------------------------------------
 
@@ -168,8 +151,7 @@ class SmoothMap:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return SmoothMap(self.expr + o.expr, self.d,
-                         radial_center=_combine_radial(self.radial_center, o.radial_center))
+        return SmoothMap(self.expr + o.expr, self.d)
 
     __radd__ = __add__
 
@@ -178,8 +160,7 @@ class SmoothMap:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return SmoothMap(self.expr * o.expr, self.d,
-                         radial_center=_combine_radial(self.radial_center, o.radial_center))
+        return SmoothMap(self.expr * o.expr, self.d)
 
     __rmul__ = __mul__
 
@@ -190,7 +171,7 @@ class SmoothMap:
         n = int(n)
         if n < 0:
             raise ValueError("only nonnegative integer powers are smooth-safe")
-        return SmoothMap(self.expr**n, self.d, radial_center=self.radial_center)
+        return SmoothMap(self.expr**n, self.d)
 
     @property
     def is_constant(self) -> bool:
@@ -213,7 +194,7 @@ class RadialMap:
     f(x) = 0 for |x - center| >= S (None means unbounded support).
     """
 
-    __slots__ = ("d", "center", "gexpr", "support_radius", "_gfn")
+    __slots__ = ("d", "center", "gexpr", "support_radius")
 
     def __init__(self, d: int, center, gexpr, support_radius: Optional[float]):
         self.d = int(d)
@@ -222,7 +203,6 @@ class RadialMap:
             raise ValueError("center length must equal the dimension")
         self.gexpr = sp.sympify(gexpr)
         self.support_radius = None if support_radius is None else float(support_radius)
-        self._gfn = None
 
     @staticmethod
     def bump_profile(d: int, center, radius: float, amplitude=1) -> "RadialMap":
@@ -251,9 +231,7 @@ class RadialMap:
     # -- evaluation ----------------------------------------------------
 
     def _g(self):
-        if self._gfn is None:
-            self._gfn = sp.lambdify(_u_symbol(), self.gexpr, modules=_LAMBDIFY_MODULES)
-        return self._gfn
+        return _compiled(_u_symbol(), self.gexpr)
 
     def profile(self, s):
         """Profile value at distance s >= 0 from the center."""
@@ -302,8 +280,7 @@ class RadialMap:
     def to_smoothmap(self) -> "SmoothMap":
         xs = coords(self.d)
         u_of_x = sum((x - sp.Float(c)) ** 2 for x, c in zip(xs, self.center))
-        return SmoothMap(self.gexpr.subs(_u_symbol(), u_of_x), self.d,
-                         radial_center=self.center)
+        return SmoothMap(self.gexpr.subs(_u_symbol(), u_of_x), self.d)
 
     def __repr__(self):
         return (f"RadialMap(d={self.d}, center={self.center}, "

@@ -241,28 +241,41 @@ _FIELD_FUNCS = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos}
 
 
 def _field_expr(node: ast.AST, text: str, d: int):
-    """The sympy expression of one whitelisted syntax-tree node."""
+    """The sympy expression of one whitelisted syntax-tree node.  Numeric
+    subexpressions must be finite and real, and a power of two numbers
+    has an exponent of at most 1024 in magnitude: an exact integer power
+    such as 10**10**8 would take unbounded time."""
+    segment = ast.get_source_segment(text, node)
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         if isinstance(node.value, int):
-            return sp.Integer(node.value)
-        return sp.Float(ast.get_source_segment(text, node))
-    if isinstance(node, ast.Name):
+            expr = sp.Integer(node.value)
+        else:
+            expr = sp.Float(segment)
+    elif isinstance(node, ast.Name):
         match = re.fullmatch(r"x([1-9]\d*)", node.id)
         if match is None or int(match.group(1)) > d:
             raise ValueError(f"unknown name {node.id!r} in field expression")
         return coords(d)[int(match.group(1)) - 1]
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
-        return _BINARY_OPS[type(node.op)](_field_expr(node.left, text, d),
-                                          _field_expr(node.right, text, d))
-    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
-        return _UNARY_OPS[type(node.op)](_field_expr(node.operand, text, d))
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        left = _field_expr(node.left, text, d)
+        right = _field_expr(node.right, text, d)
+        if (isinstance(node.op, ast.Pow) and left.is_number
+                and right.is_number and abs(right) > 1024):
+            raise ValueError(
+                f"exponent in {segment!r} exceeds 1024 in magnitude")
+        expr = _BINARY_OPS[type(node.op)](left, right)
+    elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        expr = _UNARY_OPS[type(node.op)](_field_expr(node.operand, text, d))
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in _FIELD_FUNCS and len(node.args) == 1
             and not node.keywords):
-        return _FIELD_FUNCS[node.func.id](_field_expr(node.args[0], text, d))
-    raise ValueError(
-        f"unsupported syntax {ast.get_source_segment(text, node)!r} in "
-        "field expression")
+        expr = _FIELD_FUNCS[node.func.id](_field_expr(node.args[0], text, d))
+    else:
+        raise ValueError(f"unsupported syntax {segment!r} in field expression")
+    if expr.is_number and not (expr.is_extended_real
+                               and math.isfinite(float(expr))):
+        raise ValueError(f"{segment!r} has no finite real value")
+    return expr
 
 
 @dataclass(frozen=True)
@@ -482,6 +495,7 @@ def _falling(m: int, n: int) -> int:
     return out
 
 
+@lru_cache(maxsize=256)
 def derivative_kernel(F: LocalFunctional, n: int) -> DerivativeKernel:
     """F^(n): each monomial of degree k contributes the delta-chain
     kernel with residual power k - n and the multiplicity of ordered
@@ -612,30 +626,6 @@ class BalancedFieldTerm:
     @property
     def basis_index(self) -> int:
         return balanced_basis(self.order, self.d).index(self.basis)
-
-    def evaluate(self, phi: FieldConfiguration,
-                 scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
-        eta = phi - self.phi0
-        factors = ([(self.phi0, a) for a in self.background]
-                   + [(eta, a) for a in self.basis])
-        pref = float(self.prefactor)
-        constant = 1.0
-        pending = []
-        for cfg, alpha in factors:
-            if cfg.is_constant:
-                if sum(alpha):
-                    return 0.0
-                constant *= cfg.constant_value()
-            else:
-                pending.append((cfg, alpha))
-        f = self.coefficient
-        if not pending and isinstance(f, TestFunction):
-            return pref * constant * f.integral(scheme)
-        pts, wts = ball_rule(self.d, f.center, f.radius, scheme.gauss_n)
-        vals = np.asarray(f(pts), dtype=float) * constant
-        for cfg, alpha in pending:
-            vals = vals * np.asarray(cfg.diff(alpha)(pts), dtype=float)
-        return pref * float(wts @ vals)
 
 
 def taylor_expand(F: LocalFunctional, phi0: FieldConfiguration,

@@ -22,7 +22,7 @@ from .expr import RadialMap
 MultiIndex = Tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _cutoff_map(d: int, radius: float, plateau_fraction: float) -> RadialMap:
     return RadialMap.plateau_profile(d, (0.0,) * d, radius, plateau_fraction)
 

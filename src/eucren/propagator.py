@@ -28,6 +28,7 @@ radial form here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -303,16 +304,9 @@ def _tests_overlap(f, g) -> bool:
     return sep < f.radius + g.radius
 
 
-_CORR_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _correlation(f, g, d: int, scheme: QuadratureScheme) -> ProfileSpline:
-    key = (f, g, d, scheme)
-    prof = _CORR_CACHE.get(key)
-    if prof is None:
-        prof = correlation_profile(f.gu(), f.radius, g.gu(), g.radius, d, scheme)
-        _CORR_CACHE[key] = prof
-    return prof
+    return correlation_profile(f.gu(), f.radius, g.gu(), g.radius, d, scheme)
 
 
 def pair_extension(t: ScalarDistribution, phi,

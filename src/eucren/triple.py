@@ -28,7 +28,7 @@ points the integrands are analytic, so the rules converge fast and
 the whole reduction is deterministic; two resolutions are compared
 and a mismatch raises rather than returning a silently wrong value.
 
-Phi itself is tabulated once per test triple on a uniform
+Phi itself is tabulated once per test triple and scheme on a uniform
 (r1, r2, theta) grid by a ball-Gauss x-integral and queried through a
 prefiltered cubic B-spline.  The theta axis makes the mirror boundary
 condition exact (Phi is even about theta = 0 and pi); the radial axes
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -106,7 +107,7 @@ def _panel_nodes(lo: float, hi: float, marks: Sequence[float],
     return nodes, weights
 
 
-@dataclass
+@dataclass(frozen=True)
 class TripleField:
     """Evaluation data for Phi(z1, z2) in the concentric frame.
 
@@ -126,6 +127,7 @@ class TripleField:
 _GHOSTS = 5
 
 
+@lru_cache(maxsize=8)
 def grid_field(f0, f1, f2, scheme: QuadratureScheme = DEFAULT_SCHEME) -> TripleField:
     """Tabulate Phi for concentric tests (centers already coinciding)."""
     r0 = f0.radius
@@ -339,20 +341,12 @@ def _common_support_point(tests) -> bool:
     return True
 
 
-_LEG_CACHE: dict = {}
-_FIELD_CACHE: dict = {}
-
-
-def _leg_profile(d: int, m: float, factor, leg, lo: float, hi: float,
-                 scheme: QuadratureScheme) -> ProfileSpline:
-    """Radial profile rho -> <K_edge, leg(x - .)> for |x - c_leg| = rho."""
-    key = (d, m, factor.power, factor.extension, leg,
-           round(lo, 12), round(hi, 12), scheme)
-    prof = _LEG_CACHE.get(key)
-    if prof is not None:
-        return prof
-    sub = ScalarDistribution.single_power(d, m, factor.power,
-                                          extension=factor.extension)
+@lru_cache(maxsize=64)
+def _leg_profile(d: int, m: float, power: int,
+                 extension: Optional[ExtensionSpec], leg, lo: float,
+                 hi: float, scheme: QuadratureScheme) -> ProfileSpline:
+    """Radial profile rho -> <P^power, leg(x - .)> for |x - c_leg| = rho."""
+    sub = ScalarDistribution.single_power(d, m, power, extension=extension)
     gu = leg.gu()
     grid = np.linspace(lo, hi, max(160, scheme.profile_samples // 2))
     vals = np.empty_like(grid)
@@ -361,9 +355,7 @@ def _leg_profile(d: int, m: float, factor, leg, lo: float, hi: float,
             gu=gu, support=leg.radius, center=(float(rho),),
             value_at_origin=float(np.atleast_1d(gu(np.float64(rho * rho)))[0]))
         vals[k] = pair_extension(sub, view, scheme)
-    prof = ProfileSpline(grid, vals, hi)
-    _LEG_CACHE[key] = prof
-    return prof
+    return ProfileSpline(grid, vals, hi)
 
 
 def _pair_path(t: ScalarDistribution, tests, scheme: QuadratureScheme) -> float:
@@ -380,19 +372,11 @@ def _pair_path(t: ScalarDistribution, tests, scheme: QuadratureScheme) -> float:
                                    - np.asarray(leg.center, dtype=float)))
         lo = max(0.0, sep - pv.radius)
         hi = sep + pv.radius
-        prof = _leg_profile(t.d, t.m, factor, leg, lo, hi, scheme)
+        prof = _leg_profile(t.d, t.m, factor.power, factor.extension, leg,
+                            lo, hi, scheme)
         rho = np.linalg.norm(pts - np.asarray(leg.center, dtype=float), axis=1)
         vals = vals * prof(rho)
     return float(wts @ vals)
-
-
-def _grid_field_cached(f0, f1, f2, scheme: QuadratureScheme) -> TripleField:
-    key = (f0, f1, f2, scheme.grid_nodes, scheme.gauss_n, scheme.profile_samples)
-    field = _FIELD_CACHE.get(key)
-    if field is None:
-        field = grid_field(f0, f1, f2, scheme)
-        _FIELD_CACHE[key] = field
-    return field
 
 
 def pair_three(t: ScalarDistribution, tests,
@@ -468,6 +452,6 @@ def pair_three(t: ScalarDistribution, tests,
     e1 = ext[0].extension if ext else None
 
     # shift the common center to the origin; Phi is translation invariant
-    field = _grid_field_cached(tests[order[0]], tests[order[1]],
-                               tests[order[2]], scheme)
+    field = grid_field(tests[order[0]], tests[order[1]], tests[order[2]],
+                       scheme)
     return triple_pairing(t.m, powers, e1, t.overall, field, scheme)

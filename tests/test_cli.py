@@ -9,9 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from eucren import cli
 from eucren.cli import Report, RunConfig, main, parse_config, run
-from eucren.errors import ParseError
+from eucren.errors import (IllConditionedFit, NotPrimitive, ParseError,
+                           exit_code_for)
 from eucren.functionals import FieldConfiguration, LocalFunctional, TestFunction
 from eucren.quadrature import DEFAULT_SCHEME
 from eucren.tordered import star_E
@@ -413,6 +417,38 @@ class TestMain:
         assert main(["--config", str(cfg)]) == 3
         assert "ok = true" not in capsys.readouterr().out
 
+    def test_huge_exact_power_is_parse_exit(self, tmp_path, capsys):
+        # building the exact integer 10**(10**7) alone takes seconds
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command=graphs d=1\nbackground = 10**10**7\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_overflowing_background_is_parse_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command=product d=1 order=1\nbackground = 2**2000\n"
+                       "[functional F]\ncenter=0\n[functional G]\ncenter=3\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_overlapping_divergence_is_unsupported_exit(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command=renormalize d=3 factors=0-1:3,1-2:3\n")
+        assert main(["--config", str(cfg)]) == 6
+
+    def test_short_lambda_sweep_is_parse_exit(self, tmp_path, capsys):
+        # the fit drops two lambdas and needs four
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "command=renormalize d=3 factors=0-1:2 lambdas=0.5,0.25,0.125\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc, code", [
+        (IllConditionedFit("fit"), 5), (NotPrimitive("forest"), 6)])
+    def test_library_errors_have_exit_codes(self, exc, code):
+        assert exit_code_for(exc) == code
+
     def test_flag_overrides_echoed(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         out = tmp_path / "report.txt"
@@ -432,6 +468,50 @@ class TestMain:
         second = capsys.readouterr().out
         assert first != second
         assert main(["--config", str(cfg), "--seed", "1"]) == 0
+
+
+_KEYS = sorted(cli._TOP_KEYS) + sorted(cli._FUNC_KEYS) + ["x1", "bogus"]
+_ATOMS = ["0", "1", "-2", "0.5", "3", "10", "1e308", "1e-320", "inf", "nan",
+          "x1", "x2", "x4", "(1,0,0)", "0-1:3", "1/0", "true", "verify",
+          "product", "renormalize", "graphs"]
+
+
+def _values():
+    atoms = st.one_of(st.sampled_from(_ATOMS),
+                      st.integers(-10**6, 10**6).map(str),
+                      st.floats(allow_nan=True, allow_infinity=True).map(repr))
+    ops = st.sampled_from(["+", "-", "*", "/", "**", ",", ":", " ", ""])
+    return st.recursive(atoms, lambda inner: st.one_of(
+        st.tuples(inner, ops, inner).map("".join),
+        st.tuples(st.sampled_from(["", "-", "exp", "sin", "log"]), inner)
+        .map(lambda p: f"{p[0]}({p[1]})")), max_leaves=8)
+
+
+def _lines():
+    pair = st.tuples(st.sampled_from(_KEYS), st.sampled_from(["=", " = "]),
+                     st.one_of(_values(), st.text(max_size=12)))
+    return st.one_of(
+        pair.map("".join),
+        st.lists(pair.map(lambda p: f"{p[0]}={p[2]}"), max_size=4).map(" ".join),
+        st.sampled_from(["[functional F]", "[functional G]", "[functional]",
+                         "[other F]", "# comment", ""]),
+        st.text(max_size=20))
+
+
+class TestParseFuzz:
+    @settings(max_examples=300, deadline=None, database=None)
+    @example("command=graphs d=1", "background = 10**10**8")
+    @example("command=product d=1 order=1",
+             "background = 2**2000\n[functional F]\ncenter=0\n"
+             "[functional G]\ncenter=3")
+    @given(st.sampled_from(["", "command=graphs d=1", "command=product d=2",
+                            "command=renormalize d=3 factors=0-1:2"]),
+           st.lists(_lines(), max_size=8).map("\n".join))
+    def test_only_parse_errors(self, head, body):
+        try:
+            parse_config(head + "\n" + body)
+        except ParseError:
+            pass
 
 
 class TestRunConfigScheme:

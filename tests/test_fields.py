@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from eucren import expr
+from eucren.cli import parse_config, run
 from eucren.expr import BumpCore, RadialMap, SmoothMap, coords
+from eucren.functionals import FieldConfiguration
 
 
 def central_diff(f, x, i, h=1e-5):
@@ -130,3 +133,28 @@ class TestRadialMap:
         # g(u) = 3 exp(-1/(1-u/4)): g(0) = 3/e, g'(0) = -3/(4e)
         assert c0 == pytest.approx(3 * np.exp(-1.0), rel=1e-12)
         assert c1 == pytest.approx(-0.75 * np.exp(-1.0), rel=1e-12)
+
+
+class TestCompileOnce:
+    def test_verify_compiles_each_expression_once(self, monkeypatch):
+        compiled = []
+        compile_ = sp.lambdify
+
+        def recording(args, body, **kwargs):
+            compiled.append((args, body))
+            return compile_(args, body, **kwargs)
+
+        monkeypatch.setattr(sp, "lambdify", recording)
+        expr._compiled.cache_clear()
+        run(parse_config("command=verify d=1 m=1 seed=3"))
+        assert len(compiled) == len(set(compiled)) > 0
+
+    def test_float_precision_keeps_separate_entries(self):
+        # equal hashes, unequal expressions: a 53-bit Float prints 15
+        # digits into the compiled code, a literal keeps all 17
+        x1 = coords(1)[0]
+        short = SmoothMap(sp.Float(1.1455927773739436) * x1, 1)
+        full = FieldConfiguration.from_expression("1.1455927773739436*x1", 1)
+        at_one = np.array([[1.0]])
+        assert float(full(at_one)[0]) == 1.1455927773739436
+        assert float(short(at_one)[0]) != float(full(at_one)[0])

@@ -281,10 +281,10 @@ class TestSchemeCaches:
     coarse = QuadratureScheme(rtol=1e-2)
 
     def check(self, cache, t, tests):
-        cache.clear()
+        cache.cache_clear()
         first = pair(t, tests, self.coarse)
         warm = pair(t, tests, DEFAULT_SCHEME)
-        cache.clear()
+        cache.cache_clear()
         cold = pair(t, tests, DEFAULT_SCHEME)
         assert warm == cold
         assert warm != first
@@ -292,11 +292,25 @@ class TestSchemeCaches:
     def test_correlation_profile(self):
         f = TestFunction(3, (0.0, 0.0, 0.0), 1.0)
         g = TestFunction(3, (0.6, 0.0, 0.0), 0.9)
-        self.check(propagator._CORR_CACHE, single(1), (f, g))
+        self.check(propagator._correlation, single(1), (f, g))
 
     def test_path_leg_profile(self):
         a = TestFunction(3, (-2.2, 0.0, 0.0), 1.0)
         piv = TestFunction(3, (0.0, 0.0, 0.0), 1.0)
         b = TestFunction(3, (0.8, 0.3, 0.0), 0.8)
         t = ScalarDistribution(3, 3, M, (PropFactor(0, 1, 2), PropFactor(1, 2, 1)))
-        self.check(triple._LEG_CACHE, t, (a, piv, b))
+        self.check(triple._leg_profile, t, (a, piv, b))
+
+    def test_grid_field(self):
+        tests = tuple(TestFunction(3, (0.0, 0.0, 0.0), r) for r in (1.0, 0.9, 0.8))
+        r1, s = np.linspace(0.05, 1.7, 9), np.full(9, 0.4)
+        grid_field.cache_clear()
+        first = grid_field(*tests, QuadratureScheme(grid_nodes=24))
+        warm = grid_field(*tests, DEFAULT_SCHEME)
+        grid_field.cache_clear()
+        cold = grid_field(*tests, DEFAULT_SCHEME)
+        assert warm.phi00 == cold.phi00
+        np.testing.assert_array_equal(warm.phi_tilde(r1, 0.6, s),
+                                      cold.phi_tilde(r1, 0.6, s))
+        assert not np.array_equal(warm.phi_tilde(r1, 0.6, s),
+                                  first.phi_tilde(r1, 0.6, s))
