@@ -178,10 +178,17 @@ def _lambda_list(text: str) -> Tuple[float, ...]:
 
 
 def _fraction(text: str) -> Fraction:
+    # Fraction builds 1eN as the exact integer 10**N: bound N first
+    _, e, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"expected a rational number, got {text!r}")
+        if e and abs(int(exponent)) > 1024:
+            raise ValueError
+        value = Fraction(text)
+        float(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"expected a rational number in the float range, "
+                         f"exponent at most 1024 in magnitude, got {text!r}")
+    return value
 
 
 _FACTOR_RE = re.compile(r"(\d+)-(\d+):(\d+)")
@@ -377,6 +384,16 @@ def parse_config(text: str) -> RunConfig:
             "command 'product' needs at least one [functional ...] section")
     if config.command == "renormalize" and not config.factors:
         raise ParseError("command 'renormalize' needs a factors=... key")
+    if "lambdas" in top:
+        lam = top["lambdas"]
+        for v in config.lambdas:
+            try:
+                v ** -d
+            except OverflowError:
+                raise ParseError(
+                    f"lambda {v!r} scales a test amplitude by "
+                    f"lambda**-{d}, beyond the float range",
+                    lam.line, lam.column)
     if "background" in top:
         bg = top["background"]
         try:

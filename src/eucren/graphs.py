@@ -33,6 +33,7 @@ __all__ = [
     "WeightedTerm",
     "AmplitudeTerm",
     "vertex_pairs",
+    "compositions",
     "enumerate_graphs",
     "symmetry_factor",
     "expansion_terms",
@@ -122,26 +123,25 @@ class WeightedTerm:
         return self.graph.total_edges
 
 
+def compositions(total: int, slots: int):
+    """Weak compositions of ``total`` into ``slots`` nonnegative parts,
+    lexicographic."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, slots - 1):
+            yield (head,) + rest
+
+
 def enumerate_graphs(n: int, l: int) -> List[MultiGraph]:
     """All weak compositions of l edges into the vertex pairs,
     lexicographic in the multiplicity tuple."""
     if n < 1 or l < 0:
         raise DomainError("need n >= 1 vertices and l >= 0 edges")
-    slots = n * (n - 1) // 2
-    if slots == 0:
-        return [MultiGraph(n, ())] if l == 0 else []
-
-    out: List[MultiGraph] = []
-
-    def fill(prefix, remaining, slots_left):
-        if slots_left == 1:
-            out.append(MultiGraph(n, prefix + (remaining,)))
-            return
-        for m in range(remaining + 1):
-            fill(prefix + (m,), remaining - m, slots_left - 1)
-
-    fill((), l, slots)
-    return out
+    return [MultiGraph(n, mult)
+            for mult in compositions(l, n * (n - 1) // 2)]
 
 
 def symmetry_factor(graph: MultiGraph) -> int:

@@ -48,8 +48,6 @@ from .quadrature import (
     DEFAULT_SCHEME,
     ProfileSpline,
     QuadratureScheme,
-    ball_rule,
-    contract,
     correlation_profile,
     pair_tensor,
     radial_pair,
@@ -366,18 +364,6 @@ def pair_extension(t: ScalarDistribution, phi,
     return value
 
 
-def _decorated_tensor(prop: Propagator, factor: PropFactor, f, g,
-                      scheme: QuadratureScheme) -> float:
-    """Tensor-Gauss pairing of a decorated single propagator on
-    disjoint supports."""
-    block = prop.block(factor.power, factor.left_deriv, factor.right_deriv)
-    xp, xw = ball_rule(prop.d, f.center, f.radius, scheme.gauss_n)
-    yp, yw = ball_rule(prop.d, g.center, g.radius, scheme.gauss_n)
-    fx = np.asarray(f(xp), dtype=float) * xw
-    gy = np.asarray(g(yp), dtype=float) * yw
-    return float(fx @ contract(block, xp, yp, gy))
-
-
 def _pair_two(t: ScalarDistribution, f, g, scheme: QuadratureScheme,
               method: str) -> float:
     factor = t.factors[0]
@@ -394,7 +380,8 @@ def _pair_two(t: ScalarDistribution, f, g, scheme: QuadratureScheme,
         if overlap:
             raise UnsupportedCase(
                 "decorated factors require disjoint test supports")
-        return _decorated_tensor(prop, factor, f, g, scheme)
+        return pair_tensor(prop.block(factor.power, factor.left_deriv,
+                                      factor.right_deriv), f, g, scheme)
 
     if factor.renormalized:
         prof = _correlation(f, g, t.d, scheme)
@@ -411,8 +398,7 @@ def _pair_two(t: ScalarDistribution, f, g, scheme: QuadratureScheme,
         if overlap and prop.sd > 0:
             raise UnsupportedCase(
                 "tensor route needs disjoint supports for singular kernels")
-        return pair_tensor(prop.power_callable(factor.power), t.d,
-                           f.center, f.radius, f, g.center, g.radius, g, scheme)
+        return pair_tensor(prop.block(factor.power), f, g, scheme)
 
     prof = _correlation(f, g, t.d, scheme)
     offset = float(np.linalg.norm(np.asarray(f.center) - np.asarray(g.center)))

@@ -41,7 +41,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.spatial.distance import cdist
 
 from .errors import QuadratureFailure, UnsupportedCase
 
@@ -189,33 +188,21 @@ def angular_average(gu: Callable, c: float, d: int, n: int = 96) -> Callable:
         return avg
     if d == 2:
         theta, wt = _mapped_gauss(0.0, np.pi, n)
-        cos_t = np.cos(theta)
-        wt = wt / np.pi
-
-        def avg(rho):
-            rho = np.atleast_1d(np.asarray(rho, dtype=float))
-            u = rho[:, None] ** 2 + c * c - 2.0 * c * rho[:, None] * cos_t[None, :]
-            return gu(np.maximum(u, 0.0)) @ wt
-        return avg
-    if d == 3:
-        mu, wmu = gauss_legendre(n)
-        wmu = 0.5 * wmu
-
-        def avg(rho):
-            rho = np.atleast_1d(np.asarray(rho, dtype=float))
-            u = rho[:, None] ** 2 + c * c - 2.0 * c * rho[:, None] * mu[None, :]
-            return gu(np.maximum(u, 0.0)) @ wmu
-        return avg
-    # d >= 4: sin^(d-2) weight in the polar angle; normalizing by the
-    # quadrature sum keeps averages of constants exact
-    theta, wt = _mapped_gauss(0.0, np.pi, n)
-    w = wt * np.sin(theta) ** (d - 2)
-    w = w / w.sum()
-    cos_t = np.cos(theta)
+        nodes, w = np.cos(theta), wt / np.pi
+    elif d == 3:
+        nodes, wmu = gauss_legendre(n)
+        w = 0.5 * wmu
+    else:
+        # sin^(d-2) weight in the polar angle; normalizing by the
+        # quadrature sum keeps averages of constants exact
+        theta, wt = _mapped_gauss(0.0, np.pi, n)
+        w = wt * np.sin(theta) ** (d - 2)
+        w = w / w.sum()
+        nodes = np.cos(theta)
 
     def avg(rho):
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        u = rho[:, None] ** 2 + c * c - 2.0 * c * rho[:, None] * cos_t[None, :]
+        u = rho[:, None] ** 2 + c * c - 2.0 * c * rho[:, None] * nodes[None, :]
         return gu(np.maximum(u, 0.0)) @ w
     return avg
 
@@ -360,19 +347,18 @@ def contract(block: Callable, xp: np.ndarray, yp: np.ndarray,
     return out
 
 
-def pair_tensor(kernel: Callable, d: int,
-                f_center, f_radius: float, f_values: Callable,
-                g_center, g_radius: float, g_values: Callable,
+def pair_tensor(block: Callable, f, g,
                 scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
-    """Direct tensor-Gauss evaluation of int int f(x) K(|x-y|) g(y) dx dy.
+    """Direct tensor-Gauss evaluation of int int f(x) K(x, y) g(y) dx dy.
 
-    Fallback for integrands with no radial structure.  Accurate only
-    when K is smooth on supp f x supp g (disjoint supports, or a
-    bounded kernel); the radial routes handle the singular overlapping
-    cases.
+    ``block`` is a kernel-matrix callable as ``contract`` takes it; a
+    test is anything with ``d``, ``center``, ``radius`` and values at
+    points.  Accurate only when K is smooth on supp f x supp g
+    (disjoint supports, or a bounded kernel); the radial routes handle
+    the singular overlapping cases.
     """
-    xp, xw = ball_rule(d, f_center, f_radius, scheme.gauss_n)
-    yp, yw = ball_rule(d, g_center, g_radius, scheme.gauss_n)
-    fx = np.asarray(f_values(xp), dtype=float) * xw
-    gy = np.asarray(g_values(yp), dtype=float) * yw
-    return float(fx @ contract(lambda x, y: kernel(cdist(x, y)), xp, yp, gy))
+    xp, xw = ball_rule(f.d, f.center, f.radius, scheme.gauss_n)
+    yp, yw = ball_rule(g.d, g.center, g.radius, scheme.gauss_n)
+    fx = np.asarray(f(xp), dtype=float) * xw
+    gy = np.asarray(g(yp), dtype=float) * yw
+    return float(fx @ contract(block, xp, yp, gy))

@@ -11,11 +11,12 @@ vertex, a multi-edge, a path, a star, ...) is summed by one message
 pass toward its lowest vertex: each vertex's weights on the Gauss ball
 rule of its coefficient support, times the messages of its own
 children, are contracted through the edge's propagator power onto the
-parent's nodes.  Messages are shared across the graph terms of one
-expansion: graph terms that contain the same subtree reuse its
-message.  Components with a cycle are outside the numeric envelope,
-and derivative decorations are evaluated only on a component that is
-a single power-one edge.
+parent's nodes.  Messages are shared across a run: a message is keyed
+by the content of its subtree (kernels and edge powers, not vertex
+indices), so every graph term and every product that contains the same
+subtree on the same rules reuses it.  Components with a cycle are
+outside the numeric envelope, and derivative decorations are evaluated
+only on a component that is a single power-one edge.
 
 The result of multiplying two local functionals is not local: the
 second derivative of the pointwise product contains a cross kernel
@@ -34,6 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,8 +55,8 @@ from .functionals import (
     split_support,
     supports_disjoint,
 )
-from .graphs import (MultiGraph, expansion_terms, graph_to_amplitude,
-                     vertex_pairs)
+from .graphs import (MultiGraph, compositions, expansion_terms,
+                     graph_to_amplitude, vertex_pairs)
 from .kernels import ScalarDistribution, components
 from .propagator import green_function, pair
 from .quadrature import DEFAULT_SCHEME, QuadratureScheme, ball_rule, contract
@@ -140,125 +142,103 @@ class ProductResult:
 # -- numeric graph-term evaluation ---------------------------------------
 
 
-class _GraphEvaluator:
-    """Evaluates graph terms at a fixed background configuration.
-
-    The message of vertex v to its parent is, on the parent's nodes x,
-    the sum over v's kernel terms of the edge kernel P^m(x, .) applied
-    to v's weights times the messages of v's own children.  Ball rules,
-    background-derivative values and messages are cached for the
-    evaluator's lifetime; a message is keyed by the parent's rule and
-    decoration and by the edges of the subtree below the edge."""
-
-    def __init__(self, functionals: Sequence[LocalFunctional],
-                 phi: FieldConfiguration, m: float,
-                 scheme: QuadratureScheme):
-        self.functionals = list(functionals)
-        self.phi = phi
-        self.scheme = scheme
-        d = functionals[0].d
-        for F in functionals:
-            if F.d != d:
-                raise DomainError("mixed ambient dimensions in one product")
-        if phi.d != d:
-            raise DomainError("background dimension does not match")
-        self.d = d
-        self.prop = green_function(d, m)
-        self._rules: Dict = {}
-        self._field_vals: Dict = {}
-        self._messages: Dict = {}
-
-    def _rule(self, coeff):
-        key = (coeff.center, coeff.radius)
-        if key not in self._rules:
-            self._rules[key] = ball_rule(self.d, coeff.center, coeff.radius,
-                                         self.scheme.gauss_n)
-        return key, self._rules[key]
-
-    def _weights(self, dk: DKTerm):
-        """Rule key, nodes, quadrature weights, and the vertex weight
-        function coefficient * prod (d^a phi) on the nodes."""
-        key, (pts, wts) = self._rule(dk.coefficient)
-        vals = np.asarray(dk.coefficient(pts), dtype=float)
-        for alpha in dk.residual:
-            fkey = (alpha, key)
-            fv = self._field_vals.get(fkey)
-            if fv is None:
-                fv = np.asarray(self.phi.diff(alpha)(pts), dtype=float)
-                self._field_vals[fkey] = fv
-            vals = vals * fv
-        return key, pts, wts, vals
-
-    @staticmethod
-    def _plain(dk: DKTerm) -> bool:
-        return all(sum(a) == 0 for a in dk.arg_derivs)
-
-    def term_value(self, graph: MultiGraph) -> float:
-        amp = graph_to_amplitude(graph, self.functionals)
-        if amp.is_zero:
-            return 0.0
-        value = 1.0
-        for verts in components(graph.n, [f.pair for f in amp.factors]):
-            edges = [f for f in amp.factors if f.i in verts]
-            if len(edges) != len(verts) - 1:
-                raise UnsupportedCase(
-                    "graph components with a cycle are outside the "
-                    "numeric envelope")
-            single_edge = len(edges) == 1 and edges[0].power == 1
-            if not single_edge and not all(
-                    self._plain(dk) for v in verts
-                    for dk in amp.kernels[v].terms):
-                raise UnsupportedCase(
-                    "derivative decorations are evaluated only on a "
-                    "component that is a single power-one edge")
-            adj: Dict[int, Dict[int, int]] = {v: {} for v in verts}
-            for f in edges:
-                adj[f.i][f.j] = adj[f.j][f.i] = f.power
-            root = verts[0]
-            total = 0.0
-            for dk in amp.kernels[root].terms:
-                key, pts, wts, vals = self._weights(dk)
-                vals = vals * self._below(amp.kernels, adj, root, None,
-                                          key, pts, dk)
-                total += float(dk.prefactor) * float(wts @ vals)
-            value *= total
-        return value
-
-    def _below(self, kerns, adj, v: int, parent: Optional[int], key, pts,
-               dk: DKTerm):
-        """Product of the messages of v's children on one of v's rules."""
-        out = 1.0
-        for c in adj[v]:
-            if c != parent:
-                out = out * self._message(kerns, adj, c, v, key, pts,
-                                          dk.arg_derivs[0])
-        return out
-
-    def _message(self, kerns, adj, v: int, parent: int, parent_key, x,
-                 left):
-        mkey = (v, parent_key, left, _subtree(adj, v, parent))
-        if mkey not in self._messages:
-            out = np.zeros(len(x))
-            for dk in kerns[v].terms:
-                key, pts, wts, vals = self._weights(dk)
-                vals = vals * self._below(kerns, adj, v, parent, key, pts, dk)
-                block = self.prop.block(adj[v][parent], left,
-                                        dk.arg_derivs[0])
-                out += float(dk.prefactor) * contract(block, x, pts,
-                                                      wts * vals)
-            self._messages[mkey] = out
-        return self._messages[mkey]
+@lru_cache(maxsize=64)
+def _weights(dk: DKTerm, phi: FieldConfiguration, scheme: QuadratureScheme):
+    """Nodes and weights of the ball rule of dk's coefficient, and the
+    vertex weight coefficient * prod (d^a phi) on the nodes."""
+    f = dk.coefficient
+    pts, wts = ball_rule(f.d, f.center, f.radius, scheme.gauss_n)
+    vals = np.asarray(f(pts), dtype=float)
+    for alpha in dk.residual:
+        vals = vals * np.asarray(phi.diff(alpha)(pts), dtype=float)
+    for a in (pts, wts, vals):
+        a.setflags(write=False)
+    return pts, wts, vals
 
 
-def _subtree(adj, v: int, parent: int) -> Tuple[Tuple[int, int, int], ...]:
-    """Sorted edges (i, j, power) of the subtree that hangs from v,
-    the edge to its parent included."""
-    edges, stack = [], [(v, parent)]
-    while stack:
-        a, p = stack.pop()
-        edges.append((min(a, p), max(a, p), adj[a][p]))
-        stack.extend((c, a) for c in adj[a] if c != p)
-    return tuple(sorted(edges))
+@lru_cache(maxsize=256)
+def _message(power: int, tree, d: int, center, radius: float, left,
+             phi: FieldConfiguration, m: float, scheme: QuadratureScheme):
+    """What ``tree`` sends through the edge P^power, decorated by
+    ``left`` on the parent's side, onto the parent's ball rule: the sum
+    over the tree root's kernel terms of P^power(x, .) applied to the
+    root's weights times its children's messages.  A tree is (kernel,
+    ((edge power, child tree), ...)), so equal subtrees share one
+    message across a run."""
+    x, _ = ball_rule(d, center, radius, scheme.gauss_n)
+    prop = green_function(d, m)
+    kernel, children = tree
+    out = np.zeros(len(x))
+    for dk in kernel.terms:
+        pts, wts, vals = _weights(dk, phi, scheme)
+        vals = vals * _below(children, dk, phi, m, scheme)
+        block = prop.block(power, left, dk.arg_derivs[0])
+        out += float(dk.prefactor) * contract(block, x, pts, wts * vals)
+    out.setflags(write=False)
+    return out
+
+
+def _below(children, dk: DKTerm, phi, m, scheme):
+    """Product of the children's messages on dk's ball rule."""
+    f = dk.coefficient
+    out = 1.0
+    for power, child in children:
+        out = out * _message(power, child, f.d, f.center, f.radius,
+                             dk.arg_derivs[0], phi, m, scheme)
+    return out
+
+
+def _tree(kernels, adj, v: int, parent: Optional[int]):
+    return (kernels[v], tuple((adj[v][c], _tree(kernels, adj, c, v))
+                              for c in adj[v] if c != parent))
+
+
+def term_value(graph: MultiGraph, functionals: Sequence[LocalFunctional],
+               phi: FieldConfiguration, m: float,
+               scheme: QuadratureScheme) -> float:
+    """One graph term at the background ``phi``: the product over its
+    connected components, each a tree summed toward its lowest vertex."""
+    amp = graph_to_amplitude(graph, functionals)
+    if amp.is_zero:
+        return 0.0
+    value = 1.0
+    for verts in components(graph.n, [f.pair for f in amp.factors]):
+        edges = [f for f in amp.factors if f.i in verts]
+        if len(edges) != len(verts) - 1:
+            raise UnsupportedCase(
+                "graph components with a cycle are outside the "
+                "numeric envelope")
+        single_edge = len(edges) == 1 and edges[0].power == 1
+        if not single_edge and any(
+                sum(a) for v in verts for dk in amp.kernels[v].terms
+                for a in dk.arg_derivs):
+            raise UnsupportedCase(
+                "derivative decorations are evaluated only on a "
+                "component that is a single power-one edge")
+        adj: Dict[int, Dict[int, int]] = {v: {} for v in verts}
+        for f in edges:
+            adj[f.i][f.j] = adj[f.j][f.i] = f.power
+        kernel, children = _tree(amp.kernels, adj, verts[0], None)
+        total = 0.0
+        for dk in kernel.terms:
+            _, wts, vals = _weights(dk, phi, scheme)
+            vals = vals * _below(children, dk, phi, m, scheme)
+            total += float(dk.prefactor) * float(wts @ vals)
+        value *= total
+    return value
+
+
+def _check_arguments(functionals: Sequence[LocalFunctional],
+                     phi: FieldConfiguration, m: float):
+    """One dimension for all arguments and the background, and a
+    decaying fundamental solution in it."""
+    d = functionals[0].d
+    for F in functionals:
+        if F.d != d:
+            raise DomainError("mixed ambient dimensions in one product")
+    if phi.d != d:
+        raise DomainError("background dimension does not match")
+    green_function(d, m)
 
 
 # -- the products ---------------------------------------------------------
@@ -283,13 +263,13 @@ def product_expansion(functionals: Sequence[LocalFunctional],
     on two shifts is the cross-validation handle used by the causality
     check."""
     _require_pairwise_disjoint(functionals)
+    _check_arguments(functionals, phi, m)
     if rule_shift:
         scheme = replace(scheme, gauss_n=scheme.gauss_n + rule_shift)
-    ev = _GraphEvaluator(functionals, phi, m, scheme)
     data: Dict[int, float] = {}
     rows = []
     for term in expansion_terms(len(functionals), order):
-        value = ev.term_value(term.graph)
+        value = term_value(term.graph, functionals, phi, m, scheme)
         data[term.order] = data.get(term.order, 0.0) + float(term.weight) * value
         rows.append((term.order, term.graph, term.weight, value))
     return ProductResult(FormalSeries.from_dict(data, order), tuple(rows))
@@ -347,16 +327,6 @@ def _renormalized_product(functionals, phi, m, order, scheme, renormalizer):
 # -- Euclidean causality ---------------------------------------------------
 
 
-def _compositions(total: int, slots: int):
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, slots - 1):
-            yield (head,) + rest
-
-
 def _split_blocks(functionals, index_set):
     n = len(functionals)
     I = sorted(set(index_set))
@@ -388,10 +358,10 @@ def block_product(functionals: Sequence[LocalFunctional],
             if not supports_disjoint(functionals[a], functionals[b]):
                 raise PreconditionViolated(
                     f"supports overlap inside a block: slots {a} and {b}")
+    _check_arguments(functionals, phi, m)
     n = len(functionals)
     if rule_shift:
         scheme = replace(scheme, gauss_n=scheme.gauss_n + rule_shift)
-    ev = _GraphEvaluator(functionals, phi, m, scheme)
     pairs = vertex_pairs(n)
     cross_pairs = [(min(i, j), max(i, j)) for i in I for j in Ic]
     data: Dict[int, float] = {}
@@ -404,7 +374,7 @@ def block_product(functionals: Sequence[LocalFunctional],
             yield wt.order, wt.weight, mult
 
     for k in range(order + 1):
-        for cross in _compositions(k, len(cross_pairs)):
+        for cross in compositions(k, len(cross_pairs)):
             cross_weight = Fraction(1)
             for c in cross:
                 cross_weight /= math.factorial(c)
@@ -415,7 +385,7 @@ def block_product(functionals: Sequence[LocalFunctional],
                         mult[pairs.index((a, b))] += c
                     graph = MultiGraph(n, tuple(mult))
                     weight = cross_weight * w_i * w_c
-                    value = ev.term_value(graph)
+                    value = term_value(graph, functionals, phi, m, scheme)
                     data[k + l_i + l_c] = (data.get(k + l_i + l_c, 0.0)
                                            + float(weight) * value)
 

@@ -1,0 +1,36 @@
+"""The memo idiom: every cache in eucren is a functools.lru_cache keyed
+by its function's arguments, and only caches keyed by small integers
+alone may grow without bound."""
+
+import importlib
+import pkgutil
+
+import eucren
+
+# keyed only by small integers (orders, dimensions) or by nothing
+UNBOUNDED = {"quadrature.gauss_legendre", "expr.coords", "expr._u_symbol",
+             "functionals._multi_indices", "functionals.balanced_basis"}
+
+
+def _caches():
+    """{module.qualname: function} of every lru_cache defined in eucren,
+    at module level or on a class."""
+    found = {}
+    for info in pkgutil.iter_modules(eucren.__path__):
+        module = importlib.import_module(f"eucren.{info.name}")
+        objects = list(vars(module).values())
+        objects += [getattr(v, "__func__", v) for cls in objects
+                    if isinstance(cls, type) for v in vars(cls).values()]
+        for obj in objects:
+            if (hasattr(obj, "cache_info")
+                    and obj.__module__ == module.__name__):
+                found[f"{info.name}.{obj.__qualname__}"] = obj
+    return found
+
+
+def test_every_cache_is_bounded():
+    caches = _caches()
+    assert {"tordered._message", "tordered._weights"} <= set(caches)
+    unbounded = {name for name, fn in caches.items()
+                 if fn.cache_parameters()["maxsize"] is None}
+    assert unbounded <= UNBOUNDED

@@ -444,6 +444,30 @@ class TestMain:
         assert main(["--config", str(cfg)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_huge_prefactor_exponent_is_parse_exit(self, tmp_path, capsys):
+        # Fraction builds 1e3000000 as the exact integer 10**3000000
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command=graphs d=1\n[functional F]\ncenter=0\n"
+                       "prefactor=1e3000000\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "line 4" in capsys.readouterr().err
+
+    def test_overflowing_prefactor_is_parse_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command=product d=1 order=1\n[functional F]\n"
+                       "center=0\nprefactor=1e400\n[functional G]\n"
+                       "center=3\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "line 4" in capsys.readouterr().err
+
+    def test_overflowing_lambda_is_parse_exit(self, tmp_path, capsys):
+        # 1e-300 ** -3 is beyond the float range
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command=renormalize d=3 factors=0-1:2 "
+                       "lambdas=0.5,0.25,0.125,1e-100,1e-200,1e-300\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "line 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("exc, code", [
         (IllConditionedFit("fit"), 5), (NotPrimitive("forest"), 6)])
     def test_library_errors_have_exit_codes(self, exc, code):
@@ -501,6 +525,8 @@ def _lines():
 class TestParseFuzz:
     @settings(max_examples=300, deadline=None, database=None)
     @example("command=graphs d=1", "background = 10**10**8")
+    @example("command=graphs d=1", "[functional F]\nprefactor=1e3000000")
+    @example("command=graphs d=1", "[functional F]\nprefactor=1e400")
     @example("command=product d=1 order=1",
              "background = 2**2000\n[functional F]\ncenter=0\n"
              "[functional G]\ncenter=3")

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from eucren.errors import QuadratureFailure
 from eucren.expr import RadialMap
+from eucren.functionals import TestFunction
 from eucren.propagator import green_function
 from eucren.quadrature import (
     DEFAULT_SCHEME,
@@ -174,19 +176,19 @@ class TestProfilesAndTensor:
         assert prof(s) == pytest.approx(ref_s, abs=4 * err_s)
 
     def test_pair_tensor_matches_radial_route(self):
-        f = RadialMap.bump_profile(3, (0, 0, 0), 0.7)
-        g = RadialMap.bump_profile(3, (2.5, 0, 0), 0.7, amplitude=1.4)
+        f = TestFunction(3, (0, 0, 0), 0.7)
+        g = TestFunction(3, (2.5, 0, 0), 0.7, amplitude=1.4)
         kernel = lambda r: np.exp(-r) / (4 * np.pi * r)
-        via_tensor = pair_tensor(kernel, 3, f.center, 0.7, f, g.center, 0.7, g)
-        prof = correlation_profile(f._g(), 0.7, g._g(), 0.7, 3)
+        via_tensor = pair_tensor(lambda x, y: kernel(cdist(x, y)), f, g)
+        prof = correlation_profile(f.gu(), 0.7, g.gu(), 0.7, 3)
         via_radial = radial_pair(kernel, prof.profile_u(), prof.support_radius, 2.5, 3)
         assert via_tensor == pytest.approx(via_radial, rel=1e-5)
 
     def test_pair_tensor_matches_mc(self):
-        f = RadialMap.bump_profile(2, (0, 0), 0.6)
-        g = RadialMap.bump_profile(2, (2.0, 0.5), 0.8)
+        f = TestFunction(2, (0, 0), 0.6)
+        g = TestFunction(2, (2.0, 0.5), 0.8)
         kernel = lambda r: 1.0 / (1.0 + r * r)
-        val = pair_tensor(kernel, 2, f.center, 0.6, f, g.center, 0.8, g)
+        val = pair_tensor(lambda x, y: kernel(cdist(x, y)), f, g)
         ref, err = mc_pair(kernel, 2, f.center, 0.6, f, g.center, 0.8, g,
                            n=400_000, seed=3)
         assert val == pytest.approx(ref, abs=4 * err)

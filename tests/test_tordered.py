@@ -14,8 +14,8 @@ from eucren import tordered
 from eucren.errors import (DomainError, NonLinearInput,
                            PreconditionViolated, UnsupportedCase)
 from eucren.functionals import (FieldConfiguration, LocalFunctional,
-                                MonomialTerm, TestFunction, evaluate,
-                                supports_disjoint)
+                                MonomialTerm, TestFunction, derivative_kernel,
+                                evaluate, supports_disjoint)
 from eucren.quadrature import QuadratureScheme, contract
 from eucren.tordered import (E_n, FormalSeries, block_product,
                              causal_factorization_check, product_expansion,
@@ -314,10 +314,12 @@ class TestTrees:
         with pytest.raises(UnsupportedCase):
             E_n(squares, PHI, M, 3, SCHEME)
 
-    def test_terms_share_subtree_messages(self, monkeypatch):
-        # the path 1-0-2 contains the single edges 0-1 and 0-2, and the
-        # path 0-1-2 the edge 1-2; a message is contracted once per
-        # expansion, so no contraction repeats an earlier one
+    @staticmethod
+    def record_contractions(monkeypatch):
+        """Empty the message caches, so that every message is contracted
+        anew, and return the list every contraction appends to."""
+        tordered._message.cache_clear()
+        tordered._weights.cache_clear()
         vectors = []
 
         def recording(block, x, y, v):
@@ -326,12 +328,42 @@ class TestTrees:
             return out
 
         monkeypatch.setattr(tordered, "contract", recording)
+        return vectors
+
+    def test_terms_share_subtree_messages(self, monkeypatch):
+        # the path 1-0-2 contains the single edges 0-1 and 0-2, and the
+        # path 0-1-2 the edge 1-2; a message is contracted once, so no
+        # contraction repeats an earlier one
+        vectors = self.record_contractions(monkeypatch)
         squares = [LocalFunctional.phi_power(
             2, TestFunction(d=D, center=(c, 0.0, 0.0), radius=0.9))
             for c in (0.0, 3.0, 6.0)]
         product_expansion(squares, PHI, M, 2, QuadratureScheme(gauss_n=6))
         assert vectors
         assert len(set(vectors)) == len(vectors)
+
+    def test_products_share_subtree_messages(self, monkeypatch):
+        # the block product over {F, G} | {H} contains the messages
+        # between F and G that their binary product already formed
+        vectors = self.record_contractions(monkeypatch)
+        F, G, H = [LocalFunctional.phi_power(2, f) for f in (F0, F1, F2)]
+        scheme = QuadratureScheme(gauss_n=6)
+        star_E(F, G, PHI, M, 2, scheme)
+        binary = len(vectors)
+        block_product([F, G, H], [0, 1], PHI, M, 2, scheme)
+        assert 0 < binary < len(vectors)
+        assert len(set(vectors)) == len(vectors)
+
+    def test_cached_arrays_are_read_only(self):
+        scheme = QuadratureScheme(gauss_n=6)
+        kernel = derivative_kernel(LocalFunctional.phi_power(2, F1), 1)
+        dk, = kernel.terms
+        message = tordered._message(1, (kernel, ()), D, F0.center,
+                                    F0.radius, dk.arg_derivs[0], PHI, M,
+                                    scheme)
+        for array in (message, *tordered._weights(dk, PHI, scheme)):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestCausality:
