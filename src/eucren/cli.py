@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -25,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, EucrenError, ParseError, exit_code_for
-from .functionals import (_DERIV_CAP, FieldConfiguration, LocalFunctional,
-                          MonomialTerm, TestFunction, additivity_check)
+from .functionals import (FieldConfiguration, LocalFunctional, MonomialTerm,
+                          TestFunction, additivity_check)
 from .graphs import (conjugated_merge_series, cross_edge_series,
                      enumerate_graphs, expansion_terms, symmetry_factor)
 from .kernels import CutoffFunction, ExtensionSpec, PropFactor, ScalarDistribution
@@ -343,10 +343,9 @@ def parse_config(text: str) -> RunConfig:
     for required in ("command", "d"):
         if required not in top:
             raise ParseError(f"missing required key {required!r}")
-    fields = {key: a.value for key, a in top.items() if key != "out"}
-    fields["out"] = str(top["out"].value) if "out" in top else ""
+    values = {key: a.value for key, a in top.items()}
 
-    d = fields["d"]
+    d = values["d"]
     specs = []
     for name, table, lineno in sections:
         if "center" not in table:
@@ -359,26 +358,15 @@ def parse_config(text: str) -> RunConfig:
                 center.line, center.column)
         kwargs = {key: a.value for key, a in table.items()}
         spec = FunctionalSpec(name=name, **kwargs)
-        if spec.derivs:
-            if len(spec.derivs) != spec.power:
-                raise ParseError(
-                    f"functional {name!r} lists {len(spec.derivs)} "
-                    f"multi-indices for power {spec.power}",
-                    table["derivs"].line, table["derivs"].column)
-            for alpha in spec.derivs:
-                if len(alpha) != d:
-                    raise ParseError(
-                        f"multi-index {alpha} has wrong length in d={d}",
-                        table["derivs"].line, table["derivs"].column)
-                if sum(alpha) > _DERIV_CAP:
-                    raise ParseError(
-                        f"multi-index {alpha} exceeds the derivative "
-                        f"order cap {_DERIV_CAP}",
-                        table["derivs"].line, table["derivs"].column)
+        try:
+            _build_functional(spec, d)
+        except ValueError as exc:
+            at = table.get("derivs", center)
+            raise ParseError(f"functional {name!r}: {exc}", at.line, at.column)
         specs.append(spec)
-    fields["functionals"] = tuple(specs)
+    values["functionals"] = tuple(specs)
 
-    config = RunConfig(**fields)
+    config = RunConfig(**values)
     if config.command == "product" and not config.functionals:
         raise ParseError(
             "command 'product' needs at least one [functional ...] section")
@@ -449,53 +437,31 @@ def _num(x: float) -> str:
     return f"{x:.12e}"
 
 
-def _fmt_lambdas(vals: Sequence[float]) -> str:
-    return ",".join(repr(float(v)) for v in vals)
-
-
-def _fmt_factors(factors) -> str:
-    return ",".join(f"{i}-{j}:{p}" for i, j, p in factors)
-
-
-def _fmt_derivs(derivs) -> str:
-    return "".join("(" + ",".join(str(a) for a in alpha) + ")"
-                   for alpha in derivs)
+def _echo(key: str, value) -> str:
+    """A key's value as a config file writes it."""
+    if key == "factors":
+        return ",".join(f"{i}-{j}:{p}" for i, j, p in value)
+    if key == "derivs":
+        return "".join("(" + ",".join(str(a) for a in alpha) + ")"
+                       for alpha in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(repr(float(v)) for v in value)
+    return str(value)
 
 
 def _config_section(config: RunConfig) -> ReportSection:
-    pairs = {
-        "command": config.command,
-        "d": str(config.d),
-        "m": repr(config.m),
-        "order": str(config.order),
-        "n": str(config.n),
-        "k": str(config.k),
-        "n_max": str(config.n_max),
-        "background": config.background,
-        "rtol": repr(config.rtol),
-        "atol": repr(config.atol),
-        "gauss_n": str(config.gauss_n),
-        "angular_n": str(config.angular_n),
-        "lambdas": _fmt_lambdas(config.lambdas),
-        "factors": _fmt_factors(config.factors),
-        "pair_radius": repr(config.pair_radius),
-        "pair_c0": repr(config.pair_c0),
-        "overall_radius": repr(config.overall_radius),
-        "overall_c0": repr(config.overall_c0),
-        "bare": "true" if config.bare else "false",
-        "tolerance": repr(config.tolerance),
-        "seed": str(config.seed),
-        "out": config.out,
-    }
-    for spec in config.functionals:
-        prefix = f"functional.{spec.name}"
-        pairs[f"{prefix}.power"] = str(spec.power)
-        pairs[f"{prefix}.derivs"] = _fmt_derivs(spec.derivs)
-        pairs[f"{prefix}.center"] = ",".join(repr(c) for c in spec.center)
-        pairs[f"{prefix}.radius"] = repr(spec.radius)
-        pairs[f"{prefix}.amplitude"] = repr(spec.amplitude)
-        pairs[f"{prefix}.prefactor"] = str(spec.prefactor)
-    return ReportSection("config", tuple(sorted(pairs.items())))
+    """Every field of the config and of its functionals, defaults
+    included, keyed as the config file names it."""
+    owners = [("", config)] + [(f"functional.{spec.name}.", spec)
+                               for spec in config.functionals]
+    pairs = [(prefix + f.name, _echo(f.name, getattr(obj, f.name)))
+             for prefix, obj in owners for f in fields(obj)
+             if f.name not in ("name", "functionals")]
+    return ReportSection("config", tuple(sorted(pairs)))
 
 
 # -- command implementations -----------------------------------------------
@@ -774,9 +740,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="run configuration file")
     parser.add_argument("--out", metavar="PATH",
                         help="write the report here instead of stdout")
-    parser.add_argument("--tolerance", type=float, metavar="X",
+    parser.add_argument("--tolerance", metavar="X",
                         help="override the verify threshold")
-    parser.add_argument("--seed", type=int, metavar="N",
+    parser.add_argument("--seed", metavar="N",
                         help="seed for randomized checks")
     args = parser.parse_args(argv)
 
@@ -788,10 +754,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         config = parse_config(text)
-        if args.tolerance is not None:
-            config = replace(config, tolerance=args.tolerance)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
+        for key in ("tolerance", "seed"):
+            flag = getattr(args, key)
+            if flag is not None:
+                try:
+                    config = replace(config, **{key: _TOP_KEYS[key](flag)})
+                except ValueError as exc:
+                    raise ParseError(f"--{key}: {exc}")
         report = run(config)
     except EucrenError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -311,7 +311,9 @@ class MonomialTerm:
                                  for alpha in self.derivs))
         object.__setattr__(self, "prefactor", Fraction(self.prefactor))
         if self.power != len(self.derivs):
-            raise ValueError("one multi-index per field factor is required")
+            raise ValueError(
+                f"{len(self.derivs)} multi-indices for power {self.power}; "
+                f"one per field factor is required")
         d = self.coefficient.d
         for alpha in self.derivs:
             if len(alpha) != d:
@@ -488,13 +490,6 @@ def kernel_pair(K: DerivativeKernel, phi: FieldConfiguration,
     return total
 
 
-def _falling(m: int, n: int) -> int:
-    out = 1
-    for j in range(n):
-        out *= m - j
-    return out
-
-
 @lru_cache(maxsize=256)
 def derivative_kernel(F: LocalFunctional, n: int) -> DerivativeKernel:
     """F^(n): each monomial of degree k contributes the delta-chain
@@ -515,7 +510,7 @@ def derivative_kernel(F: LocalFunctional, n: int) -> DerivativeKernel:
             chosen_counts = Counter(chosen)
             mult = 1
             for alpha, na in chosen_counts.items():
-                mult *= _falling(slot_counts[alpha], na)
+                mult *= math.perm(slot_counts[alpha], na)
             residual = list(term.derivs)
             for alpha in chosen:
                 residual.remove(alpha)

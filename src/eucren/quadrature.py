@@ -65,18 +65,15 @@ __all__ = [
 class QuadratureScheme:
     """Knobs for the nested quadratures.
 
-    rtol / atol / limit feed QUADPACK; gauss_n is the per-axis order of
-    ball and tensor rules; angular_n the polar-average order;
-    profile_samples the sample count for cached radial profiles;
-    grid_nodes the per-axis size of the triple-correlation grid.
+    rtol / atol feed QUADPACK; gauss_n is the per-axis order of ball and
+    tensor rules; angular_n the polar-average order; grid_nodes the
+    per-axis size of the triple-correlation grid.
     """
 
     rtol: float = 1e-9
     atol: float = 1e-12
-    limit: int = 200
     gauss_n: int = 18
     angular_n: int = 96
-    profile_samples: int = 360
     grid_nodes: int = 48
 
     def tighter(self, factor: float = 1e-2) -> "QuadratureScheme":
@@ -84,6 +81,11 @@ class QuadratureScheme:
 
 
 DEFAULT_SCHEME = QuadratureScheme()
+
+# QUADPACK's subinterval limit
+QUAD_LIMIT = 200
+# samples of a cached radial profile
+PROFILE_SAMPLES = 360
 
 
 def quad_1d(f, a: float, b: float, scheme: QuadratureScheme = DEFAULT_SCHEME,
@@ -97,7 +99,7 @@ def quad_1d(f, a: float, b: float, scheme: QuadratureScheme = DEFAULT_SCHEME,
         if not pts:
             pts = None
     out = quad(f, a, b, epsabs=scheme.atol, epsrel=scheme.rtol,
-               limit=scheme.limit, points=pts, full_output=1)
+               limit=QUAD_LIMIT, points=pts, full_output=1)
     result, abserr = out[0], out[1]
     if len(out) > 3:
         # a fourth element is QUADPACK's warning/error message
@@ -134,44 +136,38 @@ def ball_rule(d: int, center, radius: float, n: int):
     """Product Gauss rule for the closed ball; returns (points, weights).
 
     Nodes are strictly interior, so integrands that are nan exactly on
-    the support boundary are safe to evaluate.
+    the support boundary are safe to evaluate.  Each rule is built once
+    and its arrays are read-only.
     """
-    center = np.atleast_1d(np.asarray(center, dtype=float))
+    center = tuple(float(c) for c in np.atleast_1d(center))
+    return _ball_rule(d, center, float(radius), n)
+
+
+@lru_cache(maxsize=32)
+def _ball_rule(d: int, center, radius: float, n: int):
     if d == 1:
         x, w = _mapped_gauss(center[0] - radius, center[0] + radius, n)
-        return x.reshape(-1, 1), w
-    if d == 2:
+        pts, wts = x.reshape(-1, 1), w
+    elif d in (2, 3):
+        # d = 2 is the d = 3 rule with the single polar node mu = 0
         r, wr = _mapped_gauss(0.0, radius, n)
-        n_theta = max(2 * n, 8)
-        theta = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
-        w_theta = 2.0 * np.pi / n_theta
-        pts = np.empty((n * n_theta, 2))
-        wts = np.empty(n * n_theta)
-        k = 0
-        for ri, wi in zip(r, wr):
-            pts[k:k + n_theta, 0] = center[0] + ri * np.cos(theta)
-            pts[k:k + n_theta, 1] = center[1] + ri * np.sin(theta)
-            wts[k:k + n_theta] = wi * ri * w_theta
-            k += n_theta
-        return pts, wts
-    if d == 3:
-        r, wr = _mapped_gauss(0.0, radius, n)
-        mu, wmu = gauss_legendre(n)
+        mu, wmu = gauss_legendre(n) if d == 3 else (np.zeros(1), np.ones(1))
         n_phi = max(2 * n, 8)
         phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
         w_phi = 2.0 * np.pi / n_phi
-        sin_th = np.sqrt(1.0 - mu**2)
         R, MU, PH = np.meshgrid(r, mu, phi, indexing="ij")
         WR, WMU, _ = np.meshgrid(wr, wmu, phi, indexing="ij")
         ST = np.sqrt(1.0 - MU**2)
-        pts = np.stack([
-            center[0] + R * ST * np.cos(PH),
-            center[1] + R * ST * np.sin(PH),
-            center[2] + R * MU,
-        ], axis=-1).reshape(-1, 3)
-        wts = (WR * R**2 * WMU * w_phi).reshape(-1)
-        return pts, wts
-    raise UnsupportedCase(f"ball rules are implemented for d in 1..3, got {d}")
+        axes = (R * ST * np.cos(PH), R * ST * np.sin(PH), R * MU)[:d]
+        pts = np.stack([c + a for c, a in zip(center, axes)],
+                       axis=-1).reshape(-1, d)
+        wts = (WR * R**(d - 1) * WMU * w_phi).reshape(-1)
+    else:
+        raise UnsupportedCase(
+            f"ball rules are implemented for d in 1..3, got {d}")
+    for a in (pts, wts):
+        a.setflags(write=False)
+    return pts, wts
 
 
 def angular_average(gu: Callable, c: float, d: int, n: int = 96) -> Callable:
@@ -314,7 +310,7 @@ def correlation_profile(f_gu: Callable, f_support: float,
     def f_kernel(rho):
         return _radial_eval(f_gu, rho)
 
-    s_grid = np.linspace(0.0, s_max, scheme.profile_samples)
+    s_grid = np.linspace(0.0, s_max, PROFILE_SAMPLES)
     vals = np.empty_like(s_grid)
     for i, s in enumerate(s_grid):
         vals[i] = radial_pair(f_kernel, g_gu, g_support, s, d, scheme,

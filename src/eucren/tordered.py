@@ -143,16 +143,15 @@ class ProductResult:
 
 
 @lru_cache(maxsize=64)
-def _weights(dk: DKTerm, phi: FieldConfiguration, scheme: QuadratureScheme):
-    """Nodes and weights of the ball rule of dk's coefficient, and the
-    vertex weight coefficient * prod (d^a phi) on the nodes."""
-    f = dk.coefficient
+def _weights(f, residual, phi: FieldConfiguration, scheme: QuadratureScheme):
+    """Nodes and weights of the ball rule of a kernel term's coefficient
+    f, and the vertex weight f * prod (d^a phi) over its residual
+    multi-indices a on the nodes."""
     pts, wts = ball_rule(f.d, f.center, f.radius, scheme.gauss_n)
     vals = np.asarray(f(pts), dtype=float)
-    for alpha in dk.residual:
+    for alpha in residual:
         vals = vals * np.asarray(phi.diff(alpha)(pts), dtype=float)
-    for a in (pts, wts, vals):
-        a.setflags(write=False)
+    vals.setflags(write=False)
     return pts, wts, vals
 
 
@@ -170,7 +169,7 @@ def _message(power: int, tree, d: int, center, radius: float, left,
     kernel, children = tree
     out = np.zeros(len(x))
     for dk in kernel.terms:
-        pts, wts, vals = _weights(dk, phi, scheme)
+        pts, wts, vals = _weights(dk.coefficient, dk.residual, phi, scheme)
         vals = vals * _below(children, dk, phi, m, scheme)
         block = prop.block(power, left, dk.arg_derivs[0])
         out += float(dk.prefactor) * contract(block, x, pts, wts * vals)
@@ -221,7 +220,7 @@ def term_value(graph: MultiGraph, functionals: Sequence[LocalFunctional],
         kernel, children = _tree(amp.kernels, adj, verts[0], None)
         total = 0.0
         for dk in kernel.terms:
-            _, wts, vals = _weights(dk, phi, scheme)
+            _, wts, vals = _weights(dk.coefficient, dk.residual, phi, scheme)
             vals = vals * _below(children, dk, phi, m, scheme)
             total += float(dk.prefactor) * float(wts @ vals)
         value *= total

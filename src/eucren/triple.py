@@ -67,6 +67,7 @@ from .propagator import (
 )
 from .quadrature import (
     DEFAULT_SCHEME,
+    PROFILE_SAMPLES,
     ProfileSpline,
     QuadratureScheme,
     ball_rule,
@@ -169,7 +170,7 @@ def grid_field(f0, f1, f2, scheme: QuadratureScheme = DEFAULT_SCHEME) -> TripleF
 
     g1_at0 = F * np.asarray(g1u(u0), dtype=float)
     s2 = np.concatenate([-(np.arange(_GHOSTS, 0, -1)) * h2,
-                         np.linspace(0.0, R2, scheme.profile_samples)])
+                         np.linspace(0.0, R2, PROFILE_SAMPLES)])
     vals2 = g1_at0 @ np.asarray(
         g2u(u0[:, None] - 2.0 * np.outer(x0, s2) + s2[None, :] ** 2),
         dtype=float)
@@ -348,7 +349,7 @@ def _leg_profile(d: int, m: float, power: int,
     """Radial profile rho -> <P^power, leg(x - .)> for |x - c_leg| = rho."""
     sub = ScalarDistribution.single_power(d, m, power, extension=extension)
     gu = leg.gu()
-    grid = np.linspace(lo, hi, max(160, scheme.profile_samples // 2))
+    grid = np.linspace(lo, hi, max(160, PROFILE_SAMPLES // 2))
     vals = np.empty_like(grid)
     for k, rho in enumerate(grid):
         view = RadialTestView(

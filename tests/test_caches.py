@@ -30,7 +30,8 @@ def _caches():
 
 def test_every_cache_is_bounded():
     caches = _caches()
-    assert {"tordered._message", "tordered._weights"} <= set(caches)
+    assert {"tordered._message", "tordered._weights",
+            "quadrature._ball_rule"} <= set(caches)
     unbounded = {name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None}
     assert unbounded <= UNBOUNDED

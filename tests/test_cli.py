@@ -204,6 +204,53 @@ class TestReportShape:
         assert echo["functional.F.power"] == "2"
         assert echo["functional.G.center"] == "3.0,0.0"
 
+    def test_config_section_golden(self):
+        text = ("command=graphs d=2 n=2 order=1 tolerance=0.01 bare=true "
+                "factors=0-1:2,0-2:1\nbackground = 1 + 0.5*x2\n"
+                "[functional F]\ncenter=0,1.5\npower=2\n"
+                "derivs=(1,0)(0,2)\nprefactor=-3/4\n"
+                "[functional G]\ncenter=2.5,-1e-3\namplitude=1.3\n"
+                "radius=0.8\nderivs=(0,1)\n")
+        sections = run(parse_config(text)).render().split("\n\n")
+        assert sections[1].splitlines() == [
+            "[config]",
+            "angular_n = 96",
+            "atol = 1e-12",
+            "background = 1 + 0.5*x2",
+            "bare = true",
+            "command = graphs",
+            "d = 2",
+            "factors = 0-1:2,0-2:1",
+            "functional.F.amplitude = 1.0",
+            "functional.F.center = 0.0,1.5",
+            "functional.F.derivs = (1,0)(0,2)",
+            "functional.F.power = 2",
+            "functional.F.prefactor = -3/4",
+            "functional.F.radius = 1.0",
+            "functional.G.amplitude = 1.3",
+            "functional.G.center = 2.5,-0.001",
+            "functional.G.derivs = (0,1)",
+            "functional.G.power = 1",
+            "functional.G.prefactor = 1",
+            "functional.G.radius = 0.8",
+            "gauss_n = 12",
+            "k = 4",
+            "lambdas = 0.5,0.25,0.125,0.0625,0.03125,0.015625,0.0078125,"
+            "0.00390625",
+            "m = 1.0",
+            "n = 2",
+            "n_max = 5",
+            "order = 1",
+            "out = ",
+            "overall_c0 = 0.0",
+            "overall_radius = 1.0",
+            "pair_c0 = 0.0",
+            "pair_radius = 1.0",
+            "rtol = 1e-09",
+            "seed = 0",
+            "tolerance = 0.01",
+        ]
+
     def test_byte_identical_for_identical_config(self):
         text = "d=3 command=graphs n=3 order=2"
         a = run(parse_config(text)).render()
@@ -482,6 +529,18 @@ class TestMain:
         text = out.read_text()
         assert "tolerance = 0.5" in text
         assert "seed = 9" in text
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("verify d=1", "--seed", "-1"),
+        ("verify d=1", "--tolerance", "nan"),
+        ("graphs d=3", "--tolerance", "0"),
+    ])
+    def test_bad_flag_is_parse_exit(self, tmp_path, capsys, command, flag,
+                                    value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"command={command}\n")
+        assert main(["--config", str(cfg), flag, value]) == 2
+        assert f"error: {flag}: " in capsys.readouterr().err
 
     def test_seed_flag_changes_verify_draws(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -51,6 +51,32 @@ class TestBasicRules:
         pts, wts = ball_rule(3, (1.0, -2.0, 0.5), 0.7, 10)
         assert float(np.sum(wts)) == pytest.approx(4 * np.pi * 0.7**3 / 3, rel=1e-12)
 
+    def test_ball_rule_is_shared_and_read_only(self):
+        pts, wts = ball_rule(3, np.zeros(3), 1.0, 6)
+        assert ball_rule(3, (0, 0, 0), 1, 6)[0] is pts
+        for array in (pts, wts):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_disk_rule_matches_polar_loop(self, n):
+        # the d = 2 rule is the d = 3 product rule at the single polar
+        # node mu = 0, with the node order and rounding of a loop over
+        # the radial nodes
+        center, radius = (0.3, -1.2), 0.7
+        x, w = np.polynomial.legendre.leggauss(n)
+        half = 0.5 * radius
+        n_theta = max(2 * n, 8)
+        theta = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
+        pts, wts = [], []
+        for ri, wi in zip(half + half * x, half * w):
+            pts.append(np.stack([center[0] + ri * np.cos(theta),
+                                 center[1] + ri * np.sin(theta)], axis=-1))
+            wts.append(np.full(n_theta, wi * ri * (2.0 * np.pi / n_theta)))
+        got_pts, got_wts = ball_rule(2, center, radius, n)
+        assert np.array_equal(got_pts, np.concatenate(pts))
+        assert np.array_equal(got_wts, np.concatenate(wts))
+
 
 class TestAngularAverage:
     def test_gaussian_closed_form_3d(self):

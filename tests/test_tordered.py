@@ -361,7 +361,8 @@ class TestTrees:
         message = tordered._message(1, (kernel, ()), D, F0.center,
                                     F0.radius, dk.arg_derivs[0], PHI, M,
                                     scheme)
-        for array in (message, *tordered._weights(dk, PHI, scheme)):
+        weights = tordered._weights(dk.coefficient, dk.residual, PHI, scheme)
+        for array in (message, *weights):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
