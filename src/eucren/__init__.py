@@ -4,7 +4,7 @@ of scalar field theories on flat R^d.
 Modules, bottom up:
 
 - ``errors``: shared failure taxonomy and CLI exit-code table.
-- ``expr``: exact symbolic atoms (bump profiles, radial maps).
+- ``expr``: symbolic smooth and radial maps, the field-expression grammar.
 - ``quadrature``: 1d/ball/tensor rules and the scheme record.
 - ``bessel``: K_nu for the kernels: scipy's ``kv``, with elementary
   closed forms at half-integer orders.
@@ -13,7 +13,7 @@ Modules, bottom up:
 - ``propagator``: closed-form P(r), pairings, extensions of two-point
   kernels, fundamental-solution verification.
 - ``triple``: the reduced three-point pairing in d = 3.
-- ``functionals``: local functionals, field configurations, additivity.
+- ``functionals``: local functionals on ``SmoothMap`` fields, additivity.
 - ``graphs``: labelled multigraph expansion terms with exact weights.
 - ``tordered``: the partial product star_E, E_n series, causal
   factorization, Wick reduction at zero background.

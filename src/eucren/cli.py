@@ -67,6 +67,9 @@ class FunctionalSpec:
     amplitude: float = 1.0
     prefactor: Fraction = Fraction(1)
 
+    def test_function(self, d: int) -> TestFunction:
+        return TestFunction(d, self.center, self.radius, self.amplitude)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -352,16 +355,15 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(
                 f"functional {name!r} has no center", lineno, 1)
         center = table["center"]
-        if len(center.value) != d:
-            raise ParseError(
-                f"center has {len(center.value)} components in d={d}",
-                center.line, center.column)
         kwargs = {key: a.value for key, a in table.items()}
         spec = FunctionalSpec(name=name, **kwargs)
+        # TestFunction's errors point at the center, MonomialTerm's at derivs
+        at = center
         try:
-            _build_functional(spec, d)
-        except ValueError as exc:
+            f = spec.test_function(d)
             at = table.get("derivs", center)
+            _build_functional(spec, f)
+        except ValueError as exc:
             raise ParseError(f"functional {name!r}: {exc}", at.line, at.column)
         specs.append(spec)
     values["functionals"] = tuple(specs)
@@ -467,9 +469,8 @@ def _config_section(config: RunConfig) -> ReportSection:
 # -- command implementations -----------------------------------------------
 
 
-def _build_functional(spec: FunctionalSpec, d: int) -> LocalFunctional:
-    f = TestFunction(d, spec.center, spec.radius, spec.amplitude)
-    derivs = spec.derivs if spec.derivs else ((0,) * d,) * spec.power
+def _build_functional(spec: FunctionalSpec, f: TestFunction) -> LocalFunctional:
+    derivs = spec.derivs if spec.derivs else ((0,) * f.d,) * spec.power
     return LocalFunctional([MonomialTerm(spec.power, derivs, f,
                                          spec.prefactor)])
 
@@ -505,7 +506,8 @@ def _run_expand(config: RunConfig) -> List[ReportSection]:
 
 def _run_product(config: RunConfig) -> List[ReportSection]:
     d = config.d
-    functionals = [_build_functional(s, d) for s in config.functionals]
+    functionals = [_build_functional(s, s.test_function(d))
+                   for s in config.functionals]
     phi = FieldConfiguration.from_expression(config.background, d)
     scheme = config.scheme()
     sections = []
@@ -580,8 +582,7 @@ def _run_renormalize(config: RunConfig) -> List[ReportSection]:
                 f"pairing a {out.n_points}-point kernel needs "
                 f"{out.n_points} functional sections, got "
                 f"{len(config.functionals)}")
-        tests = tuple(TestFunction(d, s.center, s.radius, s.amplitude)
-                      for s in config.functionals)
+        tests = tuple(s.test_function(d) for s in config.functionals)
         value = pair(out, tests, scheme)
         sections.append(ReportSection("pairing", pairs=(
             ("tests", ",".join(s.name for s in config.functionals)),

@@ -6,6 +6,10 @@ Two representations cooperate here:
   grammar is constants, coordinates, polynomials, exponentials,
   sine/cosine, plus the compactly supported atom ``BumpCore``
   (see below), and is closed under exact partial differentiation.
+  It is also the field configuration phi of the functional calculus:
+  an optional ``support_ball`` bounds its support, and
+  ``SmoothMap.from_expression`` reads the field-expression grammar of
+  config files (an ``ast`` whitelist; the text is never evaluated).
 
 * ``RadialMap`` stores a rotation-invariant function about a center c
   through its profile g(u) in the *squared* distance u = |x-c|^2.
@@ -23,8 +27,12 @@ strictly inside or strictly outside supports.
 
 from __future__ import annotations
 
+import ast
+import math
+import operator
+import re
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
@@ -85,19 +93,34 @@ def _u_symbol():
 
 
 class SmoothMap:
-    """A smooth function R^d -> R given as a sympy expression."""
+    """A smooth function R^d -> R given as a sympy expression.
 
-    __slots__ = ("d", "expr")
+    ``support_ball`` is an optional declared bounding ball (center,
+    radius) of the support.  A sum gets the smallest ball containing
+    both balls, scalar multiples and derivatives keep theirs; any other
+    result carries None, as do globally supported atoms.
+    """
 
-    def __init__(self, expr, d: int):
+    __slots__ = ("d", "expr", "support_ball")
+
+    def __init__(self, expr, d: int,
+                 support_ball: Optional[Tuple[Tuple[float, ...], float]] = None):
         self.d = int(d)
         self.expr = sp.sympify(expr)
+        if support_ball is not None:
+            center, radius = support_ball
+            support_ball = (tuple(float(c) for c in center), float(radius))
+        self.support_ball = support_ball
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def constant(value, d: int) -> "SmoothMap":
         return SmoothMap(sp.sympify(value), d)
+
+    @staticmethod
+    def zero(d: int) -> "SmoothMap":
+        return SmoothMap(0, d, support_ball=((0.0,) * d, 1e-12))
 
     @staticmethod
     def coordinate(i: int, d: int) -> "SmoothMap":
@@ -107,7 +130,27 @@ class SmoothMap:
 
     @staticmethod
     def bump(d: int, center: Sequence[float], radius: float, amplitude=1) -> "SmoothMap":
-        return RadialMap.bump_profile(d, center, radius, amplitude).to_smoothmap()
+        """The mollifier A*exp(-1/(1 - |x-c|^2/r^2)) with support ball B(c, r)."""
+        center = tuple(float(c) for c in np.atleast_1d(center))
+        fn = RadialMap.bump_profile(d, center, radius, amplitude).to_smoothmap()
+        return SmoothMap(fn.expr, d, support_ball=(center, radius))
+
+    @staticmethod
+    def from_expression(text: str, d: int) -> "SmoothMap":
+        """Parse an expression in x1..xd over the closed-form atoms
+        (polynomials, exp, sin, cos).
+
+        The text is never evaluated: its syntax tree is walked under a
+        whitelist (int and float literals, x1..xd, binary + - * / **,
+        unary + and -, one-argument exp, sin and cos) and the sympy
+        expression is built node by node.  Float literals keep their
+        source digits.  Anything else raises ValueError.
+        """
+        try:
+            tree = ast.parse(text.strip(), mode="eval")
+        except SyntaxError as exc:
+            raise ValueError(f"invalid field expression: {exc.msg}")
+        return SmoothMap(_field_expr(tree.body, text.strip(), d), d)
 
     # -- evaluation ----------------------------------------------------
 
@@ -134,7 +177,7 @@ class SmoothMap:
         for i, a in enumerate(alpha):
             if a:
                 e = sp.diff(e, coords(self.d)[i], a)
-        return SmoothMap(e, self.d)
+        return SmoothMap(e, self.d, self.support_ball)
 
     def laplacian(self) -> "SmoothMap":
         e = sum(sp.diff(self.expr, x, 2) for x in coords(self.d))
@@ -149,9 +192,26 @@ class SmoothMap:
             return other
         return SmoothMap.constant(other, self.d)
 
+    def _merged_ball(self, other):
+        if self.support_ball is None or other.support_ball is None:
+            return None
+        (ca, ra), (cb, rb) = self.support_ball, other.support_ball
+        ca, cb = np.asarray(ca), np.asarray(cb)
+        delta = cb - ca
+        dist = float(np.linalg.norm(delta))
+        if dist + rb <= ra:
+            return (tuple(ca), ra)
+        if dist + ra <= rb:
+            return (tuple(cb), rb)
+        # smallest ball containing both
+        radius = 0.5 * (dist + ra + rb)
+        direction = delta / dist if dist > 0 else np.zeros_like(ca)
+        center = ca + (radius - ra) * direction
+        return (tuple(float(c) for c in center), radius)
+
     def __add__(self, other):
         o = self._coerce(other)
-        return SmoothMap(self.expr + o.expr, self.d)
+        return SmoothMap(self.expr + o.expr, self.d, self._merged_ball(o))
 
     __radd__ = __add__
 
@@ -160,7 +220,13 @@ class SmoothMap:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return SmoothMap(self.expr * o.expr, self.d)
+        if o.is_constant:
+            ball = self.support_ball
+        elif self.is_constant:
+            ball = o.support_ball
+        else:
+            ball = None
+        return SmoothMap(self.expr * o.expr, self.d, ball)
 
     __rmul__ = __mul__
 
@@ -184,6 +250,51 @@ class SmoothMap:
 
     def __repr__(self):
         return f"SmoothMap(d={self.d}, {self.expr})"
+
+
+_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv,
+               ast.Pow: operator.pow}
+_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_FIELD_FUNCS = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos}
+
+
+def _field_expr(node: ast.AST, text: str, d: int):
+    """The sympy expression of one whitelisted syntax-tree node.  Numeric
+    subexpressions must be finite and real, and a power of two numbers
+    has an exponent of at most 1024 in magnitude: an exact integer power
+    such as 10**10**8 would take unbounded time."""
+    segment = ast.get_source_segment(text, node)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        if isinstance(node.value, int):
+            expr = sp.Integer(node.value)
+        else:
+            expr = sp.Float(segment)
+    elif isinstance(node, ast.Name):
+        match = re.fullmatch(r"x([1-9]\d*)", node.id)
+        if match is None or int(match.group(1)) > d:
+            raise ValueError(f"unknown name {node.id!r} in field expression")
+        return coords(d)[int(match.group(1)) - 1]
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        left = _field_expr(node.left, text, d)
+        right = _field_expr(node.right, text, d)
+        if (isinstance(node.op, ast.Pow) and left.is_number
+                and right.is_number and abs(right) > 1024):
+            raise ValueError(
+                f"exponent in {segment!r} exceeds 1024 in magnitude")
+        expr = _BINARY_OPS[type(node.op)](left, right)
+    elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
+        expr = _UNARY_OPS[type(node.op)](_field_expr(node.operand, text, d))
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FIELD_FUNCS and len(node.args) == 1
+            and not node.keywords):
+        expr = _FIELD_FUNCS[node.func.id](_field_expr(node.args[0], text, d))
+    else:
+        raise ValueError(f"unsupported syntax {segment!r} in field expression")
+    if expr.is_number and not (expr.is_extended_real
+                               and math.isfinite(float(expr))):
+        raise ValueError(f"{segment!r} has no finite real value")
+    return expr
 
 
 class RadialMap:

@@ -6,7 +6,9 @@ A local functional here is a finite sum of monomial terms
 
 with a bump coefficient f and derivative multi-indices a_j capped at
 total order 2.  The module provides evaluation against closed-form
-field configurations, the symbolic functional-derivative kernels
+field configurations (``expr.SmoothMap``, exported here as
+``FieldConfiguration``: one class, whose optional support ball the
+additivity check reads), the symbolic functional-derivative kernels
 (delta chains on the thin diagonal with residual field powers),
 support bookkeeping, the additivity defect of support-local
 functionals, and the balanced-field Taylor expansion around a
@@ -15,19 +17,15 @@ background configuration.
 
 from __future__ import annotations
 
-import ast
 import itertools
 import math
-import operator
-import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
-import sympy as sp
 
 from .errors import PreconditionViolated, UnsupportedCase
 from .expr import RadialMap, SmoothMap, coords
@@ -115,9 +113,9 @@ class TestFunction:
                             lam * self.radius,
                             self.amplitude * lam ** (-self.d))
 
-    def to_field(self) -> "FieldConfiguration":
-        return FieldConfiguration(self.radial_map().to_smoothmap(),
-                                  support_ball=(self.center, self.radius))
+    def to_field(self) -> SmoothMap:
+        return SmoothMap.bump(self.d, self.center, self.radius,
+                              self.amplitude)
 
 
 @lru_cache(maxsize=512)
@@ -125,157 +123,9 @@ def _bump_radial_map(d, center, radius, amplitude) -> RadialMap:
     return RadialMap.bump_profile(d, center, radius, amplitude)
 
 
-class FieldConfiguration:
-    """A closed-form smooth field phi with exact symbolic derivatives.
-
-    ``support_ball`` is optional metadata (center, radius): a declared
-    bounding ball of the support, needed by the additivity check.
-    Expressions built from globally supported atoms carry None.
-    """
-
-    __slots__ = ("fn", "support_ball")
-
-    def __init__(self, fn: SmoothMap,
-                 support_ball: Optional[Tuple[Tuple[float, ...], float]] = None):
-        self.fn = fn
-        if support_ball is not None:
-            center, radius = support_ball
-            support_ball = (tuple(float(c) for c in center), float(radius))
-        self.support_ball = support_ball
-
-    @property
-    def d(self) -> int:
-        return self.fn.d
-
-    @staticmethod
-    def zero(d: int) -> "FieldConfiguration":
-        return FieldConfiguration(SmoothMap.constant(0, d),
-                                  support_ball=((0.0,) * d, 1e-12))
-
-    @staticmethod
-    def constant(value, d: int) -> "FieldConfiguration":
-        return FieldConfiguration(SmoothMap.constant(value, d))
-
-    @staticmethod
-    def coordinate(i: int, d: int) -> "FieldConfiguration":
-        return FieldConfiguration(SmoothMap.coordinate(i, d))
-
-    @staticmethod
-    def bump(d: int, center, radius: float, amplitude=1) -> "FieldConfiguration":
-        center = tuple(float(c) for c in np.atleast_1d(center))
-        return FieldConfiguration(SmoothMap.bump(d, center, radius, amplitude),
-                                  support_ball=(center, float(radius)))
-
-    @staticmethod
-    def from_expression(text: str, d: int) -> "FieldConfiguration":
-        """Parse an expression in x1..xd over the closed-form atoms
-        (polynomials, exp, sin, cos).
-
-        The text is never evaluated: its syntax tree is walked under a
-        whitelist (int and float literals, x1..xd, binary + - * / **,
-        unary + and -, one-argument exp, sin and cos) and the sympy
-        expression is built node by node.  Float literals keep their
-        source digits.  Anything else raises ValueError.
-        """
-        try:
-            tree = ast.parse(text.strip(), mode="eval")
-        except SyntaxError as exc:
-            raise ValueError(f"invalid field expression: {exc.msg}")
-        expr = _field_expr(tree.body, text.strip(), d)
-        return FieldConfiguration(SmoothMap(expr, d))
-
-    def __call__(self, points):
-        return self.fn(points)
-
-    def diff(self, alpha: Iterable[int]) -> "FieldConfiguration":
-        return FieldConfiguration(self.fn.diff(alpha),
-                                  support_ball=self.support_ball)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.fn.is_constant
-
-    def constant_value(self) -> float:
-        return self.fn.constant_value()
-
-    def _merged_ball(self, other):
-        if self.support_ball is None or other.support_ball is None:
-            return None
-        (ca, ra), (cb, rb) = self.support_ball, other.support_ball
-        ca, cb = np.asarray(ca), np.asarray(cb)
-        delta = cb - ca
-        dist = float(np.linalg.norm(delta))
-        if dist + rb <= ra:
-            return (tuple(ca), ra)
-        if dist + ra <= rb:
-            return (tuple(cb), rb)
-        # smallest ball containing both
-        radius = 0.5 * (dist + ra + rb)
-        direction = delta / dist if dist > 0 else np.zeros_like(ca)
-        center = ca + (radius - ra) * direction
-        return (tuple(float(c) for c in center), radius)
-
-    def __add__(self, other: "FieldConfiguration") -> "FieldConfiguration":
-        return FieldConfiguration(self.fn + other.fn,
-                                  support_ball=self._merged_ball(other))
-
-    def __sub__(self, other: "FieldConfiguration") -> "FieldConfiguration":
-        return FieldConfiguration(self.fn - other.fn,
-                                  support_ball=self._merged_ball(other))
-
-    def __mul__(self, scalar) -> "FieldConfiguration":
-        return FieldConfiguration(self.fn * scalar,
-                                  support_ball=self.support_ball)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"FieldConfiguration({self.fn.expr})"
-
-
-_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
-               ast.Mult: operator.mul, ast.Div: operator.truediv,
-               ast.Pow: operator.pow}
-_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
-_FIELD_FUNCS = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos}
-
-
-def _field_expr(node: ast.AST, text: str, d: int):
-    """The sympy expression of one whitelisted syntax-tree node.  Numeric
-    subexpressions must be finite and real, and a power of two numbers
-    has an exponent of at most 1024 in magnitude: an exact integer power
-    such as 10**10**8 would take unbounded time."""
-    segment = ast.get_source_segment(text, node)
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        if isinstance(node.value, int):
-            expr = sp.Integer(node.value)
-        else:
-            expr = sp.Float(segment)
-    elif isinstance(node, ast.Name):
-        match = re.fullmatch(r"x([1-9]\d*)", node.id)
-        if match is None or int(match.group(1)) > d:
-            raise ValueError(f"unknown name {node.id!r} in field expression")
-        return coords(d)[int(match.group(1)) - 1]
-    elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
-        left = _field_expr(node.left, text, d)
-        right = _field_expr(node.right, text, d)
-        if (isinstance(node.op, ast.Pow) and left.is_number
-                and right.is_number and abs(right) > 1024):
-            raise ValueError(
-                f"exponent in {segment!r} exceeds 1024 in magnitude")
-        expr = _BINARY_OPS[type(node.op)](left, right)
-    elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
-        expr = _UNARY_OPS[type(node.op)](_field_expr(node.operand, text, d))
-    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in _FIELD_FUNCS and len(node.args) == 1
-            and not node.keywords):
-        expr = _FIELD_FUNCS[node.func.id](_field_expr(node.args[0], text, d))
-    else:
-        raise ValueError(f"unsupported syntax {segment!r} in field expression")
-    if expr.is_number and not (expr.is_extended_real
-                               and math.isfinite(float(expr))):
-        raise ValueError(f"{segment!r} has no finite real value")
-    return expr
+# a field configuration phi is a closed-form smooth map with an optional
+# support ball; the two names denote one class
+FieldConfiguration = SmoothMap
 
 
 @dataclass(frozen=True)

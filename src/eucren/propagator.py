@@ -324,17 +324,14 @@ def pair_extension(t: ScalarDistribution, phi,
     kernel = prop.power_callable(factor.power)
     rho_div = prop.edge_sd(factor) - prop.d
 
-    if factor.extension is None:
-        if rho_div >= 0 and view.offset < view.support:
-            raise NonIntegrableSingularity(
-                f"bare P^{factor.power} in d={t.d} has divergence degree "
-                f"{rho_div} >= 0 at the origin")
-        return radial_pair(kernel, view.gu, view.support, view.offset,
-                           t.d, scheme)
-
     ext = factor.extension
-    if rho_div < 0:
-        # unique extension: the improper integral; spec data is inert
+    if ext is None and rho_div >= 0 and view.offset < view.support:
+        raise NonIntegrableSingularity(
+            f"bare P^{factor.power} in d={t.d} has divergence degree "
+            f"{rho_div} >= 0 at the origin")
+    if ext is None or rho_div < 0:
+        # an integrable bare power, or its unique extension: the improper
+        # integral; spec data is inert
         return radial_pair(kernel, view.gu, view.support, view.offset,
                            t.d, scheme)
     if rho_div > 1:
@@ -383,27 +380,21 @@ def _pair_two(t: ScalarDistribution, f, g, scheme: QuadratureScheme,
         return pair_tensor(prop.block(factor.power, factor.left_deriv,
                                       factor.right_deriv), f, g, scheme)
 
-    if factor.renormalized:
-        prof = _correlation(f, g, t.d, scheme)
-        offset = float(np.linalg.norm(np.asarray(f.center) - np.asarray(g.center)))
-        return pair_extension(t, spline_view(prof, offset), scheme)
-
-    rho_div = prop.edge_sd(factor) - prop.d
-    if rho_div >= 0 and overlap:
-        raise NonIntegrableSingularity(
-            f"bare P^{factor.power} (d={t.d}) with divergence degree "
-            f"{rho_div} >= 0 paired against overlapping supports")
-
-    if method == "tensor":
-        if overlap and prop.sd > 0:
-            raise UnsupportedCase(
-                "tensor route needs disjoint supports for singular kernels")
-        return pair_tensor(prop.block(factor.power), f, g, scheme)
+    if not factor.renormalized:
+        rho_div = prop.edge_sd(factor) - prop.d
+        if rho_div >= 0 and overlap:
+            raise NonIntegrableSingularity(
+                f"bare P^{factor.power} (d={t.d}) with divergence degree "
+                f"{rho_div} >= 0 paired against overlapping supports")
+        if method == "tensor":
+            if overlap and prop.sd > 0:
+                raise UnsupportedCase(
+                    "tensor route needs disjoint supports for singular kernels")
+            return pair_tensor(prop.block(factor.power), f, g, scheme)
 
     prof = _correlation(f, g, t.d, scheme)
     offset = float(np.linalg.norm(np.asarray(f.center) - np.asarray(g.center)))
-    return radial_pair(prop.power_callable(factor.power), prof.profile_u(),
-                       prof.support_radius, offset, t.d, scheme)
+    return pair_extension(t, spline_view(prof, offset), scheme)
 
 
 def pair(t: ScalarDistribution, tests: Sequence,

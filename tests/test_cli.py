@@ -1,11 +1,14 @@
 """Configuration parsing diagnostics, command dispatch, report shape,
-exit codes, and report determinism.
+exit codes, and report determinism, plus property tests that fuzz the
+parser with arbitrary text and ``run`` with valid configurations.
 
 Slow commands (product, renormalize, verify) run at d=1 or small rules
 where possible; the full-size runs live in the acceptance suite.
 """
 
 from fractions import Fraction
+
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +17,8 @@ from hypothesis import strategies as st
 
 from eucren import cli
 from eucren.cli import Report, RunConfig, main, parse_config, run
-from eucren.errors import (IllConditionedFit, NotPrimitive, ParseError,
-                           exit_code_for)
+from eucren.errors import (EucrenError, IllConditionedFit, NotPrimitive,
+                           ParseError, exit_code_for)
 from eucren.functionals import FieldConfiguration, LocalFunctional, TestFunction
 from eucren.quadrature import DEFAULT_SCHEME
 from eucren.tordered import star_E
@@ -126,6 +129,17 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_config(text)
         assert "components" in str(err.value)
+        assert "line 3, column 1" in str(err.value)
+
+    def test_center_length_checked_beside_derivs(self):
+        # a bad center is reported at the center, not at the derivs that
+        # MonomialTerm would otherwise have checked against it
+        text = ("command=product d=3\n[functional F]\ncenter=0,0\n"
+                "power=1\nderivs=(1,0,0)\n")
+        with pytest.raises(ParseError) as err:
+            parse_config(text)
+        assert "components" in str(err.value)
+        assert "line 3, column 1" in str(err.value)
 
     def test_missing_center(self):
         text = "command=product d=3\n[functional F]\npower=2\n"
@@ -597,6 +611,48 @@ class TestParseFuzz:
             parse_config(head + "\n" + body)
         except ParseError:
             pass
+
+
+def _run_configs():
+    """Valid configurations of the commands that need no functional
+    sections: the graph commands, classify, and bare or renormalized
+    kernels on two or three points."""
+    graphs = st.builds("command={} d={} n={} order={}".format,
+                       st.sampled_from(["graphs", "expand"]),
+                       st.integers(1, 5), st.integers(1, 4), st.integers(0, 3))
+    classify = st.builds("command=classify d={} k={} n_max={}".format,
+                         st.integers(1, 8), st.integers(1, 8), st.integers(1, 8))
+    factors = st.dictionaries(st.sampled_from([(0, 1), (0, 2), (1, 2)]),
+                              st.integers(1, 5), min_size=1).map(
+        lambda powers: ",".join(f"{i}-{j}:{p}"
+                                for (i, j), p in sorted(powers.items())))
+    renormalize = st.builds(
+        "command=renormalize d={} m={} factors={} bare={} gauss_n={}".format,
+        st.integers(1, 5), st.sampled_from(["0", "0.5", "1"]), factors,
+        st.sampled_from(["true", "false"]), st.integers(2, 6))
+    return st.one_of(graphs, classify, renormalize)
+
+
+class TestRunFuzz:
+    @settings(max_examples=200)
+    @given(_run_configs())
+    def test_finite_report_or_documented_error(self, text):
+        try:
+            report = run(parse_config(text))
+        except EucrenError as exc:
+            assert 2 <= exit_code_for(exc) <= 6, repr(exc)
+            return
+        for section in report.sections:
+            if section.name == "config":
+                continue
+            cells = [value for _, value in section.pairs]
+            cells += [cell for row in section.table for cell in row]
+            for cell in cells:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert math.isfinite(value), (section.name, cell)
 
 
 class TestRunConfigScheme:

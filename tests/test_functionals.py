@@ -225,7 +225,7 @@ class TestFieldExpression:
         # reports do not change
         names = {f"x{i + 1}": s for i, s in enumerate(coords(d))}
         expected = sp.sympify(text, locals=names)
-        got = FieldConfiguration.from_expression(text, d).fn.expr
+        got = FieldConfiguration.from_expression(text, d).expr
         assert sp.srepr(got) == sp.srepr(expected)
 
     def test_float_literal_keeps_every_digit(self):
@@ -271,7 +271,68 @@ class TestSupport:
             assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
 
 
+class TestSupportBall:
+    """The declared support ball of a field configuration, through the
+    operations that build the additivity check's combinations."""
+
+    def test_disjoint_bumps_merge_to_smallest_ball(self):
+        a = FieldConfiguration.bump(1, (-2.0,), 1.0)
+        b = FieldConfiguration.bump(1, (2.0,), 0.5)
+        center, radius = (a + b).support_ball
+        # [-3, 2.5] is the smallest interval containing both
+        assert center == pytest.approx((-0.25,))
+        assert radius == pytest.approx(2.75)
+        assert (a - b).support_ball == (a + b).support_ball
+
+    def test_nested_bumps_give_outer_ball(self):
+        inner = FieldConfiguration.bump(2, (0.3, 0.0), 0.5)
+        outer = FieldConfiguration.bump(2, (0.0, 0.0), 2.0)
+        assert (inner + outer).support_ball == ((0.0, 0.0), 2.0)
+        assert (outer + inner).support_ball == ((0.0, 0.0), 2.0)
+
+    def test_scalar_multiple_keeps_ball(self):
+        a = FieldConfiguration.bump(2, (1.0, -1.0), 0.7, 2.0)
+        assert (a * 3).support_ball == ((1.0, -1.0), 0.7)
+        assert (-0.5 * a).support_ball == ((1.0, -1.0), 0.7)
+        assert (-a).support_ball == ((1.0, -1.0), 0.7)
+
+    def test_diff_keeps_ball(self):
+        a = FieldConfiguration.bump(3, (0.0, 1.0, 2.0), 1.5)
+        assert a.diff((1, 0, 1)).support_ball == ((0.0, 1.0, 2.0), 1.5)
+
+    def test_sum_with_global_map_has_no_ball(self):
+        a = FieldConfiguration.bump(1, (0.0,), 1.0)
+        assert (a + FieldConfiguration.from_expression("x1", 1)).support_ball is None
+        assert (a + FieldConfiguration.constant(1, 1)).support_ball is None
+        assert (a + 1).support_ball is None
+
+    def test_test_function_field_has_its_ball(self):
+        f = TestFunction(2, (0.5, -1.0), 0.8, 1.7)
+        phi = f.to_field()
+        assert phi.support_ball == ((0.5, -1.0), 0.8)
+        pts = np.array([[0.5, -1.0], [0.9, -0.7], [1.2, -1.0]])
+        np.testing.assert_allclose(phi(pts), f(pts), rtol=1e-14)
+
+
 class TestAdditivity:
+    def test_merged_phi_far_from_chi_accepted(self):
+        F = LocalFunctional.phi_power(3, TestFunction(1, (0.0,), 1.0))
+        phi = (FieldConfiguration.bump(1, (-3.0,), 0.5)
+               + FieldConfiguration.bump(1, (-2.0,), 0.5))
+        psi = FieldConfiguration.bump(1, (0.0,), 2.0, 0.5)
+        chi = FieldConfiguration.bump(1, (2.0,), 1.0, 1.1)
+        assert additivity_check(F, phi, psi, chi) < 1e-14
+
+    def test_merged_phi_reaching_chi_rejected(self):
+        # each bump alone is disjoint from chi, their merged ball is not
+        F = LocalFunctional.phi_power(3, TestFunction(1, (0.0,), 1.0))
+        phi = (FieldConfiguration.bump(1, (-3.0,), 0.5)
+               + FieldConfiguration.bump(1, (3.0,), 0.5))
+        psi = FieldConfiguration.zero(1)
+        chi = FieldConfiguration.bump(1, (0.0,), 1.0)
+        with pytest.raises(PreconditionViolated):
+            additivity_check(F, phi, psi, chi)
+
     def test_zero_chi_is_exact(self):
         f = TestFunction(1, (0.0,), 1.0)
         F = LocalFunctional.phi_power(2, f)
