@@ -7,14 +7,15 @@ give integer orders, odd dimensions half-integer ones.
 Half-integer orders use the elementary closed forms for K_{1/2} and
 K_{3/2}; higher ones are reached with the upward recurrence
 K_{nu+1}(x) = K_{nu-1}(x) + (2 nu / x) K_nu(x), stable in this
-direction because K grows with the order.  Every other order goes to
-``scipy.special.kv``.
+direction because K grows with the order.  Orders 0 and 1 go to
+``scipy.special.k0`` and ``k1``, several times faster than ``kv`` at
+the same accuracy; every other order goes to ``kv``.
 """
 
 import math
 
 import numpy as np
-from scipy.special import kv
+from scipy.special import k0, k1, kv
 
 from .errors import DomainError
 
@@ -49,6 +50,8 @@ def besselk(nu: float, x):
                 k_lo, k_hi = k_hi, k_lo + (2.0 * mu / arr) * k_hi
                 mu += 1.0
             out = k_hi
+    elif nu in (0.0, 1.0):
+        out = k0(arr) if nu == 0.0 else k1(arr)
     else:
         out = kv(nu, arr)
     return float(out[0]) if scalar else out

@@ -661,20 +661,13 @@ def _run_verify(config: RunConfig) -> List[ReportSection]:
 
     phi = _verify_background(rng, d)
     F, G, H = _verify_functionals(rng, d, (-3.0, 0.0, 3.0))
-    # an n-node interval rule resolves the boundary-flat bump far worse
-    # than the 2n^3-node product rule of the same order, so low
-    # dimensions get more nodes; even sizes, because the odd ball rules
-    # carry a visibly larger bump integration error
-    star_scheme = replace(
-        scheme, gauss_n=max(scheme.gauss_n, {1: 32, 2: 16}.get(d, 0)))
-    lhs = star_E(F, G, phi, m, config.order, star_scheme)
-    rhs = star_E(G, F, phi, m, config.order, star_scheme, rule_shift=4)
+    lhs = star_E(F, G, phi, m, config.order, scheme)
+    rhs = star_E(G, F, phi, m, config.order, scheme, rule_shift=4)
     record("commutativity", _series_rel_diff(lhs, rhs), tol)
 
-    left = block_product([F, G, H], {0, 1}, phi, m, config.order,
-                         star_scheme)
-    right = block_product([F, G, H], {1, 2}, phi, m, config.order,
-                          star_scheme, rule_shift=4)
+    left = block_product([F, G, H], {0, 1}, phi, m, config.order, scheme)
+    right = block_product([F, G, H], {1, 2}, phi, m, config.order, scheme,
+                          rule_shift=4)
     record("associativity", _series_rel_diff(left, right), tol)
 
     worst = 0.0

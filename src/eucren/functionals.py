@@ -33,6 +33,7 @@ from .quadrature import (
     DEFAULT_SCHEME,
     QuadratureScheme,
     ball_rule,
+    bump_rule,
     quad_1d,
     sphere_area,
 )
@@ -97,6 +98,12 @@ class TestFunction:
     def __call__(self, points):
         return self.radial_map()(points)
 
+    def rule(self, n: int):
+        """Nodes and weights for integrals against f: sum w h(x) ~
+        int f h, on the ball rule that is Gauss for the bump weight."""
+        pts, wts = bump_rule(self.d, self.center, self.radius, n)
+        return pts, self.amplitude * wts
+
     def integral(self, scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
         gu = self.gu()
         area = sphere_area(self.d)
@@ -141,6 +148,14 @@ class CoefficientPiece:
 
     def __call__(self, points):
         return self.fn(points)
+
+    def rule(self, n: int):
+        """Nodes and weights for integrals against the piece: the
+        Gauss-Legendre ball rule of the bounding ball times its values
+        (the piece is not concentric with the ball, so no rule for the
+        bump weight applies)."""
+        pts, wts = ball_rule(self.d, self.center, self.radius, n)
+        return pts, wts * np.asarray(self(pts), dtype=float)
 
 
 _DERIV_CAP = 2
@@ -233,11 +248,10 @@ def _term_value(term: MonomialTerm, phi: FieldConfiguration,
             return 0.0
         if isinstance(f, TestFunction):
             return pref * c ** term.power * f.integral(scheme)
-    pts, wts = ball_rule(term.d, f.center, f.radius, scheme.gauss_n)
-    vals = np.asarray(f(pts), dtype=float)
+    pts, vals = f.rule(scheme.gauss_n)
     for alpha in term.derivs:
         vals = vals * np.asarray(phi.diff(alpha)(pts), dtype=float)
-    return pref * float(wts @ vals)
+    return pref * float(vals.sum())
 
 
 def evaluate(F: LocalFunctional, phi: FieldConfiguration,
@@ -325,9 +339,7 @@ def kernel_pair(K: DerivativeKernel, phi: FieldConfiguration,
                          f"{len(tests)} arguments")
     total = 0.0
     for t in K.terms:
-        f = t.coefficient
-        pts, wts = ball_rule(f.d, f.center, f.radius, scheme.gauss_n)
-        vals = np.asarray(f(pts), dtype=float)
+        pts, vals = t.coefficient.rule(scheme.gauss_n)
         for alpha in t.residual:
             vals = vals * np.asarray(phi.diff(alpha)(pts), dtype=float)
         arranged = np.zeros(len(pts))
@@ -336,7 +348,7 @@ def kernel_pair(K: DerivativeKernel, phi: FieldConfiguration,
             for psi, alpha in zip(tests, perm):
                 block = block * np.asarray(psi.diff(alpha)(pts), dtype=float)
             arranged += block
-        total += float(t.prefactor) * float(wts @ (vals * arranged))
+        total += float(t.prefactor) * float(vals @ arranged)
     return total
 
 
@@ -414,16 +426,14 @@ def additivity_check(F: LocalFunctional, phi: FieldConfiguration,
     signs = (1.0, -1.0, 1.0, -1.0)
     total = 0.0
     for term in F.terms:
-        f = term.coefficient
-        pts, wts = ball_rule(term.d, f.center, f.radius, scheme.gauss_n)
-        base = np.asarray(f(pts), dtype=float)
+        pts, wts = term.coefficient.rule(scheme.gauss_n)
         acc = np.zeros(len(pts))
         for cfg, sign in zip(combos, signs):
             vals = np.ones(len(pts))
             for alpha in term.derivs:
                 vals = vals * np.asarray(cfg.diff(alpha)(pts), dtype=float)
             acc += sign * vals
-        total += float(term.prefactor) * float(wts @ (base * acc))
+        total += float(term.prefactor) * float(wts @ acc)
     return abs(total)
 
 
@@ -529,7 +539,7 @@ def taylor_evaluate(terms: Sequence[BalancedFieldTerm],
     total = 0.0
     for key in order:
         f, group = groups[key]
-        pts, wts = ball_rule(f.d, f.center, f.radius, scheme.gauss_n)
+        pts, wts = f.rule(scheme.gauss_n)
         acc = np.zeros(len(pts))
         for t in group:
             eta = phi - t.phi0
@@ -552,7 +562,7 @@ def taylor_evaluate(terms: Sequence[BalancedFieldTerm],
             for cfg, alpha in pending:
                 vals = vals * np.asarray(cfg.diff(alpha)(pts), dtype=float)
             acc += vals
-        total += float(wts @ (np.asarray(f(pts), dtype=float) * acc))
+        total += float(wts @ acc)
     return total
 
 

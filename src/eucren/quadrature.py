@@ -22,6 +22,17 @@ integrals plus small tensor rules:
   vector, a block of rows at a time; every tensor-rule pairing and
   graph-term contraction goes through it.
 
+* ``bump_rule`` and ``ball_rule`` are product rules on a ball: radius,
+  polar cosine (d = 3) and azimuth (d = 2, 3).  ``bump_rule`` serves
+  integrals against a coefficient bump centred on the ball: its radial
+  axis is Gauss for the weight rho^(d-1) exp(-1/(1 - rho^2/r^2))
+  (``bump_gauss``), and gauss_n = n gives it ceil(n/2) radial,
+  max(n-2, 1) polar and twice as many azimuthal nodes (``bump_orders``;
+  in d = 1 the diameter carries 2 ceil(n/2) nodes).  ``ball_rule`` is
+  Gauss-Legendre of order n in the radius and the polar cosine with
+  max(2n, 8) azimuthal nodes (n on the diameter in d = 1); it serves
+  integrands that carry no centred bump.
+
 Outer 1-d integrals go through QUADPACK (scipy.integrate.quad); a
 nonzero error flag or an absolute-error report far above the requested
 tolerance raises QuadratureFailure rather than returning junk.
@@ -51,6 +62,9 @@ __all__ = [
     "gauss_legendre",
     "sphere_area",
     "ball_rule",
+    "bump_orders",
+    "bump_rule",
+    "bump_gauss",
     "angular_average",
     "radial_pair",
     "subtracted_radial_pair",
@@ -65,8 +79,11 @@ __all__ = [
 class QuadratureScheme:
     """Knobs for the nested quadratures.
 
-    rtol / atol feed QUADPACK; gauss_n is the per-axis order of ball and
-    tensor rules; angular_n the polar-average order; grid_nodes the
+    rtol / atol feed QUADPACK; gauss_n the order of the ball rules
+    (the bump rule of a coefficient bump: ceil(n/2) radial, max(n-2, 1)
+    polar and twice as many azimuthal nodes; any other ball rule:
+    Gauss-Legendre of order n in the radius and polar cosine, max(2n, 8)
+    azimuthal nodes); angular_n the polar-average order; grid_nodes the
     per-axis size of the triple-correlation grid.
     """
 
@@ -135,9 +152,11 @@ def sphere_area(d: int) -> float:
 def ball_rule(d: int, center, radius: float, n: int):
     """Product Gauss rule for the closed ball; returns (points, weights).
 
-    Nodes are strictly interior, so integrands that are nan exactly on
-    the support boundary are safe to evaluate.  Each rule is built once
-    and its arrays are read-only.
+    Gauss-Legendre of order n in the radius and (d = 3) the polar
+    cosine, 2n (at least 8) midpoint nodes in the azimuth.  Nodes are
+    strictly interior, so integrands that are nan exactly on the
+    support boundary are safe to evaluate.  Each rule is built once and
+    its arrays are read-only.
     """
     center = tuple(float(c) for c in np.atleast_1d(center))
     return _ball_rule(d, center, float(radius), n)
@@ -147,27 +166,114 @@ def ball_rule(d: int, center, radius: float, n: int):
 def _ball_rule(d: int, center, radius: float, n: int):
     if d == 1:
         x, w = _mapped_gauss(center[0] - radius, center[0] + radius, n)
-        pts, wts = x.reshape(-1, 1), w
-    elif d in (2, 3):
-        # d = 2 is the d = 3 rule with the single polar node mu = 0
-        r, wr = _mapped_gauss(0.0, radius, n)
-        mu, wmu = gauss_legendre(n) if d == 3 else (np.zeros(1), np.ones(1))
-        n_phi = max(2 * n, 8)
-        phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-        w_phi = 2.0 * np.pi / n_phi
-        R, MU, PH = np.meshgrid(r, mu, phi, indexing="ij")
-        WR, WMU, _ = np.meshgrid(wr, wmu, phi, indexing="ij")
-        ST = np.sqrt(1.0 - MU**2)
-        axes = (R * ST * np.cos(PH), R * ST * np.sin(PH), R * MU)[:d]
-        pts = np.stack([c + a for c, a in zip(center, axes)],
-                       axis=-1).reshape(-1, d)
-        wts = (WR * R**(d - 1) * WMU * w_phi).reshape(-1)
-    else:
+        return _read_only(x.reshape(-1, 1), w)
+    r, wr = _mapped_gauss(0.0, radius, n)
+    return _product_rule(d, center, r, wr * r**(d - 1), n, max(2 * n, 8))
+
+
+def bump_orders(n: int):
+    """(radial, polar, azimuthal) orders of the bump rule at gauss_n n.
+
+    The radial axis carries the bump, so Gauss for its weight needs
+    about half the nodes Gauss-Legendre needs for the smooth remainder
+    on the angles; ``tests/test_quadrature.py::TestBumpRule`` records
+    the convergence study that fixed the formula.  Raising n by two or
+    more raises every axis.
+    """
+    polar = max(n - 2, 1)
+    return (n + 1) // 2, polar, 2 * polar
+
+
+def bump_rule(d: int, center, radius: float, n: int):
+    """Product Gauss rule for the bump weight exp(-1/(1 - |x-c|^2/r^2))
+    on the ball B(c, r); returns (points, weights) with sum w h(x) ~
+    int bump h.
+
+    The radial axis is Gauss for that weight (times rho^(d-1)), so only
+    the smooth factors of an integrand are left to resolve; the polar
+    and azimuthal axes are those of ``ball_rule`` at the orders of
+    ``bump_orders(n)``.  In d = 1 the interval carries twice the radial
+    order, the nodes of both half-diameters.  Arrays are read-only.
+    """
+    center = tuple(float(c) for c in np.atleast_1d(center))
+    return _bump_rule(d, center, float(radius), n)
+
+
+@lru_cache(maxsize=32)
+def _bump_rule(d: int, center, radius: float, n: int):
+    n_r, n_polar, n_phi = bump_orders(n)
+    if d == 1:
+        t, w = bump_gauss(1, 2 * n_r)
+        return _read_only((center[0] + radius * t).reshape(-1, 1), radius * w)
+    t, w = bump_gauss(d, n_r)
+    return _product_rule(d, center, radius * t, radius**d * w, n_polar, n_phi)
+
+
+# Gauss-Legendre nodes per unit order discretising the bump weight; the
+# discrete moments match the continuous ones to about 1e-14
+_STIELTJES_NODES_PER_ORDER = 4
+_STIELTJES_MIN_NODES = 200
+
+
+@lru_cache(maxsize=64)
+def bump_gauss(d: int, order: int):
+    """Gauss rule of ``order`` nodes for exp(-1/(1 - t^2)) on [-1, 1]
+    (d = 1) or t^(d-1) exp(-1/(1 - t^2)) on [0, 1] (d = 2, 3).
+
+    The recurrence coefficients come from the discretised Stieltjes
+    procedure on a Gauss-Legendre discretisation of the weight, the
+    nodes and weights from the Jacobi matrix (Golub-Welsch); see
+    Gautschi, Orthogonal Polynomials: Computation and Approximation
+    (2004), sections 2.2.3 and 3.1.1.
+    """
+    x, w = gauss_legendre(max(_STIELTJES_MIN_NODES,
+                              _STIELTJES_NODES_PER_ORDER * order))
+    if d != 1:
+        # onto [0, 1], with the measure t^(d-1)
+        x = 0.5 * (x + 1.0)
+        w = 0.5 * w * x ** (d - 1)
+    w = w * np.exp(-1.0 / (1.0 - x * x))
+    mass = w.sum()
+    # p and p_prev are the orthonormal polynomials p_k and p_(k-1) at
+    # the discrete nodes; alpha is the diagonal of the Jacobi matrix,
+    # b its off-diagonal (b[0] = 0 starts the recurrence)
+    alpha, b = np.empty(order), np.zeros(order)
+    p_prev, p = np.zeros_like(x), np.full_like(x, 1.0 / np.sqrt(mass))
+    for k in range(order):
+        alpha[k] = w @ (x * p * p)
+        if k + 1 < order:
+            q = (x - alpha[k]) * p - b[k] * p_prev
+            b[k + 1] = np.sqrt(w @ (q * q))
+            p_prev, p = p, q / b[k + 1]
+    nodes, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(b[1:], 1)
+                                 + np.diag(b[1:], -1))
+    return _read_only(nodes, mass * vecs[0] ** 2)
+
+
+def _product_rule(d: int, center, r, wr, n_polar: int, n_phi: int):
+    """The radial rule (r, wr), whose weights carry the measure
+    rho^(d-1), times Gauss-Legendre of order n_polar in the polar
+    cosine (d = 3; d = 2 is the single polar node mu = 0) and the
+    n_phi-point midpoint rule in the azimuth."""
+    if d not in (2, 3):
         raise UnsupportedCase(
             f"ball rules are implemented for d in 1..3, got {d}")
-    for a in (pts, wts):
+    mu, wmu = gauss_legendre(n_polar) if d == 3 else (np.zeros(1), np.ones(1))
+    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+    w_phi = 2.0 * np.pi / n_phi
+    R, MU, PH = np.meshgrid(r, mu, phi, indexing="ij")
+    WR, WMU, _ = np.meshgrid(wr, wmu, phi, indexing="ij")
+    ST = np.sqrt(1.0 - MU**2)
+    axes = (R * ST * np.cos(PH), R * ST * np.sin(PH), R * MU)[:d]
+    pts = np.stack([c + a for c, a in zip(center, axes)],
+                   axis=-1).reshape(-1, d)
+    return _read_only(pts, (WR * WMU * w_phi).reshape(-1))
+
+
+def _read_only(*arrays):
+    for a in arrays:
         a.setflags(write=False)
-    return pts, wts
+    return arrays
 
 
 def angular_average(gu: Callable, c: float, d: int, n: int = 96) -> Callable:
@@ -348,13 +454,12 @@ def pair_tensor(block: Callable, f, g,
     """Direct tensor-Gauss evaluation of int int f(x) K(x, y) g(y) dx dy.
 
     ``block`` is a kernel-matrix callable as ``contract`` takes it; a
-    test is anything with ``d``, ``center``, ``radius`` and values at
-    points.  Accurate only when K is smooth on supp f x supp g
-    (disjoint supports, or a bounded kernel); the radial routes handle
-    the singular overlapping cases.
+    test is anything whose ``rule(n)`` gives nodes and weights for
+    integrals against it (a bump's is Gauss for the bump weight).
+    Accurate only when K is smooth on supp f x supp g (disjoint
+    supports, or a bounded kernel); the radial routes handle the
+    singular overlapping cases.
     """
-    xp, xw = ball_rule(f.d, f.center, f.radius, scheme.gauss_n)
-    yp, yw = ball_rule(g.d, g.center, g.radius, scheme.gauss_n)
-    fx = np.asarray(f(xp), dtype=float) * xw
-    gy = np.asarray(g(yp), dtype=float) * yw
+    xp, fx = f.rule(scheme.gauss_n)
+    yp, gy = g.rule(scheme.gauss_n)
     return float(fx @ contract(block, xp, yp, gy))

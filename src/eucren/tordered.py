@@ -8,10 +8,10 @@ evaluated numerically at a background configuration: each graph term
 is lowered by ``graphs.graph_to_amplitude`` and is a product over
 connected components.  Every component that is a tree (an isolated
 vertex, a multi-edge, a path, a star, ...) is summed by one message
-pass toward its lowest vertex: each vertex's weights on the Gauss ball
-rule of its coefficient support, times the messages of its own
-children, are contracted through the edge's propagator power onto the
-parent's nodes.  Messages are shared across a run: a message is keyed
+pass toward its lowest vertex: each vertex's weights on the rule of its
+coefficient (``rule``: Gauss for the bump weight on a bump), times the
+messages of its own children, are contracted through the edge's
+propagator power onto the nodes of the parent's coefficient.  Messages are shared across a run: a message is keyed
 by the content of its subtree (kernels and edge powers, not vertex
 indices), so every graph term and every product that contains the same
 subtree on the same rules reuses it.  Components with a cycle are
@@ -59,7 +59,7 @@ from .graphs import (MultiGraph, compositions, expansion_terms,
                      graph_to_amplitude, vertex_pairs)
 from .kernels import ScalarDistribution, components
 from .propagator import green_function, pair
-from .quadrature import DEFAULT_SCHEME, QuadratureScheme, ball_rule, contract
+from .quadrature import DEFAULT_SCHEME, QuadratureScheme, contract
 
 __all__ = [
     "FormalSeries",
@@ -144,46 +144,45 @@ class ProductResult:
 
 @lru_cache(maxsize=64)
 def _weights(f, residual, phi: FieldConfiguration, scheme: QuadratureScheme):
-    """Nodes and weights of the ball rule of a kernel term's coefficient
-    f, and the vertex weight f * prod (d^a phi) over its residual
-    multi-indices a on the nodes."""
-    pts, wts = ball_rule(f.d, f.center, f.radius, scheme.gauss_n)
-    vals = np.asarray(f(pts), dtype=float)
+    """The nodes of a kernel term's coefficient f (``f.rule``) and the
+    vertex weight on them: the rule's weights for f times
+    prod (d^a phi) over the residual multi-indices a."""
+    pts, vals = f.rule(scheme.gauss_n)
     for alpha in residual:
         vals = vals * np.asarray(phi.diff(alpha)(pts), dtype=float)
     vals.setflags(write=False)
-    return pts, wts, vals
+    return pts, vals
 
 
 @lru_cache(maxsize=256)
-def _message(power: int, tree, d: int, center, radius: float, left,
-             phi: FieldConfiguration, m: float, scheme: QuadratureScheme):
+def _message(power: int, tree, parent, left, phi: FieldConfiguration,
+             m: float, scheme: QuadratureScheme):
     """What ``tree`` sends through the edge P^power, decorated by
-    ``left`` on the parent's side, onto the parent's ball rule: the sum
-    over the tree root's kernel terms of P^power(x, .) applied to the
-    root's weights times its children's messages.  A tree is (kernel,
-    ((edge power, child tree), ...)), so equal subtrees share one
-    message across a run."""
-    x, _ = ball_rule(d, center, radius, scheme.gauss_n)
-    prop = green_function(d, m)
+    ``left`` on the parent's side, onto the nodes of the parent
+    coefficient's rule: the sum over the tree root's kernel terms of
+    P^power(x, .) applied to the root's weights times its children's
+    messages.  A tree is (kernel, ((edge power, child tree), ...)), so
+    equal subtrees share one message across a run."""
+    x, _ = parent.rule(scheme.gauss_n)
+    prop = green_function(parent.d, m)
     kernel, children = tree
     out = np.zeros(len(x))
     for dk in kernel.terms:
-        pts, wts, vals = _weights(dk.coefficient, dk.residual, phi, scheme)
+        pts, vals = _weights(dk.coefficient, dk.residual, phi, scheme)
         vals = vals * _below(children, dk, phi, m, scheme)
         block = prop.block(power, left, dk.arg_derivs[0])
-        out += float(dk.prefactor) * contract(block, x, pts, wts * vals)
+        out += float(dk.prefactor) * contract(block, x, pts, vals)
     out.setflags(write=False)
     return out
 
 
 def _below(children, dk: DKTerm, phi, m, scheme):
-    """Product of the children's messages on dk's ball rule."""
-    f = dk.coefficient
+    """Product of the children's messages on the nodes of dk's
+    coefficient."""
     out = 1.0
     for power, child in children:
-        out = out * _message(power, child, f.d, f.center, f.radius,
-                             dk.arg_derivs[0], phi, m, scheme)
+        out = out * _message(power, child, dk.coefficient, dk.arg_derivs[0],
+                             phi, m, scheme)
     return out
 
 
@@ -220,9 +219,9 @@ def term_value(graph: MultiGraph, functionals: Sequence[LocalFunctional],
         kernel, children = _tree(amp.kernels, adj, verts[0], None)
         total = 0.0
         for dk in kernel.terms:
-            _, wts, vals = _weights(dk.coefficient, dk.residual, phi, scheme)
+            _, vals = _weights(dk.coefficient, dk.residual, phi, scheme)
             vals = vals * _below(children, dk, phi, m, scheme)
-            total += float(dk.prefactor) * float(wts @ vals)
+            total += float(dk.prefactor) * float(vals.sum())
         value *= total
     return value
 

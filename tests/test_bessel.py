@@ -1,7 +1,7 @@
 """Bessel-K evaluator against independent oracles.
 
-Integer orders go through scipy.special.kv inside the package, so
-they are checked against the integral K_nu(x) = int_0^oo
+Integer orders go through scipy.special (k0, k1, or kv) inside the
+package, so they are checked against the integral K_nu(x) = int_0^oo
 exp(-x cosh t) cosh(nu t) dt under adaptive QUADPACK; half-integer
 orders, computed from closed forms, are checked against kv.
 """
@@ -51,6 +51,16 @@ class TestBesselK:
         for nu in (0.5 - 1e-11, 0.5 + 1e-11):
             np.testing.assert_array_equal(besselk(nu, x), scipy.special.kv(nu, x))
             np.testing.assert_allclose(besselk(nu, x), closed, rtol=1e-10)
+
+    def test_orders_zero_and_one_take_k0_and_k1(self):
+        # exact orders 0 and 1 go to the dedicated routines; orders
+        # 1e-11 off them still go to kv
+        x = np.geomspace(0.05, 20.0, 41)
+        np.testing.assert_array_equal(besselk(0.0, x), scipy.special.k0(x))
+        np.testing.assert_array_equal(besselk(-1.0, x), scipy.special.k1(x))
+        for nu in (1e-11, 1.0 - 1e-11, 1.0 + 1e-11):
+            np.testing.assert_array_equal(besselk(nu, x),
+                                          scipy.special.kv(nu, x))
 
     def test_half_integer_closed_form(self):
         x = np.array([0.3, 1.0, 4.2])

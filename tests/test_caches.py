@@ -3,7 +3,10 @@ by its function's arguments, and only caches keyed by small integers
 alone may grow without bound."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import eucren
 
@@ -35,3 +38,16 @@ def test_every_cache_is_bounded():
     unbounded = {name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None}
     assert unbounded <= UNBOUNDED
+
+
+def test_import_builds_no_rule():
+    # a fresh interpreter that imports the command line has built no
+    # quadrature rule: rules are built lazily, on first use
+    code = ("import eucren.cli, eucren.quadrature as q; print(*("
+            "f.cache_info().currsize for f in (q.bump_gauss, q._bump_rule, "
+            "q._ball_rule, q.gauss_legendre)))")
+    src = os.path.dirname(os.path.dirname(eucren.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "0", "0", "0"]

@@ -633,10 +633,48 @@ def _run_configs():
     return st.one_of(graphs, classify, renormalize)
 
 
+def _point(xs) -> str:
+    return ",".join(repr(float(x)) for x in xs)
+
+
+@st.composite
+def _product_configs(draw):
+    """Products of two functionals on disjoint balls: d 1-3, order <= 2,
+    gauss_n <= 6, with or without derivative decorations."""
+    d = draw(st.integers(1, 3))
+    floats = lambda lo, hi: st.floats(lo, hi, allow_nan=False)  # noqa: E731
+    alphas = [(0,) * d] + [tuple(int(i == j) * k for j in range(d))
+                           for i in range(d) for k in (1, 2)]
+    radii = [draw(floats(0.3, 1.5)) for _ in range(2)]
+    direction = np.array([draw(floats(-1.0, 1.0)) for _ in range(d)])
+    norm = float(np.linalg.norm(direction))
+    direction = direction / norm if norm > 0.1 else np.eye(d)[0]
+    first = np.array([draw(floats(-1.0, 1.0)) for _ in range(d)])
+    gap = sum(radii) + draw(floats(0.05, 2.0))
+    lines = ["command=product d={} m={} order={} gauss_n={}".format(
+        d, draw(st.sampled_from(["0", "0.5", "1"])), draw(st.integers(0, 2)),
+        draw(st.integers(2, 6))),
+        "background = {!r} + {!r}*x1".format(draw(floats(-2.0, 2.0)),
+                                             draw(floats(-0.5, 0.5)))]
+    for name, center, radius in (("F", first, radii[0]),
+                                 ("G", first + gap * direction, radii[1])):
+        power = draw(st.integers(1, 3))
+        lines += [f"[functional {name}]", f"power={power}",
+                  f"center={_point(center)}", f"radius={radius!r}",
+                  f"amplitude={draw(floats(-2.0, 2.0))!r}"]
+        if draw(st.booleans()):
+            derivs = draw(st.lists(st.sampled_from(alphas), min_size=power,
+                                   max_size=power))
+            lines.append("derivs=" + "".join(
+                "(" + ",".join(map(str, a)) + ")" for a in derivs))
+    return "\n".join(lines) + "\n"
+
+
 class TestRunFuzz:
-    @settings(max_examples=200)
-    @given(_run_configs())
-    def test_finite_report_or_documented_error(self, text):
+    @staticmethod
+    def check_run(text):
+        """A finite report, or an EucrenError with a documented exit
+        code."""
         try:
             report = run(parse_config(text))
         except EucrenError as exc:
@@ -653,6 +691,16 @@ class TestRunFuzz:
                 except ValueError:
                     continue
                 assert math.isfinite(value), (section.name, cell)
+
+    @settings(max_examples=200)
+    @given(_run_configs())
+    def test_finite_report_or_documented_error(self, text):
+        self.check_run(text)
+
+    @settings(max_examples=100)
+    @given(_product_configs())
+    def test_product_finite_or_documented_error(self, text):
+        self.check_run(text)
 
 
 class TestRunConfigScheme:

@@ -1,5 +1,6 @@
 """Tests for the pairing quadratures against independent oracles."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -12,7 +13,11 @@ from eucren.quadrature import (
     DEFAULT_SCHEME,
     ProfileSpline,
     angular_average,
+    _product_rule,
     ball_rule,
+    bump_gauss,
+    bump_orders,
+    bump_rule,
     contract,
     correlation_profile,
     pair_tensor,
@@ -237,3 +242,101 @@ class TestContract:
 
     def test_decorated_block(self):
         self.check(green_function(3, 1.0).block(1, (1, 0, 0), (0, 1, 0)))
+
+
+def _bump_moments(d: int, top: int):
+    """(int t^k w, int |t|^k w) for k < top, w the bump weight of
+    ``bump_gauss``, by 30-digit mpmath quadrature."""
+    lo = -1 if d == 1 else 0
+    with mpmath.workdps(30):
+        def moment(k, absolute):
+            def f(t):
+                tk = abs(t) ** k if absolute else t ** k
+                return abs(t) ** (d - 1) * tk * mpmath.exp(-1 / (1 - t * t))
+            return float(mpmath.quad(f, [lo, 0, 0.5, 0.9, 1]))
+        return ([moment(k, False) for k in range(top)],
+                [moment(k, True) for k in range(top)])
+
+
+def _product_value(orders, k: int) -> float:
+    """int int f(x) a(x) P(x-y)^k b(y) g(y) dx dy in d = 3 at the
+    geometry of ``verify``: bumps of radius 1.1 and 1.05 with centres 3
+    apart, smooth factors on both sides, on the product rule with the
+    bump-weight radial axis at (radial, polar, azimuthal) ``orders``."""
+    def rule(center, radius):
+        n_r, n_polar, n_phi = orders
+        t, w = bump_gauss(3, n_r)
+        return _product_rule(3, center, radius * t, radius**3 * w, n_polar,
+                             n_phi)
+    x, wx = rule((0.0, 0.0, 0.0), 1.1)
+    y, wy = rule((3.0, 0.0, 0.0), 1.05)
+    a = (0.9 + 0.2 * x[:, 0]) ** 2
+    b = (0.9 + 0.2 * y[:, 0]) ** 2 * np.cos(0.3 * y[:, 1])
+    block = green_function(3, 1.0).block(k)
+    return float((wx * a) @ contract(block, x, y, wy * b))
+
+
+class TestBumpRule:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_gauss_exactness(self, d):
+        # n nodes integrate the weight times any polynomial of degree
+        # <= 2n - 1
+        orders = (1, 2, 5, 8, 16, 24)
+        exact, scale = _bump_moments(d, 2 * max(orders))
+        for n in orders:
+            t, w = bump_gauss(d, n)
+            assert len(t) == n
+            assert np.all(w > 0) and np.all((t > -1.0) & (t < 1.0))
+            for k in range(2 * n):
+                err = abs(float(w @ t**k) - exact[k])
+                assert err <= 1e-13 * scale[k], (n, k, err / scale[k])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ball_rule_integrates_bump(self, d):
+        f = TestFunction(d, (0.4, -0.2, 1.0)[:d], 0.7, amplitude=1.3)
+        pts, wts = f.rule(12)
+        assert pts is bump_rule(d, f.center, f.radius, 12)[0]
+        assert len(pts) == {1: 12, 2: 120, 3: 1200}[d]
+        assert float(wts.sum()) == pytest.approx(f.integral(), rel=1e-13)
+        # second moment about the centre, against the 1-d radial integral
+        r2 = np.sum((pts - f.center) ** 2, axis=1)
+        gu = f.gu()
+        ref = sphere_area(d) * quad_1d(
+            lambda rho: rho ** (d + 1) * float(gu(np.float64(rho * rho))),
+            0.0, f.radius)
+        assert float(wts @ r2) == pytest.approx(ref, rel=1e-12)
+        for array in bump_rule(d, f.center, f.radius, 12):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    # the convergence study behind ``bump_orders``: gauss_n -> the
+    # (radial, polar, azimuthal) orders it gives, and the bound on the
+    # relative error of int int f a P^k g b (k = 1, 2, 3) against the
+    # rule (10, 18, 36).  Measured: (6, 10, 20) 1.6e-11, 1.3e-9, 4.0e-8;
+    # (8, 14, 28) 1.3e-16, 1.5e-13, 8.8e-12; Gauss-Legendre ball rules
+    # of 3,456 and 8,192 nodes (gauss_n 12 and 16) err 1e-5 to 4e-5.
+    # Each axis one step lower errs at least 3 times more, so neither
+    # axis is resolved further than the other needs.
+    CONVERGENCE = {12: ((6, 10, 20), 1e-7), 16: ((8, 14, 28), 1e-10)}
+
+    @pytest.mark.parametrize("n", sorted(CONVERGENCE))
+    def test_convergence_fixes_the_orders(self, n):
+        orders, bound = self.CONVERGENCE[n]
+        assert bump_orders(n) == orders
+        n_r, n_polar, n_phi = orders
+        for k in (1, 2, 3):
+            ref = _product_value((10, 18, 36), k)
+            err = abs(_product_value(orders, k) / ref - 1.0)
+            assert err < bound
+            if k == 3:
+                for lower in ((n_r - 1, n_polar, n_phi),
+                              (n_r, n_polar - 2, n_phi - 4)):
+                    assert abs(_product_value(lower, k) / ref - 1.0) > 3 * err
+
+    @pytest.mark.parametrize("shift", [2, 3, 4])
+    def test_rule_shift_raises_every_axis(self, shift):
+        # the products compare rules shifted by 3 (causality) and 4
+        # (verify); every shift of two or more raises all three orders
+        for n in range(2, 41):
+            low, high = bump_orders(n), bump_orders(n + shift)
+            assert all(a < b for a, b in zip(low, high)), (n, low, high)

@@ -13,10 +13,12 @@ import pytest
 from eucren import tordered
 from eucren.errors import (DomainError, NonLinearInput,
                            PreconditionViolated, UnsupportedCase)
-from eucren.functionals import (FieldConfiguration, LocalFunctional,
-                                MonomialTerm, TestFunction, derivative_kernel,
-                                evaluate, supports_disjoint)
-from eucren.quadrature import QuadratureScheme, contract
+from eucren.functionals import (CoefficientPiece, FieldConfiguration,
+                                LocalFunctional, MonomialTerm, TestFunction,
+                                derivative_kernel, evaluate,
+                                supports_disjoint)
+from eucren.quadrature import (QuadratureScheme, ball_rule, bump_orders,
+                               contract)
 from eucren.tordered import (E_n, FormalSeries, block_product,
                              causal_factorization_check, product_expansion,
                              star_E, wick_expansion, wick_order_pair,
@@ -358,13 +360,48 @@ class TestTrees:
         scheme = QuadratureScheme(gauss_n=6)
         kernel = derivative_kernel(LocalFunctional.phi_power(2, F1), 1)
         dk, = kernel.terms
-        message = tordered._message(1, (kernel, ()), D, F0.center,
-                                    F0.radius, dk.arg_derivs[0], PHI, M,
-                                    scheme)
+        message = tordered._message(1, (kernel, ()), F0, dk.arg_derivs[0],
+                                    PHI, M, scheme)
         weights = tordered._weights(dk.coefficient, dk.residual, PHI, scheme)
         for array in (message, *weights):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+    def test_message_takes_the_parent_coefficients_rule(self):
+        # a bump parent gets the bump rule's nodes, a windowed piece on
+        # the same ball the Gauss-Legendre ones; the message cache keys
+        # on the coefficient, so the two never share an entry
+        scheme = QuadratureScheme(gauss_n=6)
+        kernel = derivative_kernel(LocalFunctional.phi_power(2, F1), 1)
+        dk, = kernel.terms
+        piece = CoefficientPiece(F0.to_field(), D, F0.center, F0.radius)
+        y, w = F1.rule(6)
+        sent = float(dk.prefactor) * w * phi_np(y)
+        for parent, (x, _) in ((F0, F0.rule(6)),
+                               (piece, ball_rule(D, F0.center, F0.radius, 6))):
+            message = tordered._message(1, (kernel, ()), parent,
+                                        dk.arg_derivs[0], PHI, M, scheme)
+            r = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
+            np.testing.assert_allclose(message, prop(r) @ sent, rtol=1e-12)
+        assert len(F0.rule(6)[0]) == 96
+        assert len(ball_rule(D, F0.center, F0.radius, 6)[0]) == 432
+
+    def test_rule_shift_reaches_the_rules(self, monkeypatch):
+        # the shifted product contracts on the bump rules of gauss_n + 4,
+        # every axis of which is finer (TestBumpRule)
+        tordered._message.cache_clear()
+        tordered._weights.cache_clear()
+        sizes = []
+
+        def recording(block, x, y, v):
+            sizes.append((len(x), len(y)))
+            return contract(block, x, y, v)
+
+        monkeypatch.setattr(tordered, "contract", recording)
+        F, G = (LocalFunctional.phi_power(2, f) for f in (F0, F1))
+        star_E(F, G, PHI, M, 1, QuadratureScheme(gauss_n=6), rule_shift=4)
+        assert sizes and set(sizes) == {(640, 640)}
+        assert bump_orders(10) == (5, 8, 16)
 
 
 class TestCausality:
