@@ -98,6 +98,12 @@ class TestFunction:
     def __call__(self, points):
         return self.radial_map()(points)
 
+    @property
+    def nodes_key(self):
+        """(rule, d, center, radius): the call that gives ``rule``'s
+        nodes, which the amplitude does not change."""
+        return bump_rule, self.d, self.center, self.radius
+
     def rule(self, n: int):
         """Nodes and weights for integrals against f: sum w h(x) ~
         int f h, on the ball rule that is Gauss for the bump weight."""
@@ -148,6 +154,12 @@ class CoefficientPiece:
 
     def __call__(self, points):
         return self.fn(points)
+
+    @property
+    def nodes_key(self):
+        """(rule, d, center, radius): the call that gives ``rule``'s
+        nodes."""
+        return ball_rule, self.d, self.center, self.radius
 
     def rule(self, n: int):
         """Nodes and weights for integrals against the piece: the

@@ -27,11 +27,11 @@ integrals plus small tensor rules:
   integrals against a coefficient bump centred on the ball: its radial
   axis is Gauss for the weight rho^(d-1) exp(-1/(1 - rho^2/r^2))
   (``bump_gauss``), and gauss_n = n gives it ceil(n/2) radial,
-  max(n-2, 1) polar and twice as many azimuthal nodes (``bump_orders``;
-  in d = 1 the diameter carries 2 ceil(n/2) nodes).  ``ball_rule`` is
-  Gauss-Legendre of order n in the radius and the polar cosine with
-  max(2n, 8) azimuthal nodes (n on the diameter in d = 1); it serves
-  integrands that carry no centred bump.
+  max(n-2, floor(n/2)+1) polar and twice as many azimuthal nodes
+  (``bump_orders``; in d = 1 the diameter carries 2 ceil(n/2) nodes).
+  ``ball_rule`` is Gauss-Legendre of order n in the radius and the
+  polar cosine with max(2n, 8) azimuthal nodes (n on the diameter in
+  d = 1); it serves integrands that carry no centred bump.
 
 Outer 1-d integrals go through QUADPACK (scipy.integrate.quad); a
 nonzero error flag or an absolute-error report far above the requested
@@ -80,11 +80,11 @@ class QuadratureScheme:
     """Knobs for the nested quadratures.
 
     rtol / atol feed QUADPACK; gauss_n the order of the ball rules
-    (the bump rule of a coefficient bump: ceil(n/2) radial, max(n-2, 1)
-    polar and twice as many azimuthal nodes; any other ball rule:
-    Gauss-Legendre of order n in the radius and polar cosine, max(2n, 8)
-    azimuthal nodes); angular_n the polar-average order; grid_nodes the
-    per-axis size of the triple-correlation grid.
+    (the bump rule of a coefficient bump: ceil(n/2) radial,
+    max(n-2, floor(n/2)+1) polar and twice as many azimuthal nodes; any
+    other ball rule: Gauss-Legendre of order n in the radius and polar
+    cosine, max(2n, 8) azimuthal nodes); angular_n the polar-average
+    order; grid_nodes the per-axis size of the triple-correlation grid.
     """
 
     rtol: float = 1e-9
@@ -177,10 +177,12 @@ def bump_orders(n: int):
     The radial axis carries the bump, so Gauss for its weight needs
     about half the nodes Gauss-Legendre needs for the smooth remainder
     on the angles; ``tests/test_quadrature.py::TestBumpRule`` records
-    the convergence study that fixed the formula.  Raising n by two or
-    more raises every axis.
+    the convergence study that fixed the formula.  Every n >= 2 has at
+    least two polar and four azimuthal nodes, so the angular axes
+    integrate every polynomial of degree <= 3 exactly, and raising n by
+    two or more raises every axis.
     """
-    polar = max(n - 2, 1)
+    polar = max(n - 2, n // 2 + 1)
     return (n + 1) // 2, polar, 2 * polar
 
 

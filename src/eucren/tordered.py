@@ -155,16 +155,18 @@ def _weights(f, residual, phi: FieldConfiguration, scheme: QuadratureScheme):
 
 
 @lru_cache(maxsize=256)
-def _message(power: int, tree, parent, left, phi: FieldConfiguration,
+def _message(power: int, tree, nodes_key, left, phi: FieldConfiguration,
              m: float, scheme: QuadratureScheme):
     """What ``tree`` sends through the edge P^power, decorated by
     ``left`` on the parent's side, onto the nodes of the parent
-    coefficient's rule: the sum over the tree root's kernel terms of
-    P^power(x, .) applied to the root's weights times its children's
-    messages.  A tree is (kernel, ((edge power, child tree), ...)), so
-    equal subtrees share one message across a run."""
-    x, _ = parent.rule(scheme.gauss_n)
-    prop = green_function(parent.d, m)
+    coefficient's rule (``nodes_key`` is the parent's): the sum over
+    the tree root's kernel terms of P^power(x, .) applied to the root's
+    weights times its children's messages.  A tree is
+    (kernel, ((edge power, child tree), ...)), so equal subtrees share
+    one message across a run."""
+    rule, d, center, radius = nodes_key
+    x, _ = rule(d, center, radius, scheme.gauss_n)
+    prop = green_function(d, m)
     kernel, children = tree
     out = np.zeros(len(x))
     for dk in kernel.terms:
@@ -181,8 +183,8 @@ def _below(children, dk: DKTerm, phi, m, scheme):
     coefficient."""
     out = 1.0
     for power, child in children:
-        out = out * _message(power, child, dk.coefficient, dk.arg_derivs[0],
-                             phi, m, scheme)
+        out = out * _message(power, child, dk.coefficient.nodes_key,
+                             dk.arg_derivs[0], phi, m, scheme)
     return out
 
 

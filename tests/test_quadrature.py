@@ -340,3 +340,30 @@ class TestBumpRule:
         for n in range(2, 41):
             low, high = bump_orders(n), bump_orders(n + shift)
             assert all(a < b for a, b in zip(low, high)), (n, low, high)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_low_orders_cover_every_coordinate(self, d):
+        # gauss_n 2-4 keep at least two polar and four azimuthal nodes,
+        # so for every monomial p of degree k <= 3 in (x - c) / r the
+        # ratio sum w p / sum w rho^k is its sphere average exactly;
+        # the radial axis makes sum w p itself exact up to degree
+        # 2 * radial - 1 (d = 1: 4 * radial - 1)
+        center, radius = (0.4, -0.2, 1.0)[:d], 0.7
+        ref_pts, ref_w = bump_rule(d, center, radius, 24)
+        powers = [a for a in np.ndindex(*(4,) * d) if sum(a) <= 3]
+        for n in (2, 3, 4):
+            pts, w = bump_rule(d, center, radius, n)
+            n_r = bump_orders(n)[0]
+            exact_to = 4 * n_r - 1 if d == 1 else 2 * n_r - 1
+            for a in powers:
+                k = sum(a)
+                moments = []
+                for p, wt in ((pts, w), (ref_pts, ref_w)):
+                    u = (p - center) / radius
+                    rho_k = wt @ np.linalg.norm(u, axis=1) ** k
+                    moments.append((wt @ np.prod(u ** np.array(a), axis=1),
+                                    rho_k))
+                (value, rho_k), (ref, ref_rho_k) = moments
+                assert abs(value / rho_k - ref / ref_rho_k) < 1e-13, (n, a)
+                if k <= exact_to:
+                    assert abs(value - ref) < 1e-13 * ref_rho_k, (n, a)

@@ -360,8 +360,8 @@ class TestTrees:
         scheme = QuadratureScheme(gauss_n=6)
         kernel = derivative_kernel(LocalFunctional.phi_power(2, F1), 1)
         dk, = kernel.terms
-        message = tordered._message(1, (kernel, ()), F0, dk.arg_derivs[0],
-                                    PHI, M, scheme)
+        message = tordered._message(1, (kernel, ()), F0.nodes_key,
+                                    dk.arg_derivs[0], PHI, M, scheme)
         weights = tordered._weights(dk.coefficient, dk.residual, PHI, scheme)
         for array in (message, *weights):
             with pytest.raises(ValueError):
@@ -370,19 +370,32 @@ class TestTrees:
     def test_message_takes_the_parent_coefficients_rule(self):
         # a bump parent gets the bump rule's nodes, a windowed piece on
         # the same ball the Gauss-Legendre ones; the message cache keys
-        # on the coefficient, so the two never share an entry
+        # on the parent's rule, so the two never share an entry, while
+        # bumps on one ball share it whatever their amplitudes
+        tordered._message.cache_clear()
         scheme = QuadratureScheme(gauss_n=6)
         kernel = derivative_kernel(LocalFunctional.phi_power(2, F1), 1)
         dk, = kernel.terms
-        piece = CoefficientPiece(F0.to_field(), D, F0.center, F0.radius)
+
+        def unused(points):
+            pytest.fail("a message's parent weights were computed")
+
+        piece = CoefficientPiece(unused, D, F0.center, F0.radius)
         y, w = F1.rule(6)
         sent = float(dk.prefactor) * w * phi_np(y)
+        louder = TestFunction(D, F0.center, F0.radius, amplitude=2.5)
+        messages = []
         for parent, (x, _) in ((F0, F0.rule(6)),
-                               (piece, ball_rule(D, F0.center, F0.radius, 6))):
-            message = tordered._message(1, (kernel, ()), parent,
-                                        dk.arg_derivs[0], PHI, M, scheme)
+                               (piece, ball_rule(D, F0.center, F0.radius, 6)),
+                               (louder, F0.rule(6))):
+            messages.append(tordered._message(
+                1, (kernel, ()), parent.nodes_key, dk.arg_derivs[0], PHI, M,
+                scheme))
             r = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
-            np.testing.assert_allclose(message, prop(r) @ sent, rtol=1e-12)
+            np.testing.assert_allclose(messages[-1], prop(r) @ sent,
+                                       rtol=1e-12)
+        assert messages[2] is messages[0]
+        assert tordered._message.cache_info().misses == 2
         assert len(F0.rule(6)[0]) == 96
         assert len(ball_rule(D, F0.center, F0.radius, 6)[0]) == 432
 
