@@ -75,10 +75,38 @@ _LAMBDIFY_MODULES = [{"BumpCore": _bumpcore_numpy}, "numpy"]
 
 @lru_cache(maxsize=1024)
 def _compiled(args, expr):
-    """The numpy callable of ``expr`` in ``args``; both map types compile
-    through here, so an expression compiles once however many maps carry
-    it.  Floats of different precision compare unequal and never share."""
+    """The numpy callable of ``expr`` in ``args``, compiled once however
+    many maps carry it; ``_numpy_fn`` hands it expressions whose float
+    constants are parameters, so maps that differ only in those
+    constants share one compilation."""
     return sp.lambdify(args, expr, modules=_LAMBDIFY_MODULES)
+
+
+@lru_cache(maxsize=1024)
+def _lifted(expr):
+    """(template, parameters, values): ``expr`` with each distinct Float
+    replaced by a parameter symbol, numbered in order of first
+    appearance, and the values those Floats have in compiled code (a
+    53-bit Float prints 15 digits there; a literal keeps its source
+    digits, so Floats of different precision stay distinct)."""
+    from sympy.printing.numpy import NumPyPrinter
+
+    floats = {}
+    for node in sp.preorder_traversal(expr):
+        if isinstance(node, sp.Float) and node not in floats:
+            floats[node] = sp.Symbol(f"float_{len(floats)}")
+    printer = NumPyPrinter()
+    values = tuple(float(printer.doprint(f)) for f in floats)
+    return expr.xreplace(floats), tuple(floats.values()), values
+
+
+def _numpy_fn(args, expr):
+    """The numpy callable of ``expr`` in ``args`` (a symbol or a tuple
+    of them)."""
+    template, params, values = _lifted(expr)
+    args = args if isinstance(args, tuple) else (args,)
+    fn = _compiled(args + params, template)
+    return lambda *xs: fn(*xs, *values)
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +190,7 @@ class SmoothMap:
         else:
             comps = [pts[..., i] for i in range(self.d)]
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            out = _compiled(coords(self.d), self.expr)(*comps)
+            out = _numpy_fn(coords(self.d), self.expr)(*comps)
         return np.broadcast_to(np.asarray(out, dtype=float), comps[0].shape).copy() \
             if np.ndim(out) == 0 and np.ndim(comps[0]) > 0 else np.asarray(out, dtype=float)
 
@@ -342,7 +370,7 @@ class RadialMap:
     # -- evaluation ----------------------------------------------------
 
     def _g(self):
-        return _compiled(_u_symbol(), self.gexpr)
+        return _numpy_fn(_u_symbol(), self.gexpr)
 
     def profile(self, s):
         """Profile value at distance s >= 0 from the center."""

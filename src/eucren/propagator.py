@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import sympy as sp
@@ -52,7 +52,6 @@ from .quadrature import (
     pair_tensor,
     radial_pair,
     sphere_area,
-    subtracted_radial_pair,
 )
 
 __all__ = [
@@ -259,23 +258,24 @@ def wavefront(kernel) -> WaveFrontDescriptor:
 @dataclass(frozen=True)
 class RadialTestView:
     """Uniform radial view of a test object for 1-d reductions: the
-    squared-radius profile, support radius, center, and exact origin
-    data for counterterms."""
+    squared-radius profile, support radius, the distance of its center
+    from the origin, and exact origin data for counterterms.
+
+    An array ``offset``, with ``value_at_origin`` one value per entry,
+    stands for the translates of one profile to each of those
+    distances; ``pair_extension`` pairs all of them in one batch.
+    """
 
     gu: Callable
     support: float
-    center: tuple
-    value_at_origin: float
+    offset: Union[float, np.ndarray]
+    value_at_origin: Union[float, np.ndarray]
     gradient_at_origin: Optional[tuple] = None
-
-    @property
-    def offset(self) -> float:
-        return float(np.linalg.norm(self.center))
 
 
 def radial_view(phi) -> RadialTestView:
     """Build a RadialTestView from a TestFunction-like object (anything
-    with radial_map()) or from a ProfileSpline placed at an offset."""
+    with radial_map())."""
     rm = phi.radial_map()
     center = tuple(rm.center)
     c2 = float(np.dot(center, center))
@@ -284,7 +284,7 @@ def radial_view(phi) -> RadialTestView:
     gp = float(g1.subs(u, c2))
     grad = tuple(-2.0 * ci * gp for ci in center)
     return RadialTestView(
-        gu=rm._g(), support=rm.support_radius, center=center,
+        gu=rm._g(), support=rm.support_radius, offset=float(np.sqrt(c2)),
         value_at_origin=float(rm(np.zeros(rm.d))), gradient_at_origin=grad)
 
 
@@ -293,8 +293,7 @@ def spline_view(profile: ProfileSpline, offset: float) -> RadialTestView:
     from the origin (gradient data unavailable)."""
     return RadialTestView(
         gu=profile.profile_u(), support=profile.support_radius,
-        center=(float(offset),), value_at_origin=float(profile(offset)),
-        gradient_at_origin=None)
+        offset=float(offset), value_at_origin=float(profile(offset)))
 
 
 def _tests_overlap(f, g) -> bool:
@@ -308,11 +307,12 @@ def _correlation(f, g, d: int, scheme: QuadratureScheme) -> ProfileSpline:
 
 
 def pair_extension(t: ScalarDistribution, phi,
-                   scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
+                   scheme: QuadratureScheme = DEFAULT_SCHEME):
     """Pairing of a single renormalized (or integrable bare) propagator
     power with a test function on the relative space R^d.
 
-    phi: RadialTestView, or any object with radial_map().
+    phi: RadialTestView, or any object with radial_map().  A view with
+    an array of offsets gives the array of their pairings.
     """
     if t.n_points != 2 or len(t.factors) != 1:
         raise UnsupportedCase("pair_extension handles single-pair kernels only")
@@ -325,7 +325,8 @@ def pair_extension(t: ScalarDistribution, phi,
     rho_div = prop.edge_sd(factor) - prop.d
 
     ext = factor.extension
-    if ext is None and rho_div >= 0 and view.offset < view.support:
+    if (ext is None and rho_div >= 0
+            and np.any(np.asarray(view.offset) < view.support)):
         raise NonIntegrableSingularity(
             f"bare P^{factor.power} in d={t.d} has divergence degree "
             f"{rho_div} >= 0 at the origin")
@@ -338,11 +339,9 @@ def pair_extension(t: ScalarDistribution, phi,
         raise UnsupportedCase(
             f"extension pairing implemented for divergence degree <= 1, "
             f"got {rho_div}")
-    w = ext.cutoff
-    value = subtracted_radial_pair(
-        kernel, view.gu, view.support, view.offset, view.value_at_origin,
-        lambda rho: float(w.profile(rho)), w.radius, t.d, scheme,
-        extra_points=[w.plateau_radius])
+    value = radial_pair(kernel, view.gu, view.support, view.offset, t.d,
+                        scheme, cutoff=ext.cutoff,
+                        value_at_origin=view.value_at_origin)
     for alpha, c_a in ext.counterterms:
         if c_a == 0.0:
             continue

@@ -4,16 +4,19 @@ Everything here reduces d-dimensional pairings to one-dimensional
 integrals plus small tensor rules:
 
 * ``radial_pair`` integrates K(|x|) f(x) over R^d for a radial kernel K
-  and a test function f that is rotation invariant about some center c.
-  In spherical coordinates about the kernel center this is
-  omega_{d-1} * int K(rho) rho^(d-1) A(rho) drho, with A the spherical
-  average of f, which is exact in d = 1 and a short Gauss-Legendre sum
-  over the polar angle in d = 2, 3.
+  and a test function f that is rotation invariant about some center c,
+  for a whole array of offsets c at once.  In spherical coordinates
+  about the kernel center this is omega_{d-1} * int K(rho) rho^(d-1)
+  A(rho) drho, with A the spherical average of f, which is exact in
+  d = 1 and a Gauss sum over the polar angle in d >= 2.  With a cutoff
+  w it integrates A(rho) - w(rho) * f(0) instead, the Taylor-subtracted
+  combination of divergence-degree <= 1 extensions (the order-one term
+  averages to zero over the sphere, so one subtraction covers both
+  degrees).
 
-* ``subtracted_radial_pair`` is the same integral with A(rho) replaced
-  by A(rho) - w(rho) * f(0), the Taylor-subtracted combination used by
-  divergence-degree <= 1 extensions (the order-one term averages to
-  zero over the sphere, so one subtraction covers both degrees).
+* ``panel_edges`` and ``panel_rule`` give the composite Gauss-Legendre
+  rules of the radial integrals here and in ``triple``: panels split at
+  the structural radii, cut geometrically toward rho = 0.
 
 * ``ProfileSpline`` caches a smooth radial profile on a window as a
   cubic spline; used for correlation profiles.
@@ -33,9 +36,12 @@ integrals plus small tensor rules:
   polar cosine with max(2n, 8) azimuthal nodes (n on the diameter in
   d = 1); it serves integrands that carry no centred bump.
 
-Outer 1-d integrals go through QUADPACK (scipy.integrate.quad); a
-nonzero error flag or an absolute-error report far above the requested
-tolerance raises QuadratureFailure rather than returning junk.
+The radial integrals double the panel order until two successive
+levels agree; an integral that does not settle raises
+QuadratureFailure.  ``quad_1d`` (QUADPACK, scipy.integrate.quad) is
+left for single scalar 1-d integrals; a nonzero error flag or an
+absolute-error report far above the requested tolerance raises
+QuadratureFailure rather than returning junk.
 
 Spherical averages are computed in the squared-radius variable u (see
 ``expr``), which keeps integrands finite at every sample; quadrature
@@ -66,8 +72,9 @@ __all__ = [
     "bump_rule",
     "bump_gauss",
     "angular_average",
+    "panel_edges",
+    "panel_rule",
     "radial_pair",
-    "subtracted_radial_pair",
     "ProfileSpline",
     "correlation_profile",
     "contract",
@@ -79,7 +86,9 @@ __all__ = [
 class QuadratureScheme:
     """Knobs for the nested quadratures.
 
-    rtol / atol feed QUADPACK; gauss_n the order of the ball rules
+    rtol / atol are the tolerances of the 1-d integrals (the agreement
+    between panel levels in ``radial_pair``, QUADPACK's request in
+    ``quad_1d``); gauss_n the order of the ball rules
     (the bump rule of a coefficient bump: ceil(n/2) radial,
     max(n-2, floor(n/2)+1) polar and twice as many azimuthal nodes; any
     other ball rule: Gauss-Legendre of order n in the radius and polar
@@ -278,6 +287,35 @@ def _read_only(*arrays):
     return arrays
 
 
+@lru_cache(maxsize=16)
+def _angular_rule(d: int, n: int):
+    """Polar cosines mu and weights with sum w g(mu) ~ the average of
+    g(cos theta) over the unit sphere in R^d: the two poles in d = 1,
+    Gauss-Legendre in theta (d = 2) or in mu (d = 3), and Gauss-Legendre
+    in theta with the sin^(d-2) weight in d >= 4."""
+    if d == 1:
+        return _read_only(np.array([1.0, -1.0]), np.array([0.5, 0.5]))
+    if d == 3:
+        nodes, wmu = gauss_legendre(n)
+        return _read_only(nodes.copy(), 0.5 * wmu)
+    theta, wt = _mapped_gauss(0.0, np.pi, n)
+    if d == 2:
+        return _read_only(np.cos(theta), wt / np.pi)
+    # normalizing by the quadrature sum keeps averages of constants exact
+    w = wt * np.sin(theta) ** (d - 2)
+    return _read_only(np.cos(theta), w / w.sum())
+
+
+def _sphere_mean(gu: Callable, rho, c, d: int, n: int):
+    """Spherical average of x -> g(|x - c e1|^2) over |x| = rho, for
+    matching arrays rho and c."""
+    mu, w = _angular_rule(d, n)
+    rho, c = rho[:, None], c[:, None]
+    u = np.maximum(rho * rho + c * c - 2.0 * c * rho * mu, 0.0)
+    # a constant profile compiles to a function returning one number
+    return np.broadcast_to(np.asarray(gu(u), dtype=float), u.shape) @ w
+
+
 def angular_average(gu: Callable, c: float, d: int, n: int = 96) -> Callable:
     """Spherical average A(rho) of x -> g(|x - c e1|^2) about the origin.
 
@@ -285,87 +323,162 @@ def angular_average(gu: Callable, c: float, d: int, n: int = 96) -> Callable:
     callable is vectorized over rho and finite at rho = 0.
     """
     c = float(c)
-    if d == 1:
-        def avg(rho):
-            rho = np.asarray(rho, dtype=float)
-            return 0.5 * (gu((rho - c) ** 2) + gu((rho + c) ** 2))
-        return avg
-    if d == 2:
-        theta, wt = _mapped_gauss(0.0, np.pi, n)
-        nodes, w = np.cos(theta), wt / np.pi
-    elif d == 3:
-        nodes, wmu = gauss_legendre(n)
-        w = 0.5 * wmu
-    else:
-        # sin^(d-2) weight in the polar angle; normalizing by the
-        # quadrature sum keeps averages of constants exact
-        theta, wt = _mapped_gauss(0.0, np.pi, n)
-        w = wt * np.sin(theta) ** (d - 2)
-        w = w / w.sum()
-        nodes = np.cos(theta)
 
     def avg(rho):
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        u = rho[:, None] ** 2 + c * c - 2.0 * c * rho[:, None] * nodes[None, :]
-        return gu(np.maximum(u, 0.0)) @ w
+        return _sphere_mean(gu, rho, np.full_like(rho, c), d, n)
     return avg
 
 
-def _scalar_avg(avg):
-    def f(rho):
-        out = avg(np.asarray([rho], dtype=float) if np.ndim(rho) == 0 else rho)
-        return float(np.atleast_1d(out)[0]) if np.ndim(rho) == 0 else out
-    return f
+def panel_edges(lo, hi, marks, levels: int = 0, ratio: float = 0.5):
+    """Panels of composite rules on the intervals [lo, hi]: returns
+    flat arrays (a, b, row), one entry per panel [a, b] of interval
+    ``row``, in order along each interval.
+
+    ``lo`` and ``hi`` are scalars or arrays of m bounds, ``marks`` a
+    sequence of scalars or length-m arrays; each interval is split at
+    the marks more than 1e-12 inside it.  When lo = 0, the panel
+    touching it is cut geometrically toward zero ``levels`` times, each
+    cut at ``ratio`` times the last, for integrands with structure on
+    shrinking scales there.
+    """
+    lo, hi = np.broadcast_arrays(np.atleast_1d(np.asarray(lo, dtype=float)),
+                                 np.atleast_1d(np.asarray(hi, dtype=float)))
+    hi = np.maximum(hi, lo)
+    lo_col, hi_col = lo[:, None], hi[:, None]
+    inner = np.stack([np.broadcast_to(np.asarray(v, dtype=float), lo.shape)
+                      for v in marks], axis=1) if len(marks) else lo_col
+    inner = np.where((inner > lo_col + 1e-12) & (inner < hi_col - 1e-12),
+                     inner, lo_col)
+    edges = np.sort(np.concatenate([lo_col, inner, hi_col], axis=1), axis=1)
+    if levels > 0:
+        first = np.min(np.where(edges > lo_col, edges, hi_col), axis=1,
+                       keepdims=True)
+        cuts = np.where(lo_col == 0.0,
+                        first * ratio ** np.arange(levels, 0, -1), lo_col)
+        edges = np.sort(np.concatenate([edges, cuts], axis=1), axis=1)
+    a, b = edges[:, :-1], edges[:, 1:]
+    keep = b > a
+    return a[keep], b[keep], np.nonzero(keep)[0]
 
 
-def radial_pair(kernel: Callable, gu: Callable, support: float, c: float, d: int,
+def _panel_nodes(a, b, n: int):
+    """Gauss-Legendre nodes and weights of order n on each panel [a, b],
+    as (panels, n) arrays."""
+    x, w = gauss_legendre(n)
+    mid, half = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
+    return mid + half * x, half * w
+
+
+def panel_rule(lo: float, hi: float, marks: Sequence[float], n: int,
+               levels: int = 0):
+    """The composite Gauss-Legendre rule of order n per panel on the
+    panels ``panel_edges`` gives for [lo, hi]; returns (nodes, weights)."""
+    a, b, _ = panel_edges(lo, hi, marks, levels)
+    nodes, weights = _panel_nodes(a, b, n)
+    return nodes.reshape(-1), weights.reshape(-1)
+
+
+# Gauss-Legendre order per panel of the first level of ``radial_pair``;
+# each further level doubles it, up to _RADIAL_LEVELS levels in all
+_RADIAL_ORDER = 8
+_RADIAL_LEVELS = 7
+# geometric cuts of the panel at rho = 0, down to 4^-8 of its width:
+# deep enough for the log singularities of P in even d, and a quarter
+# apart, which order 16 resolves with half the panels of halving cuts
+_ORIGIN_LEVELS = 8
+_ORIGIN_RATIO = 0.25
+# gu samples (nodes x polar nodes) per block of panels in ``radial_pair``
+_RADIAL_BLOCK = 1 << 16
+
+
+def radial_pair(kernel: Callable, gu: Callable, support: float, c, d: int,
                 scheme: QuadratureScheme = DEFAULT_SCHEME,
                 kernel_window: Optional[float] = None,
-                extra_points: Sequence[float] = ()) -> float:
-    """int K(|x|) f(x) dx for radial K and f radial about distance c.
+                cutoff=None, value_at_origin=0.0):
+    """int K(|x|) f(x) dx for radial K and f radial about a point at
+    distance c from the origin, for one offset c or an array of them.
 
     ``gu`` is f's squared-radius profile, ``support`` its support radius
     (f vanishes for |x - center| >= support).  ``kernel_window`` caps
     the kernel's own support when it has one.
+
+    With a ``cutoff`` w (anything with a vectorized ``profile(rho)``, a
+    ``radius`` beyond which it vanishes and a ``plateau_radius``, as
+    ``kernels.CutoffFunction``) the integrand is K(|x|) [f(x) - w(|x|)
+    f(0)], with f(0) = ``value_at_origin`` (one value or one per
+    offset).  This covers divergence degrees 0 and 1: the first-order
+    Taylor term is odd under the angular average, so the zeroth-order
+    subtraction leaves an O(rho^2) remainder near the origin.
+
+    In spherical coordinates about the kernel center each offset is
+    omega_{d-1} * int K(rho) rho^(d-1) A(rho) drho, A the spherical
+    average of f.  The rho integral runs on composite Gauss-Legendre
+    panels split at c, |c - support|, c + support, the kernel window and
+    the cutoff's radius and plateau, with the panel at rho = 0 cut
+    geometrically toward it (``panel_edges``).  Level k has order
+    _RADIAL_ORDER * 2^k.  A panel is final once two successive levels
+    agree to its share of max(rtol * scale, atol), the scale being the
+    largest magnitude of an offset's value or of one panel's in the
+    batch and the share one over its offset's panel count; a panel
+    still open after _RADIAL_LEVELS levels raises QuadratureFailure.
+    Panels are evaluated in blocks of about _RADIAL_BLOCK samples of
+    gu, so the working memory does not grow with the batch.
     """
-    c = abs(float(c))
-    lo = max(0.0, c - support)
+    c = np.abs(np.asarray(c, dtype=float))
+    scalar = c.ndim == 0
+    c = c.reshape(-1)
+    lo = np.maximum(0.0, c - support)
     hi = c + support
+    marks = [c, np.abs(c - support), c + support]
     if kernel_window is not None:
-        hi = min(hi, kernel_window)
-    if hi <= lo:
-        return 0.0
-    avg = _scalar_avg(angular_average(gu, c, d, scheme.angular_n))
+        hi = np.minimum(hi, kernel_window)
+        marks.append(kernel_window)
+    if cutoff is not None:
+        f0 = np.broadcast_to(np.asarray(value_at_origin, dtype=float), c.shape)
+        lo = np.zeros_like(c)
+        hi = np.maximum(hi, cutoff.radius)
+        marks += [cutoff.radius, cutoff.plateau_radius]
+    a, b, row = panel_edges(lo, hi, marks, _ORIGIN_LEVELS, _ORIGIN_RATIO)
     area = sphere_area(d)
+    n_polar = len(_angular_rule(d, scheme.angular_n)[0])
 
-    def integrand(rho):
-        return kernel(rho) * rho ** (d - 1) * avg(rho)
+    def panel_values(panels, n):
+        out = np.empty(len(panels))
+        step = max(1, _RADIAL_BLOCK // (n * n_polar))
+        for start in range(0, len(panels), step):
+            sel = panels[start:start + step]
+            rho, w = _panel_nodes(a[sel], b[sel], n)
+            rho = rho.reshape(-1)
+            at = np.repeat(row[sel], n)
+            f = _sphere_mean(gu, rho, c[at], d, scheme.angular_n)
+            if cutoff is not None:
+                f = f - np.asarray(cutoff.profile(rho), dtype=float) * f0[at]
+            f = f * np.asarray(kernel(rho), dtype=float) * rho ** (d - 1)
+            out[start:start + len(sel)] = np.sum(w * f.reshape(-1, n), axis=1)
+        return area * out
 
-    pts = [c, abs(c - support), c + support, *extra_points]
-    return area * quad_1d(integrand, lo, hi, scheme, points=pts)
-
-
-def subtracted_radial_pair(kernel: Callable, gu: Callable, support: float,
-                           c: float, value_at_origin: float,
-                           w_profile: Callable, w_support: float,
-                           d: int, scheme: QuadratureScheme = DEFAULT_SCHEME,
-                           extra_points: Sequence[float] = ()) -> float:
-    """int K(|x|) [f(x) - w(|x|) f(0)] dx via the spherical average.
-
-    Covers divergence degrees 0 and 1: the first-order Taylor term is
-    odd under the angular average, so the zeroth-order subtraction
-    leaves an O(rho^2) remainder near the origin.
-    """
-    c = abs(float(c))
-    hi = max(c + support, w_support)
-    avg = _scalar_avg(angular_average(gu, c, d, scheme.angular_n))
-    area = sphere_area(d)
-
-    def integrand(rho):
-        return kernel(rho) * rho ** (d - 1) * (avg(rho) - w_profile(rho) * value_at_origin)
-
-    pts = [c, abs(c - support), c + support, w_support, *extra_points]
-    return area * quad_1d(integrand, 0.0, hi, scheme, points=pts)
+    share = 1.0 / np.bincount(row, minlength=len(c))[row]
+    open_ = np.arange(len(a))
+    values = panel_values(open_, _RADIAL_ORDER)
+    for level in range(1, _RADIAL_LEVELS):
+        fine = panel_values(open_, _RADIAL_ORDER << level)
+        gap = np.abs(fine - values[open_])
+        values[open_] = fine
+        total = np.bincount(row, weights=values, minlength=len(c))
+        # the scale is the largest total or single panel, so an offset
+        # whose panels cancel is not held to a tolerance below roundoff
+        scale = max(np.max(np.abs(total), initial=0.0),
+                    np.max(np.abs(values), initial=0.0))
+        tol = max(scheme.rtol * float(scale), scheme.atol)
+        open_ = open_[gap > tol * share[open_]]
+        if len(open_) == 0:
+            return float(total[0]) if scalar else total
+    raise QuadratureFailure(
+        f"radial panels still disagree after {_RADIAL_LEVELS} levels "
+        f"(order {_RADIAL_ORDER << (_RADIAL_LEVELS - 1)}) on "
+        f"{len(open_)} panels of {len(np.unique(row[open_]))} of "
+        f"{len(c)} offsets")
 
 
 class ProfileSpline:
@@ -411,24 +524,14 @@ def correlation_profile(f_gu: Callable, f_support: float,
     """C(s) = int f(z) g(z - s e1) dz as a spline on [0, Sf + Sg].
 
     The cross-correlation of two rotation-invariant functions is
-    rotation invariant in the shift, so a 1-d profile captures it.
+    rotation invariant in the shift, so a 1-d profile captures it; its
+    PROFILE_SAMPLES shifts are one ``radial_pair`` batch.
     """
     s_max = f_support + g_support
-
-    def f_kernel(rho):
-        return _radial_eval(f_gu, rho)
-
     s_grid = np.linspace(0.0, s_max, PROFILE_SAMPLES)
-    vals = np.empty_like(s_grid)
-    for i, s in enumerate(s_grid):
-        vals[i] = radial_pair(f_kernel, g_gu, g_support, s, d, scheme,
-                              kernel_window=f_support)
+    vals = radial_pair(lambda rho: f_gu(rho * rho), g_gu, g_support, s_grid,
+                       d, scheme, kernel_window=f_support)
     return ProfileSpline(s_grid, vals, s_max)
-
-
-def _radial_eval(gu, rho):
-    rho = np.asarray(rho, dtype=float)
-    return gu(rho * rho)
 
 
 # rows of the first point set per kernel block in ``contract``

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.ndimage import map_coordinates, spline_filter
@@ -72,6 +72,7 @@ from .quadrature import (
     QuadratureScheme,
     ball_rule,
     gauss_legendre,
+    panel_rule,
 )
 
 __all__ = ["pair_three", "TripleField", "grid_field", "analytic_field",
@@ -79,33 +80,6 @@ __all__ = ["pair_three", "TripleField", "grid_field", "analytic_field",
 
 _ZERO3 = (0, 0, 0)
 _S_NODES = 24
-
-
-def _panel_nodes(lo: float, hi: float, marks: Sequence[float],
-                 n: int, levels: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [lo, hi], split at the interior
-    marks, with the panel touching lo subdivided geometrically
-    ``levels`` times (the subtracted integrands are analytic between
-    marks but keep structure on shrinking scales near zero)."""
-    if hi <= lo:
-        return np.zeros(0), np.zeros(0)
-    edges = [lo]
-    for mk in sorted({float(v) for v in marks}):
-        if lo + 1e-12 < mk < hi - 1e-12:
-            edges.append(mk)
-    edges.append(hi)
-    if levels > 0:
-        first = edges[1]
-        cuts = [lo + (first - lo) * 0.5 ** k for k in range(levels, 0, -1)]
-        edges = [lo] + cuts + edges[1:]
-    x, w = gauss_legendre(n)
-    nodes = np.empty(n * (len(edges) - 1))
-    weights = np.empty_like(nodes)
-    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes[k * n:(k + 1) * n] = mid + half * x
-        weights[k * n:(k + 1) * n] = half * w
-    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -275,7 +249,7 @@ def triple_pairing(m: float, powers: Tuple[int, int, int],
             for t in W_marks:
                 if t > r2:
                     marks.append(math.sqrt(t * t - r2 * r2))
-            r1n, r1w = _panel_nodes(0.0, r1_hi, marks, n_panel, levels)
+            r1n, r1w = panel_rule(0.0, r1_hi, marks, n_panel, levels)
             half = np.minimum(r1n, r2)
             mid = np.abs(r1n - r2) + half
             S = mid[:, None] + half[:, None] * sx[None, :]
@@ -290,8 +264,8 @@ def triple_pairing(m: float, powers: Tuple[int, int, int],
             vals = r1n * np.asarray(K1(r1n), dtype=float) * half * (integ @ sw)
             return float(r1w @ vals)
 
-        r2n, r2w = _panel_nodes(0.0, r2_hi, [field.r2max, *W_marks],
-                                n_panel, levels)
+        r2n, r2w = panel_rule(0.0, r2_hi, [field.r2max, *W_marks],
+                              n_panel, levels)
         outer_vals = np.fromiter((inner(float(r2)) for r2 in r2n),
                                  dtype=float, count=r2n.size)
         value = 8.0 * math.pi ** 2 * float(
@@ -350,13 +324,10 @@ def _leg_profile(d: int, m: float, power: int,
     sub = ScalarDistribution.single_power(d, m, power, extension=extension)
     gu = leg.gu()
     grid = np.linspace(lo, hi, max(160, PROFILE_SAMPLES // 2))
-    vals = np.empty_like(grid)
-    for k, rho in enumerate(grid):
-        view = RadialTestView(
-            gu=gu, support=leg.radius, center=(float(rho),),
-            value_at_origin=float(np.atleast_1d(gu(np.float64(rho * rho)))[0]))
-        vals[k] = pair_extension(sub, view, scheme)
-    return ProfileSpline(grid, vals, hi)
+    view = RadialTestView(gu=gu, support=leg.radius, offset=grid,
+                          value_at_origin=np.asarray(gu(grid * grid),
+                                                     dtype=float))
+    return ProfileSpline(grid, pair_extension(sub, view, scheme), hi)
 
 
 def _pair_path(t: ScalarDistribution, tests, scheme: QuadratureScheme) -> float:

@@ -89,3 +89,61 @@ def mc_triple(k01, k02, k12, d: int, tests, n: int = 1_000_000, seed: int = 0):
     against three ball-supported tests (pass lambda s: 1.0 + 0*s for an
     absent edge)."""
     return mc_graph(((0, 1, k01), (0, 2, k02), (1, 2, k12)), d, tests, n, seed)
+
+
+def _polar_rule(d: int, n: int):
+    """Cosines and weights averaging a function of the polar cosine over
+    the unit sphere in R^d, the rule ``quadrature.radial_pair`` uses at
+    angular_n = n: the two poles in d = 1, Gauss-Legendre in the cosine
+    in d = 3, and in the polar angle with the sin^(d-2) weight
+    otherwise."""
+    if d == 1:
+        return np.array([1.0, -1.0]), np.array([0.5, 0.5])
+    x, w = np.polynomial.legendre.leggauss(n)
+    if d == 3:
+        return x, 0.5 * w
+    theta = 0.5 * math.pi * (x + 1.0)
+    w = w * np.sin(theta) ** (d - 2)
+    return np.cos(theta), w / w.sum()
+
+
+def quadpack_radial(kernel, gu, support, offsets, d, kernel_window=None,
+                    cutoff=None, value_at_origin=0.0, epsrel=1e-11,
+                    n_polar=96):
+    """Reference for ``quadrature.radial_pair``: one adaptive QUADPACK
+    call per offset c of
+
+        |S^(d-1)| int K(rho) rho^(d-1) [A_c(rho) - w(rho) f(0)] drho,
+
+    A_c the spherical average of f = g(|x - c e1|^2) over |x| = rho,
+    taken by the same polar rule as the package (so the two differ only
+    in the rho integral), and w the cutoff profile (absent unless
+    ``cutoff`` is given).  ``value_at_origin`` is one f(0) or one per
+    offset."""
+    from scipy.integrate import quad
+
+    mu, w_mu = _polar_rule(d, n_polar)
+    offsets = np.abs(np.atleast_1d(np.asarray(offsets, dtype=float)))
+    f0 = np.broadcast_to(np.asarray(value_at_origin, dtype=float),
+                         offsets.shape)
+    out = np.empty(len(offsets))
+    for k, c in enumerate(offsets):
+        lo, hi = max(0.0, c - support), c + support
+        if kernel_window is not None:
+            hi = min(hi, kernel_window)
+        marks = [c, abs(c - support), c + support]
+        if cutoff is not None:
+            lo, hi = 0.0, max(hi, cutoff.radius)
+            marks += [cutoff.radius, cutoff.plateau_radius]
+
+        def integrand(rho, c=c, f0=f0[k]):
+            u = np.maximum(rho * rho + c * c - 2.0 * c * rho * mu, 0.0)
+            avg = float(np.asarray(gu(u), dtype=float) @ w_mu)
+            if cutoff is not None:
+                avg -= float(cutoff.profile(rho)) * f0
+            return float(kernel(rho)) * rho ** (d - 1) * avg
+
+        points = sorted({p for p in marks if lo < p < hi}) or None
+        out[k] = (quad(integrand, lo, hi, epsabs=0.0, epsrel=epsrel,
+                       limit=500, points=points)[0] if hi > lo else 0.0)
+    return sphere_area(d) * out

@@ -356,6 +356,15 @@ class TestRenormalizeCommand:
         value = float(_pairs(report, "pairing")["value"])
         assert np.isfinite(value) and value != 0.0
 
+    def test_zero_amplitude_pairs_to_zero(self):
+        # a zero amplitude compiles to a constant profile, which returns
+        # one number rather than an array
+        text = ("command=renormalize d=2 m=0.5 factors=0-1:1 bare=true\n"
+                "[functional f]\ncenter=0,0\nradius=1\namplitude=0\n"
+                "[functional g]\ncenter=0,0\nradius=1\namplitude=0\n")
+        report = run(parse_config(text))
+        assert float(_pairs(report, "pairing")["value"]) == 0.0
+
     def test_pairing_needs_matching_test_count(self):
         text = ("command=renormalize d=3 factors=0-1:3,0-2:2,1-2:1\n"
                 "[functional f]\ncenter=0,0,0\n")
@@ -670,6 +679,27 @@ def _product_configs(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def _pairing_configs(draw):
+    """renormalize on two points with two functional sections: d 2-3,
+    gauss_n <= 6, overlapping or disjoint tests, with or without a
+    counterterm pair_c0."""
+    d = draw(st.integers(2, 3))
+    floats = lambda lo, hi: st.floats(lo, hi, allow_nan=False)  # noqa: E731
+    head = "command=renormalize d={} m={} factors=0-1:{} bare={} gauss_n={}".format(
+        d, draw(st.sampled_from(["0", "0.5", "1"])), draw(st.integers(1, 3)),
+        draw(st.sampled_from(["true", "false"])), draw(st.integers(2, 6)))
+    if draw(st.booleans()):
+        head += f" pair_c0={draw(floats(-1.0, 1.0))!r}"
+    lines = [head]
+    for name in ("A", "B"):
+        center = [draw(floats(-1.0, 1.0)) for _ in range(d)]
+        lines += [f"[functional {name}]", f"center={_point(center)}",
+                  f"radius={draw(floats(0.3, 1.2))!r}",
+                  f"amplitude={draw(floats(-2.0, 2.0))!r}"]
+    return "\n".join(lines) + "\n"
+
+
 class TestRunFuzz:
     @staticmethod
     def check_run(text):
@@ -700,6 +730,11 @@ class TestRunFuzz:
     @settings(max_examples=100)
     @given(_product_configs())
     def test_product_finite_or_documented_error(self, text):
+        self.check_run(text)
+
+    @settings(max_examples=30)
+    @given(_pairing_configs())
+    def test_pairing_finite_or_documented_error(self, text):
         self.check_run(text)
 
 

@@ -4,6 +4,7 @@ additivity, the balanced-field Taylor expansion, and coefficient splitting.
 Numeric oracles are independent scipy quadratures on the raw integrands.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -33,8 +34,10 @@ from eucren.functionals import (
     taylor_evaluate,
     taylor_expand,
 )
+from eucren import expr
+from eucren.cli import parse_config, run
 from eucren.expr import coords
-from eucren.quadrature import QuadratureScheme
+from eucren.quadrature import DEFAULT_SCHEME, QuadratureScheme
 
 TIGHT = QuadratureScheme(gauss_n=48)
 
@@ -365,6 +368,46 @@ class TestAdditivity:
         chi = FieldConfiguration.bump(1, (3.0,), 1.0)
         with pytest.raises(PreconditionViolated):
             additivity_check(F, phi, FieldConfiguration.zero(1), chi)
+
+    def test_fieldwise_sums_match_combined_expressions(self):
+        # the four combined fields, each differentiated and compiled as
+        # one expression, give the same signed residual
+        f = TestFunction(2, (0.1, -0.2), 1.2, 1.3)
+        F = LocalFunctional([MonomialTerm(3, ((0, 0), (1, 0), (0, 1)), f,
+                                          Fraction(1, 3)),
+                             MonomialTerm(2, ((0, 0), (0, 0)), f)])
+        phi = FieldConfiguration.bump(2, (-3.0, 0.0), 0.9, 0.7)
+        chi = FieldConfiguration.bump(2, (3.0, 0.0), 1.1, -1.2)
+        psi = (FieldConfiguration.bump(2, (0.2, 0.1), 2.5, 0.8)
+               + FieldConfiguration.from_expression("0.3 + 0.2*x1*x2", 2))
+        total = 0.0
+        for term in F.terms:
+            pts, wts = term.coefficient.rule(DEFAULT_SCHEME.gauss_n)
+            acc = np.zeros(len(pts))
+            for cfg, sign in ((phi + psi + chi, 1.0), (phi + psi, -1.0),
+                              (psi, 1.0), (psi + chi, -1.0)):
+                vals = np.ones(len(pts))
+                for alpha in term.derivs:
+                    vals = vals * np.asarray(cfg.diff(alpha)(pts))
+                acc += sign * vals
+            total += float(term.prefactor) * float(wts @ acc)
+        assert abs(additivity_check(F, phi, psi, chi) - abs(total)) <= 1e-14
+
+    def test_verify_compiles_few_expressions(self, monkeypatch):
+        # each field of the 20 additivity cases of verify is evaluated
+        # on its own, and fields differing only in float constants share
+        # one compilation
+        compiled = []
+
+        @functools.lru_cache(maxsize=None)
+        def counting(args, body):
+            compiled.append(body)
+            return sp.lambdify(args, body, modules=expr._LAMBDIFY_MODULES)
+
+        monkeypatch.setattr(expr, "_compiled", counting)
+        report = run(parse_config("command=verify d=2 m=1 seed=3"))
+        assert report.ok
+        assert 0 < len(compiled) <= 10
 
     def test_randomized_suite(self):
         """20 randomized (F, phi, psi, chi) with disjoint phi/chi."""

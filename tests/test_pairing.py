@@ -9,19 +9,27 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from eucren import quadrature
 from eucren.errors import (
     DomainError,
     NonIntegrableSingularity,
+    QuadratureFailure,
     UnsupportedCase,
+    exit_code_for,
 )
 from eucren.functionals import TestFunction
 from eucren.kernels import CutoffFunction, ExtensionSpec, PropFactor, ScalarDistribution
 from eucren import propagator, triple
-from eucren.propagator import Propagator, pair
-from eucren.quadrature import DEFAULT_SCHEME, QuadratureScheme
+from eucren.propagator import Propagator, pair, pair_extension, spline_view
+from eucren.quadrature import (
+    DEFAULT_SCHEME,
+    PROFILE_SAMPLES,
+    QuadratureScheme,
+    correlation_profile,
+)
 from eucren.triple import analytic_field, grid_field, pair_three, triple_pairing
 
-from helpers import mc_ball, mc_pair, mc_pair_radial, mc_triple
+from helpers import mc_ball, mc_pair, mc_pair_radial, mc_triple, quadpack_radial
 
 M = 1.0
 
@@ -314,3 +322,87 @@ class TestSchemeCaches:
                                       cold.phi_tilde(r1, 0.6, s))
         assert not np.array_equal(warm.phi_tilde(r1, 0.6, s),
                                   first.phi_tilde(r1, 0.6, s))
+
+
+class TestPanelRoute:
+    """The composite-panel radial route against a QUADPACK loop, one
+    adaptive call per offset (``helpers.quadpack_radial``), to 1e-8 of
+    the largest value."""
+
+    RTOL = 1e-8
+
+    def check(self, got, ref):
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(np.asarray(got) - ref)) <= self.RTOL * scale
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_correlation_profile(self, d):
+        # d = 4 takes the sin^(d-2) branch of the polar average
+        f = TestFunction(d, (0.0,) * d, 1.0, 1.1)
+        g = TestFunction(d, (0.7,) + (0.0,) * (d - 1), 0.9, 0.9)
+        prof = correlation_profile(f.gu(), 1.0, g.gu(), 0.9, d)
+        # the profile's own samples, which the spline reproduces
+        s = np.linspace(0.0, 1.9, PROFILE_SAMPLES)[::15]
+        fu = f.gu()
+        ref = quadpack_radial(lambda rho: fu(rho * rho), g.gu(), 0.9, s, d,
+                              kernel_window=1.0)
+        self.check(prof(s), ref)
+
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("leg_center,lo,hi", [
+        ((0.8, 0.3, 0.0), 0.0, 1.85),     # overlapping the pivot
+        ((-2.2, 0.0, 0.0), 1.2, 3.2),     # disjoint from it
+    ])
+    def test_leg_profile(self, power, leg_center, lo, hi):
+        leg = TestFunction(3, leg_center, 0.8, 0.95)
+        prof = triple._leg_profile(3, M, power, None, leg, lo, hi,
+                                   DEFAULT_SCHEME)
+        rho = np.linspace(lo, hi, max(160, PROFILE_SAMPLES // 2))[::12]
+        ref = quadpack_radial(Propagator(3, M).power_callable(power),
+                              leg.gu(), 0.8, rho, 3)
+        self.check(prof(rho), ref)
+
+    def test_subtracted_cube(self):
+        f = TestFunction(3, (0.5, 0.3, 0.0), 0.8, 0.82)
+        w = CutoffFunction(3, radius=1.0)
+        t = single(3, extension=ExtensionSpec(w))
+        got = pair_extension(t, f, DEFAULT_SCHEME)
+        ref = quadpack_radial(Propagator(3, M).power_callable(3), f.gu(),
+                              0.8, np.linalg.norm(f.center), 3, cutoff=w,
+                              value_at_origin=float(f(np.zeros(3))))
+        self.check([got], ref)
+
+    def test_bare_cube_d2_on_a_spline(self):
+        f = TestFunction(2, (0.0, 0.0), 1.0, 0.93)
+        g = TestFunction(2, (0.7, 0.0), 0.9, 1.14)
+        prof = correlation_profile(f.gu(), 1.0, g.gu(), 0.9, 2)
+        t = ScalarDistribution(2, 2, M, (PropFactor(0, 1, 3),))
+        got = pair_extension(t, spline_view(prof, 0.7), DEFAULT_SCHEME)
+        ref = quadpack_radial(Propagator(2, M).power_callable(3),
+                              prof.profile_u(), prof.support_radius, 0.7, 2)
+        self.check([got], ref)
+
+    def test_profiles_make_no_quadpack_call(self, monkeypatch):
+        calls = []
+        quad_ = quadrature.quad
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return quad_(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "quad", counting)
+        f = TestFunction(3, (0.0, 0.0, 0.0), 1.0)
+        g = TestFunction(3, (0.6, 0.0, 0.0), 0.9)
+        correlation_profile(f.gu(), 1.0, g.gu(), 0.9, 3, DEFAULT_SCHEME)
+        triple._leg_profile.__wrapped__(3, M, 2, None, g, 0.0, 1.5,
+                                        DEFAULT_SCHEME)
+        assert calls == []
+
+    def test_refinement_cap_raises(self):
+        # no two levels agree to 1e-300 of the values
+        f = TestFunction(3, (0.0, 0.0, 0.0), 1.0)
+        g = TestFunction(3, (0.6, 0.0, 0.0), 0.9)
+        with pytest.raises(QuadratureFailure) as info:
+            correlation_profile(f.gu(), 1.0, g.gu(), 0.9, 3,
+                                QuadratureScheme(rtol=1e-300, atol=1e-300))
+        assert exit_code_for(info.value) == 5

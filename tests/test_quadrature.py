@@ -8,6 +8,7 @@ from scipy.spatial.distance import cdist
 from eucren.errors import QuadratureFailure
 from eucren.expr import RadialMap
 from eucren.functionals import TestFunction
+from eucren.kernels import CutoffFunction
 from eucren.propagator import green_function
 from eucren.quadrature import (
     DEFAULT_SCHEME,
@@ -24,7 +25,6 @@ from eucren.quadrature import (
     quad_1d,
     radial_pair,
     sphere_area,
-    subtracted_radial_pair,
 )
 from helpers import mc_ball, mc_pair
 
@@ -143,41 +143,41 @@ class TestRadialPair:
 
 
 class TestSubtractedRadialPair:
+    """radial_pair with a cutoff: K against f - w f(0)."""
+
     def test_zero_cutoff_reduces_to_plain(self):
         bump = RadialMap.bump_profile(3, (0.6, 0, 0), 0.9, amplitude=2.0)
         gu = bump._g()
         kernel = lambda rho: np.exp(-2 * rho) / rho
         plain = radial_pair(kernel, gu, 0.9, 0.6, 3)
-        sub = subtracted_radial_pair(kernel, gu, 0.9, 0.6, 0.0,
-                                     lambda rho: 0.0, 0.0, 3)
+        sub = radial_pair(kernel, gu, 0.9, 0.6, 3, cutoff=CutoffFunction(3),
+                          value_at_origin=0.0)
         assert sub == pytest.approx(plain, rel=1e-9)
 
     def test_subtraction_linearity(self):
         # for an integrable kernel the subtracted pairing equals
         # plain(f) - f(0) * int K w dx
         bump = RadialMap.bump_profile(3, (0.4, 0, 0), 1.0, amplitude=1.5)
-        w = RadialMap.plateau_profile(3, (0, 0, 0), 1.0, 0.5)
-        gu, wu = bump._g(), w._g()
+        w = CutoffFunction(3, radius=1.0)
+        gu = bump._g()
         kernel = lambda rho: np.exp(-rho) / rho
         f0 = float(bump(np.zeros(3)))
         plain = radial_pair(kernel, gu, 1.0, 0.4, 3)
-        kw = radial_pair(kernel, wu, 1.0, 0.0, 3)
-        sub = subtracted_radial_pair(kernel, gu, 1.0, 0.4, f0,
-                                     lambda rho: float(wu(np.float64(rho * rho))), 1.0, 3)
+        kw = radial_pair(kernel, w.gu(), 1.0, 0.0, 3)
+        sub = radial_pair(kernel, gu, 1.0, 0.4, 3, cutoff=w, value_at_origin=f0)
         assert sub == pytest.approx(plain - f0 * kw, rel=1e-8)
 
     def test_log_divergent_kernel_is_finite(self):
         # K = rho^-3 in d = 3 is at the logarithmic edge; the subtracted
         # pairing must converge and be stable under tolerance tightening
         bump = RadialMap.bump_profile(3, (0, 0, 0), 1.0)
-        w = RadialMap.plateau_profile(3, (0, 0, 0), 1.0, 0.5)
-        gu, wu = bump._g(), w._g()
-        wp = lambda rho: float(wu(np.float64(rho * rho)))
+        w = CutoffFunction(3, radius=1.0)
+        gu = bump._g()
         f0 = float(bump(np.zeros(3)))
         kernel = lambda rho: rho**-3
-        v1 = subtracted_radial_pair(kernel, gu, 1.0, 0.0, f0, wp, 1.0, 3)
-        v2 = subtracted_radial_pair(kernel, gu, 1.0, 0.0, f0, wp, 1.0, 3,
-                                    DEFAULT_SCHEME.tighter(1e-2))
+        v1 = radial_pair(kernel, gu, 1.0, 0.0, 3, cutoff=w, value_at_origin=f0)
+        v2 = radial_pair(kernel, gu, 1.0, 0.0, 3, DEFAULT_SCHEME.tighter(1e-2),
+                         cutoff=w, value_at_origin=f0)
         assert np.isfinite(v1)
         assert v1 == pytest.approx(v2, rel=1e-7)
 
