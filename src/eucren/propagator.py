@@ -27,6 +27,7 @@ radial form here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
@@ -94,7 +95,9 @@ class Propagator:
 
     def __call__(self, r):
         """P(r) for r > 0, scalar or array; singular entries follow the
-        closed form (inf at exactly 0 when sd > 0)."""
+        closed form (inf at exactly 0 when sd > 0).  In d = 1 and 3 the
+        constant is folded into the exponent, so an array costs one exp
+        and, in d = 3, one in-place divide."""
         r = np.asarray(r, dtype=float)
         scalar = r.ndim == 0
         r = np.atleast_1d(r)
@@ -102,10 +105,12 @@ class Propagator:
             if self.m == 0.0:
                 area = sphere_area(self.d)
                 out = r ** (2 - self.d) / ((self.d - 2) * area)
-            elif self.d == 1:
-                out = np.exp(-self.m * r) / (2.0 * self.m)
-            elif self.d == 3:
-                out = np.exp(-self.m * r) / (4.0 * np.pi * r)
+            elif self.d in (1, 3):
+                out = np.multiply(r, -self.m)
+                out -= math.log(2.0 * self.m if self.d == 1 else 4.0 * np.pi)
+                np.exp(out, out=out)
+                if self.d == 3:
+                    out /= r
             else:
                 out = ((2.0 * np.pi) ** (-self.d / 2.0) * self.m ** self.nu
                        * r ** (-self.nu) * besselk(self.nu, r * self.m))
@@ -146,40 +151,71 @@ class Propagator:
 
     def block(self, power: int, left=(), right=()) -> Callable:
         """Kernel matrix (x, y) -> d_x^left d_y^right P^power(|x - y|)
-        between two point sets, as ``quadrature.contract`` takes it.
+        between two point sets, as ``quadrature.contract`` takes it: the
+        one-kernel case of ``blocks``."""
+        kernels = self.blocks([(power, left, right)])
+        return lambda x, y: kernels(x, y)[0]
 
-        Decorations use the u-derivatives of P with u = |x - y|^2; they
+    def blocks(self, specs: Sequence[tuple]) -> Callable:
+        """Kernel matrices (x, y) -> [d_x^left d_y^right P^power(|x - y|)
+        for (power, left, right) in specs] between two point sets, as
+        ``quadrature.contract_pass`` takes them.
+
+        One call forms the distances once and P once, through
+        ``__call__``; higher powers are products of that matrix, made in
+        place where no lower power is asked for.  Decorations use the
+        u-derivatives of P at u = |x - y|^2 of the same distances; they
         are implemented on single powers up to total order 2.  A
         derivative in y is minus the one in x.
         """
-        alpha = [0] * self.d
-        for deco in (left, right):
-            for i, a in enumerate(deco):
-                alpha[i] += a
-        order = sum(alpha)
-        if order == 0:
-            return lambda x, y: self(cdist(x, y)) ** power
-        if power != 1:
-            raise UnsupportedCase(
-                "decorations are supported on single powers only")
-        if order > 2:
-            raise UnsupportedCase(
-                "decorated kernels implemented to total order 2")
-        sign = (-1.0) ** sum(right)
-        p1 = self.u_derivative(1)
-        p2 = self.u_derivative(2)
-        axes = [i for i, a in enumerate(alpha) for _ in range(a)]
+        plain, decorated = set(), {}
+        for power, left, right in specs:
+            alpha = [0] * self.d
+            for deco in (left, right):
+                for i, a in enumerate(deco):
+                    alpha[i] += a
+            if sum(alpha) == 0:
+                plain.add(power)
+                continue
+            if power != 1:
+                raise UnsupportedCase(
+                    "decorations are supported on single powers only")
+            if sum(alpha) > 2:
+                raise UnsupportedCase(
+                    "decorated kernels implemented to total order 2")
+            axes = [i for i, a in enumerate(alpha) for _ in range(a)]
+            decorated[left, right] = ((-1.0) ** sum(right), axes)
+        top = max(plain, default=0)
+        # P' enters every decorated kernel, P'' those of order 2
+        n_derivs = max((len(axes) for _, axes in decorated.values()),
+                       default=0)
+        derivs = [self.u_derivative(k) for k in range(1, n_derivs + 1)]
 
-        def block(x, y):
-            u = cdist(x, y, "sqeuclidean")
-            diff = [x[:, None, i] - y[None, :, i] for i in axes]
-            if order == 1:
-                return sign * 2.0 * diff[0] * p1(u)
-            out = 4.0 * diff[0] * diff[1] * p2(u)
-            if axes[0] == axes[1]:
-                out += 2.0 * p1(u)
-            return sign * out
-        return block
+        def kernel_blocks(x, y):
+            r = cdist(x, y)
+            out = {}
+            if plain:
+                p = acc = self(r)
+                out[1] = p
+                for j in range(2, top + 1):
+                    keep = (j - 1) in plain or (acc is p and j < top)
+                    acc = acc * p if keep else np.multiply(acc, p, out=acc)
+                    out[j] = acc
+            if decorated:
+                u = np.square(r, out=r)
+                pu = [dk(u) for dk in derivs]
+                for (left, right), (sign, axes) in decorated.items():
+                    diff = [x[:, None, i] - y[None, :, i] for i in axes]
+                    if len(axes) == 1:
+                        out[left, right] = sign * 2.0 * diff[0] * pu[0]
+                        continue
+                    k = 4.0 * diff[0] * diff[1] * pu[1]
+                    if axes[0] == axes[1]:
+                        k += 2.0 * pu[0]
+                    out[left, right] = sign * k
+            return [out[left, right] if (left, right) in decorated
+                    else out[power] for power, left, right in specs]
+        return kernel_blocks
 
 
 def green_function(d: int, m: float) -> Propagator:

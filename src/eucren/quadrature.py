@@ -21,9 +21,11 @@ integrals plus small tensor rules:
 * ``ProfileSpline`` caches a smooth radial profile on a window as a
   cubic spline; used for correlation profiles.
 
-* ``contract`` applies a kernel matrix between two point sets to a
-  vector, a block of rows at a time; every tensor-rule pairing and
-  graph-term contraction goes through it.
+* ``contract_pass`` applies several kernel matrices between two point
+  sets to several columns each, toward either set, in one pass over
+  blocks of rows; every graph-term contraction goes through it, and
+  ``contract`` (one kernel, one column) is what the tensor-rule
+  pairings use.
 
 * ``bump_rule`` and ``ball_rule`` are product rules on a ball: radius,
   polar cosine (d = 3) and azimuth (d = 2, 3).  ``bump_rule`` serves
@@ -78,6 +80,7 @@ __all__ = [
     "ProfileSpline",
     "correlation_profile",
     "contract",
+    "contract_pass",
     "pair_tensor",
 ]
 
@@ -395,7 +398,8 @@ _RADIAL_BLOCK = 1 << 16
 def radial_pair(kernel: Callable, gu: Callable, support: float, c, d: int,
                 scheme: QuadratureScheme = DEFAULT_SCHEME,
                 kernel_window: Optional[float] = None,
-                cutoff=None, value_at_origin=0.0):
+                cutoff=None, value_at_origin=0.0,
+                origin_cuts: int = _ORIGIN_LEVELS):
     """int K(|x|) f(x) dx for radial K and f radial about a point at
     distance c from the origin, for one offset c or an array of them.
 
@@ -416,12 +420,15 @@ def radial_pair(kernel: Callable, gu: Callable, support: float, c, d: int,
     average of f.  The rho integral runs on composite Gauss-Legendre
     panels split at c, |c - support|, c + support, the kernel window and
     the cutoff's radius and plateau, with the panel at rho = 0 cut
-    geometrically toward it (``panel_edges``).  Level k has order
-    _RADIAL_ORDER * 2^k.  A panel is final once two successive levels
-    agree to its share of max(rtol * scale, atol), the scale being the
-    largest magnitude of an offset's value or of one panel's in the
-    batch and the share one over its offset's panel count; a panel
-    still open after _RADIAL_LEVELS levels raises QuadratureFailure.
+    ``origin_cuts`` times geometrically toward it (``panel_edges``; the
+    log singularities of P in even d need the default, a smooth kernel
+    none).  Level k has order _RADIAL_ORDER * 2^k.  A panel is final
+    once two successive levels agree to its share of max(rtol * scale,
+    atol), the scale being the largest magnitude of an offset's value
+    or of one panel's in the batch and the share one over its offset's
+    panel count with the default origin cuts, whether or not they are
+    made; a panel still open after _RADIAL_LEVELS levels raises
+    QuadratureFailure.
     Panels are evaluated in blocks of about _RADIAL_BLOCK samples of
     gu, so the working memory does not grow with the batch.
     """
@@ -439,7 +446,7 @@ def radial_pair(kernel: Callable, gu: Callable, support: float, c, d: int,
         lo = np.zeros_like(c)
         hi = np.maximum(hi, cutoff.radius)
         marks += [cutoff.radius, cutoff.plateau_radius]
-    a, b, row = panel_edges(lo, hi, marks, _ORIGIN_LEVELS, _ORIGIN_RATIO)
+    a, b, row = panel_edges(lo, hi, marks, origin_cuts, _ORIGIN_RATIO)
     area = sphere_area(d)
     n_polar = len(_angular_rule(d, scheme.angular_n)[0])
 
@@ -458,7 +465,12 @@ def radial_pair(kernel: Callable, gu: Callable, support: float, c, d: int,
             out[start:start + len(sel)] = np.sum(w * f.reshape(-1, n), axis=1)
         return area * out
 
-    share = 1.0 / np.bincount(row, minlength=len(c))[row]
+    # the share of a panel is one over its offset's panel count with the
+    # full origin cuts, so that leaving them out holds every other panel
+    # to the same tolerance
+    full = row if origin_cuts == _ORIGIN_LEVELS else panel_edges(
+        lo, hi, marks, _ORIGIN_LEVELS, _ORIGIN_RATIO)[2]
+    share = 1.0 / np.bincount(full, minlength=len(c))[row]
     open_ = np.arange(len(a))
     values = panel_values(open_, _RADIAL_ORDER)
     for level in range(1, _RADIAL_LEVELS):
@@ -525,33 +537,61 @@ def correlation_profile(f_gu: Callable, f_support: float,
 
     The cross-correlation of two rotation-invariant functions is
     rotation invariant in the shift, so a 1-d profile captures it; its
-    PROFILE_SAMPLES shifts are one ``radial_pair`` batch.
+    PROFILE_SAMPLES shifts are one ``radial_pair`` batch, without cuts
+    toward rho = 0, where the kernel f is smooth.
     """
     s_max = f_support + g_support
     s_grid = np.linspace(0.0, s_max, PROFILE_SAMPLES)
     vals = radial_pair(lambda rho: f_gu(rho * rho), g_gu, g_support, s_grid,
-                       d, scheme, kernel_window=f_support)
+                       d, scheme, kernel_window=f_support, origin_cuts=0)
     return ProfileSpline(s_grid, vals, s_max)
 
 
-# rows of the first point set per kernel block in ``contract``
-_BLOCK_ROWS = 256
+# entries of one row block of ``contract_pass``: its kernel matrices,
+# their rows of the columns sent toward yp, and the columns sent
+# toward xp; about a 167-row block of one kernel between 3,136-node rules
+_BLOCK_ENTRIES = 1 << 19
+
+
+def contract_pass(blocks: Callable, xp: np.ndarray, yp: np.ndarray,
+                  toward_x: Sequence[np.ndarray],
+                  toward_y: Sequence[np.ndarray]):
+    """K_k(xp, yp) @ toward_x[k] and K_k(xp, yp)^T @ toward_y[k] for
+    every kernel K_k that ``blocks`` gives, in one pass over row blocks
+    of ``xp``; returns the two lists of results.
+
+    ``blocks(x, y)`` returns the kernel matrices between two point
+    sets, one per kernel.  ``toward_x[k]`` is a (len(yp), c) matrix
+    whose columns are contracted onto ``xp``, ``toward_y[k]`` a
+    (len(xp), c') matrix contracted onto ``yp``; either may have no
+    columns.  A block has as many rows as keep its kernel matrices,
+    their rows of ``toward_y`` and all of ``toward_x`` within
+    _BLOCK_ENTRIES entries (one row at least), so the working memory
+    does not grow with the rules.
+    """
+    fixed = sum(v.size for v in toward_x)
+    per_row = len(toward_x) * len(yp) + sum(u.shape[1] for u in toward_y)
+    rows = max(1, (_BLOCK_ENTRIES - fixed) // per_row)
+    out_x = [np.empty((len(xp), v.shape[1])) for v in toward_x]
+    out_y = [np.zeros((len(yp), u.shape[1])) for u in toward_y]
+    for lo in range(0, len(xp), rows):
+        hi = lo + rows
+        for k, kernel in enumerate(blocks(xp[lo:hi], yp)):
+            if toward_x[k].shape[1]:
+                out_x[k][lo:hi] = kernel @ toward_x[k]
+            if toward_y[k].shape[1]:
+                out_y[k] += kernel.T @ toward_y[k][lo:hi]
+    return out_x, out_y
 
 
 def contract(block: Callable, xp: np.ndarray, yp: np.ndarray,
              v: np.ndarray) -> np.ndarray:
-    """K(xp, yp) @ v without forming the whole kernel matrix.
-
-    ``block(x, y)`` returns the kernel matrix between two point sets;
-    it is called on successive row blocks of ``xp`` against all of
-    ``yp``, so the working memory is a few blocks of
-    _BLOCK_ROWS x len(yp).
-    """
-    out = np.empty(len(xp))
-    for lo in range(0, len(xp), _BLOCK_ROWS):
-        hi = lo + _BLOCK_ROWS
-        out[lo:hi] = np.asarray(block(xp[lo:hi], yp), dtype=float) @ v
-    return out
+    """K(xp, yp) @ v without forming the whole kernel matrix: the
+    one-kernel, one-column case of ``contract_pass``, with
+    ``block(x, y)`` the kernel matrix between two point sets."""
+    (out,), _ = contract_pass(lambda x, y: (block(x, y),), xp, yp,
+                              [v[:, None]], [np.empty((len(xp), 0))])
+    return out[:, 0]
 
 
 def pair_tensor(block: Callable, f, g,

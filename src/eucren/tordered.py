@@ -11,12 +11,23 @@ vertex, a multi-edge, a path, a star, ...) is summed by one message
 pass toward its lowest vertex: each vertex's weights on the rule of its
 coefficient (``rule``: Gauss for the bump weight on a bump), times the
 messages of its own children, are contracted through the edge's
-propagator power onto the nodes of the parent's coefficient.  Messages are shared across a run: a message is keyed
-by the content of its subtree (kernels and edge powers, not vertex
-indices), so every graph term and every product that contains the same
-subtree on the same rules reuses it.  Components with a cycle are
-outside the numeric envelope, and derivative decorations are evaluated
-only on a component that is a single power-one edge.
+propagator power onto the nodes of the parent's coefficient.
+
+A product plans its messages before it contracts any.  It collects the
+distinct messages of all of its graph terms; a message is keyed by the
+content of its subtree (kernels and edge powers, not vertex indices),
+the parent's rule and the scheme, so the terms and the products of a
+run share it, and those already in the run's memo are reused.  The
+others are batched by the unordered pair of rules they join: a pair is
+contracted in one pass over blocks of rows, which evaluates each of its
+kernels once per block for every message on the pair, in both
+directions.  The schedule takes first a pair whose messages all have
+their children's messages, and otherwise the pair with the most such
+messages, for those alone; ties go to a fixed order of the rules.
+
+Components with a cycle are outside the numeric envelope, and
+derivative decorations are evaluated only on a component that is a
+single power-one edge.
 
 The result of multiplying two local functionals is not local: the
 second derivative of the pointwise product contains a cross kernel
@@ -33,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -59,7 +71,9 @@ from .graphs import (MultiGraph, compositions, expansion_terms,
                      graph_to_amplitude, vertex_pairs)
 from .kernels import ScalarDistribution, components
 from .propagator import green_function, pair
-from .quadrature import DEFAULT_SCHEME, QuadratureScheme, contract
+from .quadrature import DEFAULT_SCHEME, QuadratureScheme, contract_pass
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 __all__ = [
     "FormalSeries",
@@ -154,38 +168,164 @@ def _weights(f, residual, phi: FieldConfiguration, scheme: QuadratureScheme):
     return pts, vals
 
 
-@lru_cache(maxsize=256)
-def _message(power: int, tree, nodes_key, left, phi: FieldConfiguration,
-             m: float, scheme: QuadratureScheme):
-    """What ``tree`` sends through the edge P^power, decorated by
-    ``left`` on the parent's side, onto the nodes of the parent
-    coefficient's rule (``nodes_key`` is the parent's): the sum over
-    the tree root's kernel terms of P^power(x, .) applied to the root's
-    weights times its children's messages.  A tree is
-    (kernel, ((edge power, child tree), ...)), so equal subtrees share
-    one message across a run."""
+class _Memo:
+    """A bounded least-recently-used map with the introspection of
+    ``functools.lru_cache``, for values computed in batches rather than
+    one call at a time."""
+
+    def __init__(self, maxsize: int):
+        self._data: OrderedDict = OrderedDict()
+        self._maxsize = maxsize
+        self._hits = self._misses = 0
+
+    def get(self, key):
+        value = self._data.get(key)
+        if value is None:
+            self._misses += 1
+        else:
+            self._hits += 1
+            self._data.move_to_end(key)
+        return value
+
+    def put(self, key, value):
+        self._data[key] = value
+        while len(self._data) > self._maxsize:
+            self._data.popitem(last=False)
+
+    def cache_info(self):
+        return _CacheInfo(self._hits, self._misses, self._maxsize,
+                          len(self._data))
+
+    def cache_parameters(self):
+        return {"maxsize": self._maxsize, "typed": False}
+
+    def cache_clear(self):
+        self._data.clear()
+        self._hits = self._misses = 0
+
+
+# the run's messages, keyed by (message, phi, m, scheme)
+_message_memo = _Memo(maxsize=256)
+
+
+def _below(children, dk: DKTerm):
+    """The messages that a vertex's children send onto the nodes of its
+    kernel term dk's coefficient.  A message is (edge power, subtree,
+    the parent coefficient's ``nodes_key``, the parent's decoration),
+    and a subtree is (kernel, ((edge power, child subtree), ...)), so
+    equal subtrees on equal rules are one message."""
+    return [(power, child, dk.coefficient.nodes_key, dk.arg_derivs[0])
+            for power, child in children]
+
+
+def _sent(children, dk: DKTerm, values, phi, scheme):
+    """dk's vertex weights times its children's messages on its nodes."""
+    _, vals = _weights(dk.coefficient, dk.residual, phi, scheme)
+    for key in _below(children, dk):
+        vals = vals * values[key]
+    return vals
+
+
+def _nodes(nodes_key, scheme: QuadratureScheme):
     rule, d, center, radius = nodes_key
-    x, _ = rule(d, center, radius, scheme.gauss_n)
-    prop = green_function(d, m)
-    kernel, children = tree
-    out = np.zeros(len(x))
-    for dk in kernel.terms:
-        pts, vals = _weights(dk.coefficient, dk.residual, phi, scheme)
-        vals = vals * _below(children, dk, phi, m, scheme)
-        block = prop.block(power, left, dk.arg_derivs[0])
-        out += float(dk.prefactor) * contract(block, x, pts, vals)
-    out.setflags(write=False)
-    return out
+    return rule(d, center, radius, scheme.gauss_n)[0]
 
 
-def _below(children, dk: DKTerm, phi, m, scheme):
-    """Product of the children's messages on the nodes of dk's
-    coefficient."""
-    out = 1.0
-    for power, child in children:
-        out = out * _message(power, child, dk.coefficient.nodes_key,
-                             dk.arg_derivs[0], phi, m, scheme)
-    return out
+def _rule_order(nodes_key):
+    """A sort key of a coefficient rule that does not depend on the run."""
+    rule, d, center, radius = nodes_key
+    return rule.__qualname__, d, center, radius
+
+
+def _messages(keys, phi: FieldConfiguration, m: float,
+              scheme: QuadratureScheme) -> Dict:
+    """{message: values on its parent's nodes} for ``keys`` and every
+    message below them.
+
+    Messages in the run's memo are reused.  The others are split into
+    columns, one per kernel term of the sending vertex, and grouped by
+    the unordered pair of rules they join.  A pair whose columns all
+    have their children's messages is contracted first; when no pair
+    is ready, the pair with the most ready columns is contracted on
+    those alone.  Ties go to the first pair in ``_rule_order``.  A pair
+    is one ``contract_pass``: each of its kernels is evaluated once per
+    row block, for all of its columns in both directions.
+    """
+    values, sums, open_parts = {}, {}, {}
+    columns: Dict[tuple, list] = {}
+    stack = list(reversed(keys))
+    while stack:
+        key = stack.pop()
+        if key in values or key in open_parts:
+            continue
+        hit = _message_memo.get((key, phi, m, scheme))
+        if hit is not None:
+            values[key] = hit
+            continue
+        _, (kernel, children), nodes_key, _ = key
+        open_parts[key] = len(kernel.terms)
+        for dk in kernel.terms:
+            pair = tuple(sorted((nodes_key, dk.coefficient.nodes_key),
+                                key=_rule_order))
+            columns.setdefault(pair, []).append((key, dk))
+            stack.extend(reversed(_below(children, dk)))
+
+    def ready(column):
+        (_, (_, children), _, _), dk = column
+        return all(k in values for k in _below(children, dk))
+
+    while columns:
+        best = None
+        for pair in sorted(columns, key=lambda p: [_rule_order(k) for k in p]):
+            now = [c for c in columns[pair] if ready(c)]
+            if len(now) == len(columns[pair]):
+                best = pair, now
+                break
+            if len(now) > (len(best[1]) if best else 0):
+                best = pair, now
+        pair, now = best
+        columns[pair] = [c for c in columns[pair] if not ready(c)]
+        if not columns[pair]:
+            del columns[pair]
+        for (key, dk), sent in zip(now, _contract(pair, now, values, phi, m,
+                                                  scheme)):
+            sums[key] = sums.get(key, 0.0) + float(dk.prefactor) * sent
+            open_parts[key] -= 1
+            if not open_parts[key]:
+                out = values[key] = sums.pop(key)
+                out.setflags(write=False)
+                _message_memo.put((key, phi, m, scheme), out)
+    return values
+
+
+def _contract(pair, columns, values, phi, m, scheme):
+    """Every column's contraction on the rule pair (rows, cols), from
+    one ``contract_pass``: a column whose parent is the rows' rule is
+    K @ v, one whose parent is the cols' K^T @ u, with K oriented rows
+    by cols."""
+    rows, cols = pair
+    specs: Dict[tuple, Tuple[list, list]] = {}
+    place = []
+    for (power, (_, children), nodes_key, left), dk in columns:
+        side = int(nodes_key != rows)
+        right = dk.arg_derivs[0]
+        spec = (power, right, left) if side else (power, left, right)
+        sent = specs.setdefault(spec, ([], []))[side]
+        place.append((spec, side, len(sent)))
+        sent.append(_sent(children, dk, values, phi, scheme))
+    x, y = _nodes(rows, scheme), _nodes(cols, scheme)
+    to_x, to_y = contract_pass(
+        green_function(phi.d, m).blocks(list(specs)), x, y,
+        [_stack(v, len(y)) for v, _ in specs.values()],
+        [_stack(u, len(x)) for _, u in specs.values()])
+    index = {spec: k for k, spec in enumerate(specs)}
+    return [(to_y if side else to_x)[index[spec]][:, j]
+            for spec, side, j in place]
+
+
+def _stack(vectors, n: int) -> np.ndarray:
+    """The vectors as the columns of an (n, len(vectors)) matrix."""
+    return np.stack(vectors, axis=1) if vectors else np.empty((n, 0))
 
 
 def _tree(kernels, adj, v: int, parent: Optional[int]):
@@ -193,15 +333,13 @@ def _tree(kernels, adj, v: int, parent: Optional[int]):
                               for c in adj[v] if c != parent))
 
 
-def term_value(graph: MultiGraph, functionals: Sequence[LocalFunctional],
-               phi: FieldConfiguration, m: float,
-               scheme: QuadratureScheme) -> float:
-    """One graph term at the background ``phi``: the product over its
-    connected components, each a tree summed toward its lowest vertex."""
+def _trees(graph: MultiGraph, functionals: Sequence[LocalFunctional]):
+    """One graph term's connected components, each a tree rooted at its
+    lowest vertex, or None when the term vanishes."""
     amp = graph_to_amplitude(graph, functionals)
     if amp.is_zero:
-        return 0.0
-    value = 1.0
+        return None
+    trees = []
     for verts in components(graph.n, [f.pair for f in amp.factors]):
         edges = [f for f in amp.factors if f.i in verts]
         if len(edges) != len(verts) - 1:
@@ -218,14 +356,38 @@ def term_value(graph: MultiGraph, functionals: Sequence[LocalFunctional],
         adj: Dict[int, Dict[int, int]] = {v: {} for v in verts}
         for f in edges:
             adj[f.i][f.j] = adj[f.j][f.i] = f.power
-        kernel, children = _tree(amp.kernels, adj, verts[0], None)
+        trees.append(_tree(amp.kernels, adj, verts[0], None))
+    return trees
+
+
+def term_value(trees, values, phi: FieldConfiguration,
+               scheme: QuadratureScheme) -> float:
+    """One graph term at the background: the product over its trees of
+    the sum over each root's kernel terms of its weights times the
+    planned messages of its children (``values``)."""
+    if trees is None:
+        return 0.0
+    value = 1.0
+    for kernel, children in trees:
         total = 0.0
         for dk in kernel.terms:
-            _, vals = _weights(dk.coefficient, dk.residual, phi, scheme)
-            vals = vals * _below(children, dk, phi, m, scheme)
+            vals = _sent(children, dk, values, phi, scheme)
             total += float(dk.prefactor) * float(vals.sum())
         value *= total
     return value
+
+
+def _graph_values(graphs: Sequence[MultiGraph],
+                  functionals: Sequence[LocalFunctional],
+                  phi: FieldConfiguration, m: float,
+                  scheme: QuadratureScheme) -> List[float]:
+    """Each graph term's value: the messages of all terms are planned
+    and contracted together first (``_messages``)."""
+    trees = [_trees(g, functionals) for g in graphs]
+    roots = [key for t in trees if t for kernel, children in t
+             for dk in kernel.terms for key in _below(children, dk)]
+    values = _messages(roots, phi, m, scheme)
+    return [term_value(t, values, phi, scheme) for t in trees]
 
 
 def _check_arguments(functionals: Sequence[LocalFunctional],
@@ -266,10 +428,12 @@ def product_expansion(functionals: Sequence[LocalFunctional],
     _check_arguments(functionals, phi, m)
     if rule_shift:
         scheme = replace(scheme, gauss_n=scheme.gauss_n + rule_shift)
+    terms = expansion_terms(len(functionals), order)
+    values = _graph_values([term.graph for term in terms], functionals, phi,
+                           m, scheme)
     data: Dict[int, float] = {}
     rows = []
-    for term in expansion_terms(len(functionals), order):
-        value = term_value(term.graph, functionals, phi, m, scheme)
+    for term, value in zip(terms, values):
         data[term.order] = data.get(term.order, 0.0) + float(term.weight) * value
         rows.append((term.order, term.graph, term.weight, value))
     return ProductResult(FormalSeries.from_dict(data, order), tuple(rows))
@@ -364,7 +528,6 @@ def block_product(functionals: Sequence[LocalFunctional],
         scheme = replace(scheme, gauss_n=scheme.gauss_n + rule_shift)
     pairs = vertex_pairs(n)
     cross_pairs = [(min(i, j), max(i, j)) for i in I for j in Ic]
-    data: Dict[int, float] = {}
 
     def block_terms(block, budget):
         for wt in expansion_terms(len(block), budget):
@@ -373,6 +536,7 @@ def block_product(functionals: Sequence[LocalFunctional],
                 mult[pairs.index((block[a], block[b]))] = mv
             yield wt.order, wt.weight, mult
 
+    terms = []
     for k in range(order + 1):
         for cross in compositions(k, len(cross_pairs)):
             cross_weight = Fraction(1)
@@ -383,12 +547,14 @@ def block_product(functionals: Sequence[LocalFunctional],
                     mult = [a + b for a, b in zip(mult_i, mult_c)]
                     for (a, b), c in zip(cross_pairs, cross):
                         mult[pairs.index((a, b))] += c
-                    graph = MultiGraph(n, tuple(mult))
-                    weight = cross_weight * w_i * w_c
-                    value = term_value(graph, functionals, phi, m, scheme)
-                    data[k + l_i + l_c] = (data.get(k + l_i + l_c, 0.0)
-                                           + float(weight) * value)
+                    terms.append((k + l_i + l_c, cross_weight * w_i * w_c,
+                                  MultiGraph(n, tuple(mult))))
 
+    values = _graph_values([graph for _, _, graph in terms], functionals,
+                           phi, m, scheme)
+    data: Dict[int, float] = {}
+    for (k, weight, _), value in zip(terms, values):
+        data[k] = data.get(k, 0.0) + float(weight) * value
     return FormalSeries.from_dict(data, order)
 
 

@@ -1,6 +1,7 @@
 """The memo idiom: every cache in eucren is a functools.lru_cache keyed
-by its function's arguments, and only caches keyed by small integers
-alone may grow without bound."""
+by its function's arguments, or, for the messages that products compute
+in batches, a memo with the same introspection; only caches keyed by
+small integers alone may grow without bound."""
 
 import importlib
 import os
@@ -16,24 +17,26 @@ UNBOUNDED = {"quadrature.gauss_legendre", "expr.coords", "expr._u_symbol",
 
 
 def _caches():
-    """{module.qualname: function} of every lru_cache defined in eucren,
-    at module level or on a class."""
+    """{module.qualname: cache} of every lru_cache defined in eucren, at
+    module level or on a class, and of every memo object at module level
+    (named by its attribute)."""
     found = {}
     for info in pkgutil.iter_modules(eucren.__path__):
         module = importlib.import_module(f"eucren.{info.name}")
-        objects = list(vars(module).values())
-        objects += [getattr(v, "__func__", v) for cls in objects
-                    if isinstance(cls, type) for v in vars(cls).values()]
-        for obj in objects:
-            if (hasattr(obj, "cache_info")
+        objects = list(vars(module).items())
+        objects += [(name, getattr(v, "__func__", v)) for _, cls in objects
+                    if isinstance(cls, type) for name, v in vars(cls).items()]
+        for name, obj in objects:
+            if (hasattr(obj, "cache_info") and not isinstance(obj, type)
                     and obj.__module__ == module.__name__):
-                found[f"{info.name}.{obj.__qualname__}"] = obj
+                qualname = getattr(obj, "__qualname__", name)
+                found[f"{info.name}.{qualname}"] = obj
     return found
 
 
 def test_every_cache_is_bounded():
     caches = _caches()
-    assert {"tordered._message", "tordered._weights",
+    assert {"tordered._message_memo", "tordered._weights",
             "quadrature._ball_rule"} <= set(caches)
     unbounded = {name for name, fn in caches.items()
                  if fn.cache_parameters()["maxsize"] is None}

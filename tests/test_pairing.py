@@ -26,6 +26,7 @@ from eucren.quadrature import (
     PROFILE_SAMPLES,
     QuadratureScheme,
     correlation_profile,
+    radial_pair,
 )
 from eucren.triple import analytic_field, grid_field, pair_three, triple_pairing
 
@@ -347,6 +348,21 @@ class TestPanelRoute:
         ref = quadpack_radial(lambda rho: fu(rho * rho), g.gu(), 0.9, s, d,
                               kernel_window=1.0)
         self.check(prof(s), ref)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_profile_without_origin_cuts(self, d):
+        # the kernel of a correlation profile is a smooth bump, so its
+        # profile leaves out the cuts toward rho = 0; every other panel
+        # keeps the tolerance it had with them, so the values stay
+        # within 1e-10 of the maximum of the route with the cuts
+        f = TestFunction(d, (0.0,) * d, 1.0, 1.1)
+        g = TestFunction(d, (0.0,) * d, 0.8, 1.2)
+        s = np.linspace(0.0, 1.8, PROFILE_SAMPLES)
+        fu = f.gu()
+        cut = radial_pair(lambda rho: fu(rho * rho), g.gu(), 0.8, s, d,
+                          kernel_window=1.0)
+        prof = correlation_profile(fu, 1.0, g.gu(), 0.8, d)
+        assert np.max(np.abs(prof(s) - cut)) <= 1e-10 * np.max(np.abs(cut))
 
     @pytest.mark.parametrize("power", [1, 2])
     @pytest.mark.parametrize("leg_center,lo,hi", [

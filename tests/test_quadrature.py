@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from eucren import quadrature
 from eucren.errors import QuadratureFailure
 from eucren.expr import RadialMap
 from eucren.functionals import TestFunction
@@ -20,6 +21,7 @@ from eucren.quadrature import (
     bump_orders,
     bump_rule,
     contract,
+    contract_pass,
     correlation_profile,
     pair_tensor,
     quad_1d,
@@ -226,10 +228,16 @@ class TestProfilesAndTensor:
 
 
 class TestContract:
-    # 432 nodes in the first rule: two row blocks, the second partial
+    # 432 nodes in the first rule, 250 in the second: at 256 rows of 250
+    # entries a block, two row blocks, the second partial
     xp, _ = ball_rule(3, (0.0, 0.0, 0.0), 1.0, 6)
     yp, yw = ball_rule(3, (2.4, 0.3, 0.0), 0.8, 5)
     v = yw * np.cos(np.arange(len(yw)))
+
+    @pytest.fixture(autouse=True)
+    def two_blocks(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES",
+                            256 * len(self.yp) + len(self.yp))
 
     def check(self, block):
         dense = block(self.xp, self.yp) @ self.v
@@ -242,6 +250,77 @@ class TestContract:
 
     def test_decorated_block(self):
         self.check(green_function(3, 1.0).block(1, (1, 0, 0), (0, 1, 0)))
+
+
+class TestContractPass:
+    """``contract_pass`` against the dense K @ V and K^T @ U of
+    ``Propagator.block``, with rows that the block size does not divide;
+    d = 2 and 4 go through besselk."""
+
+    @staticmethod
+    def points(d, center, radius, n, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n, d))
+        z *= (radius * rng.uniform(size=(n, 1)) ** (1.0 / d)
+              / np.linalg.norm(z, axis=1, keepdims=True))
+        return z + np.asarray(center)
+
+    @staticmethod
+    def specs(d):
+        e = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+        return [(1, (), ()), (2, (), ()), (3, (), ()),
+                (1, e[0], ()), (1, (), e[-1]), (1, e[0], e[-1]),
+                (1, tuple(2 * a for a in e[0]), ()), (1, e[-1], e[0])]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_dense(self, d, monkeypatch):
+        P = green_function(d, 1.0)
+        xp = self.points(d, (0.0,) * d, 1.0, 101, d)
+        yp = self.points(d, (2.5,) + (0.0,) * (d - 1), 0.8, 37, 10 + d)
+        specs = self.specs(d)
+        rng = np.random.default_rng(20 + d)
+        # every kernel but the last sends columns both ways; the last
+        # sends toward yp only, and the first toward xp two columns
+        toward_x = [rng.normal(size=(len(yp), 2 if k == 0 else 1))
+                    for k in range(len(specs) - 1)] + [np.empty((37, 0))]
+        toward_y = [rng.normal(size=(len(xp), 1)) for _ in specs]
+        monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 3000)
+        rows = []
+        kernels = P.blocks(specs)
+
+        def recording(x, y):
+            rows.append(len(x))
+            return kernels(x, y)
+
+        to_x, to_y = contract_pass(recording, xp, yp, toward_x, toward_y)
+        assert len(rows) > 2 and sum(rows) == len(xp)
+        assert len(xp) % rows[0] != 0
+        for k, (power, left, right) in enumerate(specs):
+            dense = P.block(power, left, right)(xp, yp)
+            for got, ref in ((to_x[k], dense @ toward_x[k]),
+                             (to_y[k], dense.T @ toward_y[k])):
+                assert got.shape == ref.shape
+                np.testing.assert_allclose(
+                    got, ref, rtol=1e-13,
+                    atol=1e-13 * np.max(np.abs(ref), initial=0.0))
+
+    def test_block_entries_bound_the_rows(self, monkeypatch):
+        # a block holds its kernel matrices, its rows of U and all of V
+        xp = self.points(3, (0.0, 0.0, 0.0), 1.0, 50, 1)
+        yp = self.points(3, (3.0, 0.0, 0.0), 1.0, 40, 2)
+        toward_x = [np.ones((40, 3)), np.ones((40, 0))]
+        toward_y = [np.ones((50, 1)), np.ones((50, 2))]
+        monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 1000)
+        kernels = green_function(3, 1.0).blocks([(1, (), ()), (2, (), ())])
+        rows = []
+
+        def recording(x, y):
+            rows.append(len(x))
+            return kernels(x, y)
+
+        contract_pass(recording, xp, yp, toward_x, toward_y)
+        assert max(rows) * (2 * 40 + 3) + 120 <= 1000
+        assert (max(rows) + 1) * (2 * 40 + 3) + 120 > 1000
 
 
 def _bump_moments(d: int, top: int):

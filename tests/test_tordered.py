@@ -5,20 +5,23 @@ written inline, and the background polynomial mirrored as a plain
 numpy expression.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from eucren import tordered
+from eucren.cli import parse_config, run
 from eucren.errors import (DomainError, NonLinearInput,
                            PreconditionViolated, UnsupportedCase)
 from eucren.functionals import (CoefficientPiece, FieldConfiguration,
                                 LocalFunctional, MonomialTerm, TestFunction,
                                 derivative_kernel, evaluate,
                                 supports_disjoint)
+from eucren.propagator import Propagator
 from eucren.quadrature import (QuadratureScheme, ball_rule, bump_orders,
-                               contract)
+                               bump_rule, contract_pass)
 from eucren.tordered import (E_n, FormalSeries, block_product,
                              causal_factorization_check, product_expansion,
                              star_E, wick_expansion, wick_order_pair,
@@ -319,17 +322,18 @@ class TestTrees:
     @staticmethod
     def record_contractions(monkeypatch):
         """Empty the message caches, so that every message is contracted
-        anew, and return the list every contraction appends to."""
-        tordered._message.cache_clear()
+        anew, and return the list every contracted column appends to."""
+        tordered._message_memo.cache_clear()
         tordered._weights.cache_clear()
         vectors = []
 
-        def recording(block, x, y, v):
-            out = contract(block, x, y, v)
-            vectors.append(out.tobytes())
+        def recording(blocks, x, y, toward_x, toward_y):
+            out = contract_pass(blocks, x, y, toward_x, toward_y)
+            vectors.extend(column.tobytes() for side in out
+                           for matrix in side for column in matrix.T)
             return out
 
-        monkeypatch.setattr(tordered, "contract", recording)
+        monkeypatch.setattr(tordered, "contract_pass", recording)
         return vectors
 
     def test_terms_share_subtree_messages(self, monkeypatch):
@@ -360,8 +364,8 @@ class TestTrees:
         scheme = QuadratureScheme(gauss_n=6)
         kernel = derivative_kernel(LocalFunctional.phi_power(2, F1), 1)
         dk, = kernel.terms
-        message = tordered._message(1, (kernel, ()), F0.nodes_key,
-                                    dk.arg_derivs[0], PHI, M, scheme)
+        key = (1, (kernel, ()), F0.nodes_key, dk.arg_derivs[0])
+        message = tordered._messages([key], PHI, M, scheme)[key]
         weights = tordered._weights(dk.coefficient, dk.residual, PHI, scheme)
         for array in (message, *weights):
             with pytest.raises(ValueError):
@@ -372,7 +376,7 @@ class TestTrees:
         # the same ball the Gauss-Legendre ones; the message cache keys
         # on the parent's rule, so the two never share an entry, while
         # bumps on one ball share it whatever their amplitudes
-        tordered._message.cache_clear()
+        tordered._message_memo.cache_clear()
         scheme = QuadratureScheme(gauss_n=6)
         kernel = derivative_kernel(LocalFunctional.phi_power(2, F1), 1)
         dk, = kernel.terms
@@ -388,33 +392,56 @@ class TestTrees:
         for parent, (x, _) in ((F0, F0.rule(6)),
                                (piece, ball_rule(D, F0.center, F0.radius, 6)),
                                (louder, F0.rule(6))):
-            messages.append(tordered._message(
-                1, (kernel, ()), parent.nodes_key, dk.arg_derivs[0], PHI, M,
-                scheme))
+            key = (1, (kernel, ()), parent.nodes_key, dk.arg_derivs[0])
+            messages.append(tordered._messages([key], PHI, M, scheme)[key])
             r = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
             np.testing.assert_allclose(messages[-1], prop(r) @ sent,
                                        rtol=1e-12)
         assert messages[2] is messages[0]
-        assert tordered._message.cache_info().misses == 2
+        assert tordered._message_memo.cache_info().misses == 2
         assert len(F0.rule(6)[0]) == 96
         assert len(ball_rule(D, F0.center, F0.radius, 6)[0]) == 432
 
     def test_rule_shift_reaches_the_rules(self, monkeypatch):
         # the shifted product contracts on the bump rules of gauss_n + 4,
         # every axis of which is finer (TestBumpRule)
-        tordered._message.cache_clear()
+        tordered._message_memo.cache_clear()
         tordered._weights.cache_clear()
         sizes = []
 
-        def recording(block, x, y, v):
+        def recording(blocks, x, y, toward_x, toward_y):
             sizes.append((len(x), len(y)))
-            return contract(block, x, y, v)
+            return contract_pass(blocks, x, y, toward_x, toward_y)
 
-        monkeypatch.setattr(tordered, "contract", recording)
+        monkeypatch.setattr(tordered, "contract_pass", recording)
         F, G = (LocalFunctional.phi_power(2, f) for f in (F0, F1))
         star_E(F, G, PHI, M, 1, QuadratureScheme(gauss_n=6), rule_shift=4)
         assert sizes and set(sizes) == {(640, 640)}
         assert bump_orders(10) == (5, 8, 16)
+
+    def test_verify_evaluates_each_rule_pair_once(self, monkeypatch):
+        # verify d=3 joins three bumps pairwise, on gauss_n and on the
+        # shifted gauss_n + 4: the binary product evaluates one pair, the
+        # block product the other two and then the first again for the
+        # messages whose children it needed, so 4 full-pair evaluations
+        # per rule size, and P is evaluated on no other matrix
+        tordered._message_memo.cache_clear()
+        tordered._weights.cache_clear()
+        entries = Counter()
+        call = Propagator.__call__
+
+        def counting(self, r):
+            r = np.asarray(r)
+            if r.ndim == 2:
+                entries[r.shape[1]] += r.size
+            return call(self, r)
+
+        monkeypatch.setattr(Propagator, "__call__", counting)
+        run(parse_config("command=verify d=3 m=1 seed=3 gauss_n=4"))
+        small, large = (len(bump_rule(3, (0.0,) * 3, 1.0, n)[0])
+                        for n in (4, 8))
+        assert (small, large) == (36, 288)
+        assert entries == {small: 4 * small ** 2, large: 4 * large ** 2}
 
 
 class TestCausality:
