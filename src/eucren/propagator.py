@@ -450,7 +450,7 @@ def pair(t: ScalarDistribution, tests: Sequence,
     result = 1.0
     for verts, _ in t.components():
         if len(verts) == 1:
-            result *= tests[verts[0]].integral(scheme)
+            result *= tests[verts[0]].integral()
             continue
         sub = t.relabelled(verts)
         sub_tests = [tests[v] for v in verts]

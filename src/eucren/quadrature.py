@@ -40,10 +40,9 @@ integrals plus small tensor rules:
 
 The radial integrals double the panel order until two successive
 levels agree; an integral that does not settle raises
-QuadratureFailure.  ``quad_1d`` (QUADPACK, scipy.integrate.quad) is
-left for single scalar 1-d integrals; a nonzero error flag or an
-absolute-error report far above the requested tolerance raises
-QuadratureFailure rather than returning junk.
+QuadratureFailure.  These two families, the panels and the bump rule,
+carry every integral of the package; a bump's own integral is the
+mass of ``bump_gauss`` in closed form.
 
 Spherical averages are computed in the squared-radius variable u (see
 ``expr``), which keeps integrands finite at every sample; quadrature
@@ -58,7 +57,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from .errors import QuadratureFailure, UnsupportedCase
@@ -66,14 +64,12 @@ from .errors import QuadratureFailure, UnsupportedCase
 __all__ = [
     "QuadratureScheme",
     "DEFAULT_SCHEME",
-    "quad_1d",
     "gauss_legendre",
     "sphere_area",
     "ball_rule",
     "bump_orders",
     "bump_rule",
     "bump_gauss",
-    "angular_average",
     "panel_edges",
     "panel_rule",
     "radial_pair",
@@ -90,9 +86,8 @@ class QuadratureScheme:
     """Knobs for the nested quadratures.
 
     rtol / atol are the tolerances of the 1-d integrals (the agreement
-    between panel levels in ``radial_pair``, QUADPACK's request in
-    ``quad_1d``); gauss_n the order of the ball rules
-    (the bump rule of a coefficient bump: ceil(n/2) radial,
+    between panel levels in ``radial_pair``); gauss_n the order of the
+    ball rules (the bump rule of a coefficient bump: ceil(n/2) radial,
     max(n-2, floor(n/2)+1) polar and twice as many azimuthal nodes; any
     other ball rule: Gauss-Legendre of order n in the radius and polar
     cosine, max(2n, 8) azimuthal nodes); angular_n the polar-average
@@ -111,35 +106,15 @@ class QuadratureScheme:
 
 DEFAULT_SCHEME = QuadratureScheme()
 
-# QUADPACK's subinterval limit
-QUAD_LIMIT = 200
 # samples of a cached radial profile
 PROFILE_SAMPLES = 360
 
 
-def quad_1d(f, a: float, b: float, scheme: QuadratureScheme = DEFAULT_SCHEME,
-            points: Optional[Sequence[float]] = None) -> float:
-    """QUADPACK on [a, b] with failure promoted to QuadratureFailure."""
-    if b <= a:
-        return 0.0
-    pts = None
-    if points:
-        pts = sorted({float(p) for p in points if a < p < b})
-        if not pts:
-            pts = None
-    out = quad(f, a, b, epsabs=scheme.atol, epsrel=scheme.rtol,
-               limit=QUAD_LIMIT, points=pts, full_output=1)
-    result, abserr = out[0], out[1]
-    if len(out) > 3:
-        # a fourth element is QUADPACK's warning/error message
-        raise QuadratureFailure(
-            f"integration on [{a:g}, {b:g}] failed: {out[3]}")
-    tol = max(scheme.atol, scheme.rtol * abs(result))
-    if abserr > 1e3 * tol and abserr > 1e-8 * max(1.0, abs(result)):
-        raise QuadratureFailure(
-            f"integration on [{a:g}, {b:g}] error estimate {abserr:g} "
-            f"exceeds tolerance {tol:g}")
-    return result
+def quad(*args, **kwargs):
+    """Not an integrator: eucren makes no QUADPACK call.  The name stays
+    because ``perfbench/tracer.py`` wraps ``eucren.quadrature.quad``
+    when it installs; calling it raises."""
+    raise NotImplementedError("eucren integrates on its own Gauss rules")
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +207,8 @@ _STIELTJES_MIN_NODES = 200
 @lru_cache(maxsize=64)
 def bump_gauss(d: int, order: int):
     """Gauss rule of ``order`` nodes for exp(-1/(1 - t^2)) on [-1, 1]
-    (d = 1) or t^(d-1) exp(-1/(1 - t^2)) on [0, 1] (d = 2, 3).
+    (d = 1) or t^(d-1) exp(-1/(1 - t^2)) on [0, 1] (d >= 2).  The
+    weights sum to the mass of that weight at every order.
 
     The recurrence coefficients come from the discretised Stieltjes
     procedure on a Gauss-Legendre discretisation of the weight, the
@@ -317,20 +293,6 @@ def _sphere_mean(gu: Callable, rho, c, d: int, n: int):
     u = np.maximum(rho * rho + c * c - 2.0 * c * rho * mu, 0.0)
     # a constant profile compiles to a function returning one number
     return np.broadcast_to(np.asarray(gu(u), dtype=float), u.shape) @ w
-
-
-def angular_average(gu: Callable, c: float, d: int, n: int = 96) -> Callable:
-    """Spherical average A(rho) of x -> g(|x - c e1|^2) about the origin.
-
-    ``gu`` must accept numpy arrays of squared distances.  The returned
-    callable is vectorized over rho and finite at rho = 0.
-    """
-    c = float(c)
-
-    def avg(rho):
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        return _sphere_mean(gu, rho, np.full_like(rho, c), d, n)
-    return avg
 
 
 def panel_edges(lo, hi, marks, levels: int = 0, ratio: float = 0.5):
@@ -504,12 +466,6 @@ class ProfileSpline:
         self._spline = CubicSpline(s[order], values[order])
         self.support_radius = float(support)
 
-    @classmethod
-    def from_function(cls, f: Callable, support: float, n: int) -> "ProfileSpline":
-        # inset from both ends so boundary-nan expressions are never hit
-        s = np.linspace(1e-9, support * (1.0 - 1e-12), n)
-        return cls(s, np.asarray(f(s), dtype=float), support)
-
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         inside = (s >= self._s0) & (s <= self.support_radius)
@@ -523,7 +479,7 @@ class ProfileSpline:
         return out if out.ndim else float(out)
 
     def profile_u(self):
-        """Squared-radius view suitable for angular_average."""
+        """Squared-radius view, the ``gu`` that ``radial_pair`` takes."""
         def gu(u):
             u = np.asarray(u, dtype=float)
             return self(np.sqrt(np.maximum(u, 0.0)))

@@ -36,13 +36,7 @@ from .kernels import (
     counterterm_count,
 )
 from .propagator import green_function, pair_extension, radial_view
-from .quadrature import (
-    DEFAULT_SCHEME,
-    QuadratureScheme,
-    ball_rule,
-    quad_1d,
-    sphere_area,
-)
+from .quadrature import DEFAULT_SCHEME, QuadratureScheme, radial_pair
 
 __all__ = [
     "ScalingDegree",
@@ -115,10 +109,8 @@ def _pair_value(t: ScalarDistribution, phi, scheme: QuadratureScheme) -> float:
 
 
 def _callable_value(kernel: Callable, phi, scheme: QuadratureScheme) -> float:
-    pts, wts = ball_rule(phi.d, phi.center, phi.radius, scheme.gauss_n)
-    dist = np.linalg.norm(pts, axis=1)
-    return float(wts @ (np.asarray(kernel(dist), dtype=float)
-                        * np.asarray(phi(pts), dtype=float)))
+    return radial_pair(kernel, phi.gu(), phi.radius,
+                       float(np.linalg.norm(phi.center)), phi.d, scheme)
 
 
 def scaling_degree_numeric(t, phi,
@@ -267,15 +259,11 @@ def counterterm_shift(t: ScalarDistribution, old: CutoffFunction,
     if prop.edge_sd(factor) != prop.d or factor.deriv_order:
         raise DomainError(
             "the order-zero compensation formula needs divergence degree 0")
-    kernel = prop.power_callable(factor.power)
-    lo = 0.9 * min(old.plateau_radius, new.plateau_radius)
-    hi = max(old.radius, new.radius)
-
-    def integrand(r):
-        return (r ** (t.d - 1) * float(kernel(r))
-                * float(new.profile(r) - old.profile(r)))
-
-    return sphere_area(t.d) * quad_1d(integrand, lo, hi, scheme)
+    # the new cutoff as the test at offset 0, the old one as the
+    # subtraction with f(0) = 1: the integrand is P^j (w_new - w_old)
+    return radial_pair(prop.power_callable(factor.power), new.gu(),
+                       new.radius, 0.0, t.d, scheme, cutoff=old,
+                       value_at_origin=1.0)
 
 
 # -- power counting ---------------------------------------------------------

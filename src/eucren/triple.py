@@ -38,9 +38,10 @@ through r = 0.
 
 Paths (two edges sharing a pivot vertex) do not need the grid: each
 leg is a radial profile of the (possibly renormalized) edge pairing
-against the far test function, and the pivot integral is a smooth
-ball quadrature.  Triangles whose test centers neither coincide nor
-support a common point are outside the numeric envelope.
+against the far test function, and the pivot integral runs on the
+pivot's own rule (Gauss for the bump weight).  Triangles whose test
+centers neither coincide nor support a common point are outside the
+numeric envelope.
 """
 
 from __future__ import annotations
@@ -335,8 +336,7 @@ def _pair_path(t: ScalarDistribution, tests, scheme: QuadratureScheme) -> float:
     shared = set(fac1.pair) & set(fac2.pair)
     pivot = shared.pop()
     pv = tests[pivot]
-    pts, wts = ball_rule(t.d, pv.center, pv.radius, scheme.gauss_n)
-    vals = np.asarray(pv(pts), dtype=float)
+    pts, wts = pv.rule(scheme.gauss_n)
     for factor in (fac1, fac2):
         leg_vertex = factor.i if factor.j == pivot else factor.j
         leg = tests[leg_vertex]
@@ -347,8 +347,8 @@ def _pair_path(t: ScalarDistribution, tests, scheme: QuadratureScheme) -> float:
         prof = _leg_profile(t.d, t.m, factor.power, factor.extension, leg,
                             lo, hi, scheme)
         rho = np.linalg.norm(pts - np.asarray(leg.center, dtype=float), axis=1)
-        vals = vals * prof(rho)
-    return float(wts @ vals)
+        wts = wts * prof(rho)
+    return float(np.sum(wts))
 
 
 def pair_three(t: ScalarDistribution, tests,

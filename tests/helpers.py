@@ -2,11 +2,28 @@
 
 Monte Carlo estimators are deliberately independent of the package's
 quadrature code paths: uniform sampling over balls, nothing radial.
+The deterministic references are adaptive QUADPACK, which the package
+itself never calls.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
+from scipy.integrate import quad
+
+import eucren
+
+
+def fresh_run(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that
+    imports eucren from the same source tree as the suite."""
+    src = os.path.dirname(os.path.dirname(eucren.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
 
 
 def ball_volume(d: int, radius: float) -> float:
@@ -91,6 +108,14 @@ def mc_triple(k01, k02, k12, d: int, tests, n: int = 1_000_000, seed: int = 0):
     return mc_graph(((0, 1, k01), (0, 2, k02), (1, 2, k12)), d, tests, n, seed)
 
 
+def quadpack(f, a: float, b: float, points=(), epsrel: float = 1e-13) -> float:
+    """Adaptive QUADPACK reference for int_a^b f of a scalar integrand,
+    split at the ``points`` inside (a, b)."""
+    inner = sorted({float(p) for p in points if a < p < b}) or None
+    return quad(f, a, b, epsabs=0.0, epsrel=epsrel, limit=500,
+                points=inner)[0]
+
+
 def _polar_rule(d: int, n: int):
     """Cosines and weights averaging a function of the polar cosine over
     the unit sphere in R^d, the rule ``quadrature.radial_pair`` uses at
@@ -120,8 +145,6 @@ def quadpack_radial(kernel, gu, support, offsets, d, kernel_window=None,
     in the rho integral), and w the cutoff profile (absent unless
     ``cutoff`` is given).  ``value_at_origin`` is one f(0) or one per
     offset."""
-    from scipy.integrate import quad
-
     mu, w_mu = _polar_rule(d, n_polar)
     offsets = np.abs(np.atleast_1d(np.asarray(offsets, dtype=float)))
     f0 = np.broadcast_to(np.asarray(value_at_origin, dtype=float),
@@ -143,7 +166,5 @@ def quadpack_radial(kernel, gu, support, offsets, d, kernel_window=None,
                 avg -= float(cutoff.profile(rho)) * f0
             return float(kernel(rho)) * rho ** (d - 1) * avg
 
-        points = sorted({p for p in marks if lo < p < hi}) or None
-        out[k] = (quad(integrand, lo, hi, epsabs=0.0, epsrel=epsrel,
-                       limit=500, points=points)[0] if hi > lo else 0.0)
+        out[k] = quadpack(integrand, lo, hi, marks, epsrel) if hi > lo else 0.0
     return sphere_area(d) * out

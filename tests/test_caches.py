@@ -4,12 +4,10 @@ in batches, a memo with the same introspection; only caches keyed by
 small integers alone may grow without bound."""
 
 import importlib
-import os
 import pkgutil
-import subprocess
-import sys
 
 import eucren
+from helpers import fresh_run
 
 # keyed only by small integers (orders, dimensions) or by nothing
 UNBOUNDED = {"quadrature.gauss_legendre", "expr.coords", "expr._u_symbol",
@@ -49,8 +47,11 @@ def test_import_builds_no_rule():
     code = ("import eucren.cli, eucren.quadrature as q; print(*("
             "f.cache_info().currsize for f in (q.bump_gauss, q._bump_rule, "
             "q._ball_rule, q.gauss_legendre)))")
-    src = os.path.dirname(os.path.dirname(eucren.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["0", "0", "0", "0"]
+    assert fresh_run(code).split() == ["0", "0", "0", "0"]
+
+
+def test_import_loads_no_quadpack():
+    # every integral runs on the package's own rules, so the command
+    # line never loads scipy.integrate
+    code = "import sys, eucren.cli; print('scipy.integrate' in sys.modules)"
+    assert fresh_run(code).strip() == "False"

@@ -38,6 +38,7 @@ from eucren import expr
 from eucren.cli import parse_config, run
 from eucren.expr import coords
 from eucren.quadrature import DEFAULT_SCHEME, QuadratureScheme
+from helpers import quadpack, sphere_area
 
 TIGHT = QuadratureScheme(gauss_n=48)
 
@@ -69,14 +70,23 @@ class TestTestFunction:
         f = TestFunction(1, (0.3,), 0.8, 1.7)
         ref = quad(lambda x: bump_1d(x, 0.3, 0.8, 1.7), -0.5, 1.1,
                    epsabs=1e-14)[0]
-        assert f.integral(TIGHT) == pytest.approx(ref, rel=1e-10)
+        assert f.integral() == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_integral_closed_form_against_quadpack(self, d):
+        f = TestFunction(d, (0.4, -0.2, 1.0, 0.3)[:d], 0.7, amplitude=1.3)
+        gu = f.gu()
+        ref = sphere_area(d) * quadpack(
+            lambda rho: rho ** (d - 1) * float(gu(np.float64(rho * rho))),
+            0.0, f.radius)
+        assert f.integral() == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_scaled_preserves_mass(self):
         f = TestFunction(3, (0.4, 0.0, -0.2), 0.9)
         g = f.scaled(0.5)
         assert g.radius == pytest.approx(0.45)
         assert g.center == pytest.approx((0.2, 0.0, -0.1))
-        assert g.integral(TIGHT) == pytest.approx(f.integral(TIGHT), rel=1e-9)
+        assert g.integral() == pytest.approx(f.integral(), rel=1e-9)
 
 
 class TestEvaluate:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from eucren import quadrature
 from eucren.errors import (
     DomainError,
     NonIntegrableSingularity,
@@ -30,7 +29,8 @@ from eucren.quadrature import (
 )
 from eucren.triple import analytic_field, grid_field, pair_three, triple_pairing
 
-from helpers import mc_ball, mc_pair, mc_pair_radial, mc_triple, quadpack_radial
+from helpers import (fresh_run, mc_ball, mc_pair, mc_pair_radial, mc_triple,
+                     quadpack_radial)
 
 M = 1.0
 
@@ -165,6 +165,17 @@ class TestThreePoint:
         ref, err = mc_triple(prop.power_callable(2), one, prop, 3,
                              (a, piv, b), n=1_500_000, seed=2)
         assert abs(val - ref) < max(4.0 * err, 1e-2 * abs(ref))
+
+    def test_path_pivot_on_the_bump_rule(self):
+        # the pivot is integrated on its bump rule: at gauss_n 12, the
+        # command line's default, the path is within 5e-6 of gauss_n 48
+        a = TestFunction(3, (-2.2, 0.0, 0.0), 0.9)
+        piv = TestFunction(3, (0.0, 0.0, 0.0), 1.0, amplitude=1.2)
+        b = TestFunction(3, (0.8, 0.3, 0.0), 0.8)
+        t = self.path(2, 1)
+        got = triple._pair_path(t, (a, piv, b), QuadratureScheme(gauss_n=12))
+        ref = triple._pair_path(t, (a, piv, b), QuadratureScheme(gauss_n=48))
+        assert got == pytest.approx(ref, rel=5e-6, abs=0.0)
 
     def test_concentric_triangle_vs_mc(self):
         t = ScalarDistribution(3, 3, M, (PropFactor(0, 1, 1),
@@ -398,21 +409,19 @@ class TestPanelRoute:
                               prof.profile_u(), prof.support_radius, 0.7, 2)
         self.check([got], ref)
 
-    def test_profiles_make_no_quadpack_call(self, monkeypatch):
-        calls = []
-        quad_ = quadrature.quad
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return quad_(*args, **kwargs)
-
-        monkeypatch.setattr(quadrature, "quad", counting)
-        f = TestFunction(3, (0.0, 0.0, 0.0), 1.0)
-        g = TestFunction(3, (0.6, 0.0, 0.0), 0.9)
-        correlation_profile(f.gu(), 1.0, g.gu(), 0.9, 3, DEFAULT_SCHEME)
-        triple._leg_profile.__wrapped__(3, M, 2, None, g, 0.0, 1.5,
-                                        DEFAULT_SCHEME)
-        assert calls == []
+    def test_profiles_make_no_quadpack_call(self):
+        # QUADPACK is never loaded while the profiles are computed
+        code = (
+            "import sys\n"
+            "from eucren import quadrature, triple\n"
+            "from eucren.functionals import TestFunction\n"
+            "f = TestFunction(3, (0.0, 0.0, 0.0), 1.0)\n"
+            "g = TestFunction(3, (0.6, 0.0, 0.0), 0.9)\n"
+            "quadrature.correlation_profile(f.gu(), 1.0, g.gu(), 0.9, 3)\n"
+            "triple._leg_profile(3, 1.0, 2, None, g, 0.0, 1.5,\n"
+            "                    quadrature.DEFAULT_SCHEME)\n"
+            "print('scipy.integrate' in sys.modules)\n")
+        assert fresh_run(code).strip() == "False"
 
     def test_refinement_cap_raises(self):
         # no two levels agree to 1e-300 of the values

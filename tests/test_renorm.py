@@ -1,9 +1,10 @@
 """Scaling fits, extensions, recursion over loci, power counting.
 
 The numeric scaling estimator is its own oracle against the analytic
-degrees; cutoff-change compensation is checked against a raw scipy
-quadrature; the classification table against exhaustive bounded-degree
-multigraph enumeration written from scratch here.
+degrees, and its pairings against QUADPACK; cutoff-change compensation
+is checked against a raw QUADPACK quadrature; the classification table
+against exhaustive bounded-degree multigraph enumeration written from
+scratch here.
 """
 
 import itertools
@@ -11,7 +12,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from eucren.errors import (DomainError, IllConditionedFit, NotPrimitive,
                            OverlappingDivergence)
@@ -24,6 +24,8 @@ from eucren.renorm import (TheoryClassification, classify_theory,
                            counterterm_shift, degree_of_divergence, extend,
                            recursive_renormalize, scaling_degree_analytic,
                            scaling_degree_numeric)
+
+from helpers import quadpack, quadpack_radial
 
 M = 1.0
 
@@ -84,6 +86,17 @@ class TestNumericDegrees:
         report = scaling_degree_numeric(lambda r: np.exp(-r * r), self.phi)
         assert report.estimate < 0.1
         assert report.analytic is None
+
+    def test_callable_pairings_match_quadpack(self):
+        # a kernel singular at the origin against an off-centre test
+        kernel = lambda r: np.exp(-r) / r
+        phi = TestFunction(d=3, center=(1.5, 0.0, 0.0), radius=1.0)
+        report = scaling_degree_numeric(kernel, phi)
+        for lam, value in report.points:
+            f = phi.scaled(lam)
+            ref = quadpack_radial(kernel, f.gu(), f.radius,
+                                  np.linalg.norm(f.center), 3)[0]
+            assert value == pytest.approx(ref, rel=1e-10, abs=0.0), lam
 
     def test_extended_cube_keeps_its_degree(self):
         ext = extend(single(3), ExtensionSpec.default(3))
@@ -177,17 +190,25 @@ class TestExtend:
 
 class TestCutoffShift:
     def test_matches_raw_quadrature(self):
-        old = CutoffFunction(3, radius=0.6)
-        new = CutoffFunction(3, radius=1.0)
+        self.check(0.6, 1.0)
+
+    def test_swapped_radii_match_raw_quadrature(self):
+        self.check(1.0, 0.6)
+
+    @staticmethod
+    def check(r_old, r_new):
+        old = CutoffFunction(3, radius=r_old)
+        new = CutoffFunction(3, radius=r_new)
         shift = counterterm_shift(single(3), old, new)
 
         def p3(r):
             return (np.exp(-M * r) / (4.0 * np.pi * r)) ** 3
 
-        oracle, err = quad(
+        oracle = quadpack(
             lambda r: 4.0 * np.pi * r * r * p3(r)
-            * (new.profile(r) - old.profile(r)), 0.0, 1.0, limit=200)
-        np.testing.assert_allclose(shift, oracle, rtol=1e-6, atol=1e-12)
+            * float(new.profile(r) - old.profile(r)), 0.0, max(r_old, r_new),
+            points=(old.plateau_radius, new.plateau_radius, r_old, r_new))
+        np.testing.assert_allclose(shift, oracle, rtol=1e-12)
 
     def test_requires_degree_zero(self):
         old = CutoffFunction(3, radius=0.6)
