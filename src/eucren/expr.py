@@ -65,9 +65,12 @@ class BumpCore(sp.Function):
 
 def _bumpcore_numpy(t):
     t = np.asarray(t, dtype=float)
-    safe = np.maximum(t, 1e-300)
+    out = np.maximum(t, 1e-300, out=np.empty_like(t))
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        return np.where(t > 0.0, np.exp(-1.0 / safe), 0.0)
+        np.divide(-1.0, out, out=out)
+        np.exp(out, out=out)
+    out[~(t > 0.0)] = 0.0
+    return out
 
 
 _LAMBDIFY_MODULES = [{"BumpCore": _bumpcore_numpy}, "numpy"]

@@ -503,9 +503,11 @@ def correlation_profile(f_gu: Callable, f_support: float,
     return ProfileSpline(s_grid, vals, s_max)
 
 
-# entries of one row block of ``contract_pass``: its kernel matrices,
+# entries of one row block of ``contract_pass`` (its kernel matrices,
 # their rows of the columns sent toward yp, and the columns sent
-# toward xp; about a 167-row block of one kernel between 3,136-node rules
+# toward xp; about a 167-row block of one kernel between 3,136-node
+# rules), and of one x-chunk array of ``triple.grid_field`` (about 206
+# nodes at grid_nodes 48)
 _BLOCK_ENTRIES = 1 << 19
 
 

@@ -29,12 +29,16 @@ the whole reduction is deterministic; two resolutions are compared
 and a mismatch raises rather than returning a silently wrong value.
 
 Phi itself is tabulated once per test triple and scheme on a uniform
-(r1, r2, theta) grid by a ball-Gauss x-integral and queried through a
-prefiltered cubic B-spline.  The theta axis makes the mirror boundary
-condition exact (Phi is even about theta = 0 and pi); the radial axes
-carry a few ghost nodes at negative radii, where the tabulation
-formula remains valid, so interpolation keeps interior accuracy
-through r = 0.
+(r1, r2, theta) grid by a ball-Gauss x-integral, summed in x-chunks
+whose largest array holds at most quadrature._BLOCK_ENTRIES entries,
+and queried through a prefiltered cubic B-spline.  The theta axis
+makes the mirror boundary condition exact (Phi is even about theta = 0
+and pi); the radial axes carry a few ghost nodes at negative radii,
+where the tabulation formula remains valid, so interpolation keeps
+interior accuracy through r = 0.  The spline is evaluated one axis at
+a time (de Boor, A Practical Guide to Splines, ch. XVII): a query
+collapses r2 once, r1 once per r1 node, and takes four theta taps per
+s-node, instead of 64 taps per point.
 
 Paths (two edges sharing a pivot vertex) do not need the grid: each
 leg is a radial profile of the (possibly renormalized) edge pairing
@@ -52,7 +56,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.ndimage import map_coordinates, spline_filter
+from scipy.ndimage import spline_filter
 
 from .errors import (
     NonIntegrableSingularity,
@@ -70,6 +74,7 @@ from .quadrature import (
     DEFAULT_SCHEME,
     PROFILE_SAMPLES,
     ProfileSpline,
+    _BLOCK_ENTRIES,
     QuadratureScheme,
     ball_rule,
     gauss_legendre,
@@ -87,10 +92,11 @@ _S_NODES = 24
 class TripleField:
     """Evaluation data for Phi(z1, z2) in the concentric frame.
 
-    phi_tilde(r1, r2, s) broadcasts r1 against s for a fixed scalar
-    r2, so a whole (r1 panel) x (s node) mesh is one call; phi2 is the
-    radial profile of Phi(0, z2); phi00 = Phi(0, 0).  r1max / r2max
-    bound the support in each radius.
+    phi_tilde(r1, r2, s) takes a scalar r2, r1 of shape (P,) or (P, 1)
+    and s of shape (P,) or (P, S), so a whole (r1 panel) x (s node)
+    mesh is one call that shares each r1 node's spline row among its
+    s-nodes; phi2 is the radial profile of Phi(0, z2); phi00 =
+    Phi(0, 0).  r1max / r2max bound the support in each radius.
     """
 
     phi_tilde: Callable
@@ -101,6 +107,18 @@ class TripleField:
 
 
 _GHOSTS = 5
+
+
+def _cubic_taps(x):
+    """First of the four nodes that carry a cubic B-spline at the
+    coordinates ``x``, and their four weights."""
+    i = np.floor(x)
+    t = x - i
+    u = 1.0 - t
+    return i.astype(np.intp) - 1, (u * u * u / 6.0,
+                                   (4.0 - 3.0 * t * t * (2.0 - t)) / 6.0,
+                                   (4.0 - 3.0 * u * u * (2.0 - u)) / 6.0,
+                                   t * t * t / 6.0)
 
 
 @lru_cache(maxsize=8)
@@ -129,52 +147,58 @@ def grid_field(f0, f1, f2, scheme: QuadratureScheme = DEFAULT_SCHEME) -> TripleF
 
     n1, n2 = len(r1g), len(r2g)
     phi = np.zeros((n1, n2 * n_th))
-    # chunk the x-sum: the (Q, n2, n_th) distance array is large
-    for lo in range(0, len(pts), 1500):
-        sl = slice(lo, min(lo + 1500, len(pts)))
+    # chunk the x-sum: one (chunk, n2, n_th) array within the budget
+    step = max(1, _BLOCK_ENTRIES // (n2 * n_th))
+    for lo in range(0, len(pts), step):
+        sl = slice(lo, lo + step)
         G = np.asarray(g1u(u0[sl, None] - 2.0 * np.outer(x0[sl], r1g)
                            + r1g[None, :] ** 2), dtype=float)
         arg = (u0[sl, None, None]
                - 2.0 * proj[sl, None, :] * r2g[None, :, None]
                + (r2g ** 2)[None, :, None])
-        H = np.asarray(g2u(arg), dtype=float).reshape(sl.stop - sl.start, -1)
+        H = np.asarray(g2u(arg), dtype=float).reshape(len(G), -1)
         phi += (F[sl, None] * G).T @ H
-    phi = phi.reshape(n1, n2, n_th)
-
-    coeffs = spline_filter(phi, order=3, mode="mirror")
+    # the prefiltered spline, with ndimage's "mirror" boundary as two
+    # padded nodes on each side
+    cpad = np.pad(spline_filter(phi.reshape(n1, n2, n_th), order=3,
+                                mode="mirror"), 2, mode="reflect")
 
     g1_at0 = F * np.asarray(g1u(u0), dtype=float)
     s2 = np.concatenate([-(np.arange(_GHOSTS, 0, -1)) * h2,
                          np.linspace(0.0, R2, PROFILE_SAMPLES)])
-    vals2 = g1_at0 @ np.asarray(
-        g2u(u0[:, None] - 2.0 * np.outer(x0, s2) + s2[None, :] ** 2),
-        dtype=float)
+    vals2 = np.zeros(s2.size)
+    step = max(1, _BLOCK_ENTRIES // s2.size)
+    for lo in range(0, len(pts), step):
+        sl = slice(lo, lo + step)
+        vals2 += g1_at0[sl] @ np.asarray(
+            g2u(u0[sl, None] - 2.0 * np.outer(x0[sl], s2) + s2 ** 2),
+            dtype=float)
     phi2 = ProfileSpline(s2, vals2, R2)
     phi00 = float(g1_at0 @ np.asarray(g2u(u0), dtype=float))
 
     def phi_tilde(r1, r2: float, s):
-        r1b, sb = np.broadcast_arrays(np.asarray(r1, dtype=float),
-                                      np.asarray(s, dtype=float))
-        out = np.zeros(r1b.shape)
-        if r2 >= R2:
+        r1 = np.asarray(r1, dtype=float)
+        out = np.zeros(np.broadcast_shapes(r1.shape, np.shape(s)))
+        sel = r1.reshape(-1) < R1
+        if r2 >= R2 or not sel.any():
             return out
-        sel = r1b < R1
-        if not sel.any():
-            return out
-        r1v, sv = r1b[sel], sb[sel]
-        rr = 2.0 * r1v * r2
-        num = r1v * r1v + r2 * r2 - sv * sv
+        rows = out.reshape(r1.size, -1)
+        r1v = r1.reshape(-1)[sel]
+        sv = np.broadcast_to(s, out.shape).reshape(rows.shape)[sel]
+        # collapse r2 once, then r1 once per node, then theta per s-node
+        i2, w2 = _cubic_taps((r2 - r2g[0]) / h2 + 2.0)
+        plane = sum(w * cpad[:, i2 + k] for k, w in enumerate(w2))
+        i1, w1 = _cubic_taps((r1v - r1g[0]) / h1 + 2.0)
+        line = sum(w[:, None] * plane[i1 + k] for k, w in enumerate(w1))
+        rr = 2.0 * r1v[:, None] * r2
+        num = r1v[:, None] ** 2 + r2 * r2 - sv * sv
         mu_q = np.where(rr < 1e-280, 0.0,
                         np.clip(num / np.where(rr < 1e-280, 1.0, rr),
                                 -1.0, 1.0))
-        th = np.arccos(mu_q)
-        coords = np.vstack([
-            (r1v - r1g[0]) / h1,
-            np.full(r1v.shape, (r2 - r2g[0]) / h2),
-            th / h_th,
-        ])
-        out[sel] = map_coordinates(coeffs, coords, order=3,
-                                   prefilter=False, mode="mirror")
+        ith, wth = _cubic_taps(np.arccos(mu_q) / h_th + 2.0)
+        ith += line.shape[1] * np.arange(len(r1v))[:, None]
+        line = line.ravel()
+        rows[sel] = sum(w * line[ith + k] for k, w in enumerate(wth))
         return out
 
     return TripleField(phi_tilde=phi_tilde, phi2=phi2, phi00=phi00,

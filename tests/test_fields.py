@@ -34,6 +34,23 @@ class TestBumpCore:
         d = sp.diff(BumpCore(t), t)
         assert sp.simplify(d - BumpCore(t) / t**2) == 0
 
+    @pytest.mark.parametrize("t", [
+        np.array([-2.0, -1e-300, -0.0, 0.0, 1e-310, 1e-300, 0.004, 0.7,
+                  3.0, np.inf, -np.inf, np.nan]),
+        np.float64(0.0), np.float64(0.7), np.float64(np.nan), -1.5,
+    ])
+    def test_numpy_core_matches_the_where_form(self, t):
+        # the in-place core is bit-identical to the plain formula,
+        # NaN -> 0 and 0-d input included
+        t = np.asarray(t, dtype=float)
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            ref = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)),
+                           0.0)
+        got = expr._bumpcore_numpy(t)
+        assert got.shape == t.shape
+        np.testing.assert_array_equal(got, ref)
+        assert not np.isnan(got).any()
+
 
 class TestSmoothMap:
     def test_constant_and_coordinate(self):

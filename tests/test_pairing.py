@@ -5,8 +5,12 @@ code with the package: plain or importance-sampled Monte Carlo over
 balls, or a raw scipy quadrature for the radial cutoff identities.
 """
 
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.ndimage
 from scipy.integrate import quad
 
 from eucren.errors import (
@@ -196,7 +200,7 @@ class TestThreePoint:
         val = pair_three(t, (self.f0, self.f1, self.f2))
         field = grid_field(self.f0, self.f1, self.f2)
         direct = triple_pairing(M, (1, 1, 1), None, None, field)
-        np.testing.assert_allclose(direct, val, rtol=5e-5)
+        np.testing.assert_allclose(direct, val, rtol=5e-5, atol=0)
 
     def test_bare_divergent_joint_locus_rejected(self):
         t = ScalarDistribution(3, 3, M, (PropFactor(0, 1, 2),
@@ -262,6 +266,103 @@ class TestThreePoint:
                                          PropFactor(1, 2, 1)))
         with pytest.raises(UnsupportedCase):
             pair_three(t, (self.f0, shifted, self.f2))
+
+
+class TestTripleGrid:
+    """The separable query of the Phi spline against the route it
+    replaced, ``scipy.ndimage.map_coordinates`` on the same prefiltered
+    coefficients, and the working memory of the grid."""
+
+    tests = (TestFunction(3, (0.0, 0.0, 0.0), 1.0),
+             TestFunction(3, (0.0, 0.0, 0.0), 0.9, amplitude=1.2),
+             TestFunction(3, (0.0, 0.0, 0.0), 0.8, amplitude=0.8))
+    R1, R2 = 1.9, 1.8
+
+    @staticmethod
+    def oracle(field, r1, r2, s):
+        grid = inspect.getclosurevars(field.phi_tilde).nonlocals
+        r1, s = np.broadcast_arrays(np.asarray(r1, dtype=float),
+                                    np.asarray(s, dtype=float))
+        rr = 2.0 * r1 * r2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu = np.where(rr < 1e-280, 0.0,
+                          np.clip((r1 * r1 + r2 * r2 - s * s) / rr,
+                                  -1.0, 1.0))
+        coords = np.stack([(r1 - grid["r1g"][0]) / grid["h1"],
+                           np.full(r1.shape, (r2 - grid["r2g"][0])
+                                   / grid["h2"]),
+                           np.arccos(mu) / grid["h_th"]])
+        coeffs = grid["cpad"][2:-2, 2:-2, 2:-2]
+        vals = scipy.ndimage.map_coordinates(coeffs, coords, order=3,
+                                             prefilter=False, mode="mirror")
+        return np.where((r1 < field.r1max) & (r2 < field.r2max), vals, 0.0)
+
+    def test_matches_map_coordinates(self):
+        field = grid_field(*self.tests)
+        assert (field.r1max, field.r2max) == (self.R1, self.R2)
+        rng = np.random.default_rng(7)
+        # r = 0, r1 -> R1 and r2 -> R2 beside random nodes
+        r1 = np.concatenate([[0.0, 1e-12, self.R1 - 1e-12],
+                             rng.uniform(0.0, self.R1, 60)])[:, None]
+        got, ref = [], []
+        for r2 in [0.0, 1e-12, 0.37, 1.1, self.R2 - 1e-3, self.R2 - 1e-12,
+                   *rng.uniform(0.0, self.R2, 4)]:
+            lo, hi = np.abs(r1 - r2), r1 + r2
+            # theta = 0 and pi at the ends of the s-window
+            s = np.hstack([lo, hi, lo + (hi - lo) * rng.random((len(r1), 22))])
+            got.append(field.phi_tilde(r1, r2, s))
+            ref.append(self.oracle(field, r1, r2, s))
+        got, ref = np.array(got), np.array(ref)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_zero_beyond_the_support(self):
+        field = grid_field(*self.tests)
+        r1 = np.array([0.2, self.R1, self.R1 + 0.3, 0.9])
+        s = np.full(4, 0.5)
+        inside = field.phi_tilde(r1, 0.6, s)
+        assert inside[0] != 0.0 and inside[3] != 0.0
+        assert np.all(inside[1:3] == 0.0)
+        for r2 in (self.R2, self.R2 + 0.5):
+            assert np.all(field.phi_tilde(r1, r2, s) == 0.0)
+
+    def test_input_shapes(self):
+        # r1 of shape (P,) with s (P,), or (P, 1) with s (P, S)
+        field = grid_field(*self.tests)
+        rng = np.random.default_rng(3)
+        r1 = rng.uniform(0.0, 2.0, 40)
+        s = rng.uniform(0.0, 2.5, (40, 24))
+        mesh = field.phi_tilde(r1[:, None], 0.7, s)
+        assert mesh.shape == (40, 24)
+        for j in (0, 11, 23):
+            column = field.phi_tilde(r1, 0.7, s[:, j])
+            assert column.shape == (40,)
+            np.testing.assert_array_equal(column, mesh[:, j])
+        assert field.phi_tilde(r1[5], 0.7, s[5, 0]).shape == ()
+        np.testing.assert_allclose(mesh, self.oracle(field, r1[:, None],
+                                                     0.7, s),
+                                   rtol=0, atol=1e-13 * np.max(np.abs(mesh)))
+
+    def test_grid_memory_is_bounded(self):
+        # the x-sums run in chunks of quadrature._BLOCK_ENTRIES entries;
+        # chunks of 1,500 nodes peaked at 184 MB at gauss_n 12
+        tracemalloc.start()
+        try:
+            grid_field.__wrapped__(*self.tests, QuadratureScheme(gauss_n=12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2 ** 20
+
+    def test_triangle_makes_no_map_coordinates_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("map_coordinates was called")
+
+        monkeypatch.setattr(scipy.ndimage, "map_coordinates", refuse)
+        monkeypatch.setattr(triple, "map_coordinates", refuse, raising=False)
+        t = ScalarDistribution(3, 3, M, (PropFactor(0, 1, 1),
+                                         PropFactor(0, 2, 1),
+                                         PropFactor(1, 2, 1)))
+        assert np.isfinite(pair_three(t, self.tests))
 
 
 class TestComposite:
