@@ -1,4 +1,4 @@
-"""Closed-form smooth functions on R^d as exact expression trees.
+"""Closed-form smooth functions on R^d.
 
 Two representations cooperate here:
 
@@ -11,10 +11,18 @@ Two representations cooperate here:
   ``SmoothMap.from_expression`` reads the field-expression grammar of
   config files (an ``ast`` whitelist; the text is never evaluated).
 
-* ``RadialMap`` stores a rotation-invariant function about a center c
-  through its profile g(u) in the *squared* distance u = |x-c|^2.
-  Working in u keeps every radial formula (notably the Laplacian
+* Radial profiles are plain numpy functions of the *squared* distance
+  u = |x-c|^2, which keeps every radial formula (notably the Laplacian
   4*u*g'' + 2*d*g') free of 1/|x-c| singularities at the center.
+  With E(t) = exp(-1/t) and t = 1 - u/r^2, ``bump_u`` gives the bump
+  g(u) = A*E(t) and its k-th u-derivative
+
+      g^(k)(u) = A * (-1/r^2)^k * E(t) * p_k(1/t),
+
+  with integer polynomials p_0 = 1, p_(k+1)(s) = s^2 (p_k(s) - p_k'(s)),
+  and 0 for t <= 0.  ``plateau_u`` is the C-infinity step
+  w = E(1-s)/(E(1-s) + E(s)), s = (u - a^2)/(b^2 - a^2): 1 for |x-c| <= a
+  and 0 for |x-c| >= b.
 
 ``BumpCore(t)`` is exp(-1/t) for t > 0 and identically 0 for t <= 0,
 the standard C-infinity transition germ.  Its derivative is
@@ -22,7 +30,8 @@ BumpCore(t)/t**2, so derivative trees stay inside the grammar.
 Numeric caveat: expressions produced by differentiation contain
 rational prefactors 1/t**k that are 0*inf = nan exactly on the support
 boundary t = 0; all quadrature grids in this package therefore sample
-strictly inside or strictly outside supports.
+strictly inside or strictly outside supports.  The closed forms have no
+such point: they evaluate p_k only where E(t) > 0.
 """
 
 from __future__ import annotations
@@ -73,6 +82,31 @@ def _bumpcore_numpy(t):
     return out
 
 
+def bump_u(u, radius: float, amplitude: float = 1.0, k: int = 0):
+    """g^(k)(u) of the bump g(u) = A*E(1 - u/r^2), in closed form (see
+    the module docstring), as an array of the shape of u."""
+    t = 1.0 - np.asarray(u, dtype=float) / (radius * radius)
+    out = _bumpcore_numpy(t)
+    if k:
+        p = np.polynomial.Polynomial([1.0])
+        for _ in range(k):
+            p = np.polynomial.Polynomial([0.0, 0.0, 1.0]) * (p - p.deriv())
+        # where E(t) underflows to 0, p_k(1/t) could overflow
+        inside = out > 0.0
+        out[inside] *= p(1.0 / t[inside]) * (-1.0 / (radius * radius)) ** k
+    # in place: a block of u holds up to quadrature._BLOCK_ENTRIES entries
+    out *= amplitude
+    return out
+
+
+def plateau_u(u, inner: float, outer: float):
+    """The smooth step w(u): 1 for u <= inner^2, 0 for u >= outer^2."""
+    a2 = inner * inner
+    s = (np.asarray(u, dtype=float) - a2) / (outer * outer - a2)
+    rise = _bumpcore_numpy(1.0 - s)
+    return rise / (rise + _bumpcore_numpy(s))
+
+
 _LAMBDIFY_MODULES = [{"BumpCore": _bumpcore_numpy}, "numpy"]
 
 
@@ -118,11 +152,6 @@ def coords(d: int) -> tuple:
     return sp.symbols(f"x1:{d + 1}", real=True)
 
 
-@lru_cache(maxsize=None)
-def _u_symbol():
-    return sp.Symbol("u", nonnegative=True)
-
-
 class SmoothMap:
     """A smooth function R^d -> R given as a sympy expression.
 
@@ -163,8 +192,14 @@ class SmoothMap:
     def bump(d: int, center: Sequence[float], radius: float, amplitude=1) -> "SmoothMap":
         """The mollifier A*exp(-1/(1 - |x-c|^2/r^2)) with support ball B(c, r)."""
         center = tuple(float(c) for c in np.atleast_1d(center))
-        fn = RadialMap.bump_profile(d, center, radius, amplitude).to_smoothmap()
-        return SmoothMap(fn.expr, d, support_ball=(center, radius))
+        radius = float(radius)
+        if len(center) != d:
+            raise ValueError("center length must equal the dimension")
+        if radius <= 0:
+            raise ValueError("radius must be positive")
+        u = sum((x - sp.Float(c)) ** 2 for x, c in zip(coords(d), center))
+        expr = sp.sympify(amplitude) * BumpCore(1 - u / sp.Float(radius) ** 2)
+        return SmoothMap(expr, d, support_ball=(center, radius))
 
     @staticmethod
     def from_expression(text: str, d: int) -> "SmoothMap":
@@ -209,10 +244,6 @@ class SmoothMap:
             if a:
                 e = sp.diff(e, coords(self.d)[i], a)
         return SmoothMap(e, self.d, self.support_ball)
-
-    def laplacian(self) -> "SmoothMap":
-        e = sum(sp.diff(self.expr, x, 2) for x in coords(self.d))
-        return SmoothMap(e, self.d)
 
     # -- algebra -------------------------------------------------------
 
@@ -326,104 +357,3 @@ def _field_expr(node: ast.AST, text: str, d: int):
                                and math.isfinite(float(expr))):
         raise ValueError(f"{segment!r} has no finite real value")
     return expr
-
-
-class RadialMap:
-    """Rotation-invariant smooth function via its squared-radius profile.
-
-    f(x) = g(u) with u = |x - center|^2; ``gexpr`` is a sympy expression
-    in the symbol u.  ``support_radius`` is an upper bound S with
-    f(x) = 0 for |x - center| >= S (None means unbounded support).
-    """
-
-    __slots__ = ("d", "center", "gexpr", "support_radius")
-
-    def __init__(self, d: int, center, gexpr, support_radius: Optional[float]):
-        self.d = int(d)
-        self.center = tuple(float(c) for c in center)
-        if len(self.center) != self.d:
-            raise ValueError("center length must equal the dimension")
-        self.gexpr = sp.sympify(gexpr)
-        self.support_radius = None if support_radius is None else float(support_radius)
-
-    @staticmethod
-    def bump_profile(d: int, center, radius: float, amplitude=1) -> "RadialMap":
-        """The fixed mollifier A*exp(-1/(1 - u/r^2)) inside the ball."""
-        radius = float(radius)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        u = _u_symbol()
-        g = sp.sympify(amplitude) * BumpCore(1 - u / sp.Float(radius) ** 2)
-        return RadialMap(d, center, g, radius)
-
-    @staticmethod
-    def plateau_profile(d: int, center, radius: float, plateau_fraction: float = 0.5) -> "RadialMap":
-        """Smooth cutoff identically 1 for |x-c| <= plateau_fraction*radius,
-        0 for |x-c| >= radius (a C-infinity partition step in between)."""
-        radius = float(radius)
-        if not 0 < plateau_fraction < 1:
-            raise ValueError("plateau_fraction must be in (0,1)")
-        a2 = (plateau_fraction * radius) ** 2
-        b2 = radius**2
-        u = _u_symbol()
-        s = (u - sp.Float(a2)) / sp.Float(b2 - a2)
-        g = BumpCore(1 - s) / (BumpCore(1 - s) + BumpCore(s))
-        return RadialMap(d, center, g, radius)
-
-    # -- evaluation ----------------------------------------------------
-
-    def _g(self):
-        return _numpy_fn(_u_symbol(), self.gexpr)
-
-    def profile(self, s):
-        """Profile value at distance s >= 0 from the center."""
-        s = np.asarray(s, dtype=float)
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            out = self._g()(s * s)
-        return np.broadcast_to(np.asarray(out, dtype=float), s.shape).copy() \
-            if np.ndim(out) == 0 and np.ndim(s) > 0 else np.asarray(out, dtype=float)
-
-    def __call__(self, points):
-        pts = np.asarray(points, dtype=float)
-        if self.d == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            delta2 = (pts - self.center[0]) ** 2
-        else:
-            delta2 = np.sum((pts - np.asarray(self.center)) ** 2, axis=-1)
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            out = self._g()(delta2)
-        return np.asarray(out, dtype=float)
-
-    # -- calculus ------------------------------------------------------
-
-    def laplacian(self) -> "RadialMap":
-        u = _u_symbol()
-        g1 = sp.diff(self.gexpr, u)
-        g2 = sp.diff(self.gexpr, u, 2)
-        return RadialMap(self.d, self.center, 4 * u * g2 + 2 * self.d * g1, self.support_radius)
-
-    def helmholtz(self, m: float) -> "RadialMap":
-        """(-Lap + m^2) applied to this map, as a new RadialMap."""
-        lap = self.laplacian()
-        g = -lap.gexpr + sp.Float(m) ** 2 * self.gexpr
-        return RadialMap(self.d, self.center, g, self.support_radius)
-
-    def profile_taylor_u(self, order: int):
-        """Exact Taylor coefficients of g(u) at u = 0 (list, length order+1)."""
-        u = _u_symbol()
-        out = []
-        g = self.gexpr
-        fact = 1
-        for k in range(order + 1):
-            out.append(float(g.subs(u, 0)) / fact)
-            g = sp.diff(g, u)
-            fact *= k + 1
-        return out
-
-    def to_smoothmap(self) -> "SmoothMap":
-        xs = coords(self.d)
-        u_of_x = sum((x - sp.Float(c)) ** 2 for x, c in zip(xs, self.center))
-        return SmoothMap(self.gexpr.subs(_u_symbol(), u_of_x), self.d)
-
-    def __repr__(self):
-        return (f"RadialMap(d={self.d}, center={self.center}, "
-                f"support={self.support_radius}, g(u)={self.gexpr})")

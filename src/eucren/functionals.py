@@ -22,13 +22,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import PreconditionViolated, UnsupportedCase
-from .expr import RadialMap, SmoothMap, coords
+from .expr import SmoothMap, bump_u, coords
 from .quadrature import (
     DEFAULT_SCHEME,
     QuadratureScheme,
@@ -87,16 +87,20 @@ class TestFunction:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
-    def radial_map(self) -> RadialMap:
-        return _bump_radial_map(self.d, self.center, self.radius,
-                                self.amplitude)
-
-    def gu(self):
-        """Squared-radius profile callable."""
-        return self.radial_map()._g()
+    def gu(self, k: int = 0):
+        """The k-th derivative of the squared-radius profile g(u), as a
+        callable of u."""
+        return partial(bump_u, radius=self.radius, amplitude=self.amplitude,
+                       k=k)
 
     def __call__(self, points):
-        return self.radial_map()(points)
+        """f at points of shape (..., d), or at scalars when d == 1."""
+        pts = np.asarray(points, dtype=float)
+        if self.d == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
+            u = (pts - self.center[0]) ** 2
+        else:
+            u = np.sum((pts - np.asarray(self.center)) ** 2, axis=-1)
+        return self.gu()(u)
 
     @property
     def nodes_key(self):
@@ -128,11 +132,6 @@ class TestFunction:
     def to_field(self) -> SmoothMap:
         return SmoothMap.bump(self.d, self.center, self.radius,
                               self.amplitude)
-
-
-@lru_cache(maxsize=512)
-def _bump_radial_map(d, center, radius, amplitude) -> RadialMap:
-    return RadialMap.bump_profile(d, center, radius, amplitude)
 
 
 # a field configuration phi is a closed-form smooth map with an optional
@@ -611,7 +610,7 @@ def split_support(F: LocalFunctional, pieces: int,
         # wide transitions keep the windows quadrature-friendly
         tau = 0.75 * width
         x = coords(d)[axis]
-        bump_expr = f.radial_map().to_smoothmap().expr
+        bump_expr = f.to_field().expr
         cuts = [lo + k * width for k in range(pieces + 1)]
         for k in range(pieces):
             # rising steps at both cuts; the telescoping sum is 1 on supp f

@@ -12,19 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .expr import RadialMap
+from .expr import plateau_u
 
 MultiIndex = Tuple[int, ...]
-
-
-@lru_cache(maxsize=64)
-def _cutoff_map(d: int, radius: float, plateau_fraction: float) -> RadialMap:
-    return RadialMap.plateau_profile(d, (0.0,) * d, radius, plateau_fraction)
 
 
 @dataclass(frozen=True)
@@ -35,7 +30,8 @@ class CutoffFunction:
 
     This is the w of the Taylor-subtraction scheme.  The identity-near-
     zero requirement rules out the fixed bump profile of test
-    functions, so cutoffs are their own type.
+    functions, so cutoffs are their own type.  The profile is the
+    closed-form step ``expr.plateau_u`` in u = |x|^2.
     """
 
     d: int
@@ -48,15 +44,14 @@ class CutoffFunction:
         if not 0.0 < self.plateau_fraction < 1.0:
             raise ValueError("plateau_fraction must lie in (0, 1)")
 
-    def radial_map(self) -> RadialMap:
-        return _cutoff_map(self.d, float(self.radius), float(self.plateau_fraction))
-
     def profile(self, rho):
         """Value at radius rho (vectorized)."""
-        return self.radial_map().profile(np.asarray(rho, dtype=float))
+        return self.gu()(np.square(rho))
 
     def gu(self):
-        return self.radial_map()._g()
+        """The squared-radius profile w(u), as a callable of u."""
+        return partial(plateau_u, inner=self.plateau_radius,
+                       outer=float(self.radius))
 
     @property
     def plateau_radius(self) -> float:

@@ -33,7 +33,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import sympy as sp
 from scipy.spatial.distance import cdist
 
 from .bessel import besselk
@@ -43,7 +42,6 @@ from .errors import (
     UnsupportedCase,
     UnsupportedKernel,
 )
-from .expr import RadialMap, _u_symbol
 from .kernels import DeltaKernel, PropFactor, ScalarDistribution
 from .quadrature import (
     DEFAULT_SCHEME,
@@ -231,25 +229,31 @@ def green_function(d: int, m: float) -> Propagator:
     return Propagator(int(d), float(m))
 
 
+def _helmholtz_image(phi, m: float):
+    """(-Lap + m^2) phi for a bump test function phi, as a callable of
+    u = |x - c|^2: -(4u g'' + 2d g') + m^2 g from the derivatives of
+    phi's profile g, with no 1/|x - c| at the center."""
+    g, g1, g2 = (phi.gu(k) for k in range(3))
+    return lambda u: -(4.0 * u * g2(u) + 2.0 * phi.d * g1(u)) + m * m * g(u)
+
+
 def verify_fundamental_solution(P: Propagator, phi,
                                 scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
-    """|<P, (-Lap + m^2) phi> - phi(0)| for a compactly supported phi.
+    """|<P, (-Lap + m^2) phi> - phi(0)| for a bump test function phi.
 
-    ``phi`` must expose radial_map() (rotation-invariant bump); the
-    Helmholtz image is formed exactly in the squared-radius variable,
-    so the residual measures only the quadrature and the correctness
-    of the closed form.
+    The Helmholtz image is formed in closed form (``_helmholtz_image``),
+    so the residual measures only the quadrature and the correctness of
+    the closed form of P.
     """
-    rm: RadialMap = phi.radial_map()
-    image = rm.helmholtz(P.m)
-    c = float(np.linalg.norm(rm.center))
+    c = float(np.linalg.norm(phi.center))
     # the Helmholtz image is steep near the support boundary; the
     # off-center polar average needs a finer rule than pairings of
     # plain bumps
     if scheme.angular_n < 512:
         scheme = replace(scheme, angular_n=512)
-    val = radial_pair(P, image._g(), rm.support_radius, c, P.d, scheme)
-    at_zero = float(rm(np.zeros(P.d)))
+    val = radial_pair(P, _helmholtz_image(phi, P.m), phi.radius, c, P.d,
+                      scheme)
+    at_zero = float(phi(np.zeros(P.d)))
     return abs(val - at_zero)
 
 
@@ -310,18 +314,14 @@ class RadialTestView:
 
 
 def radial_view(phi) -> RadialTestView:
-    """Build a RadialTestView from a TestFunction-like object (anything
-    with radial_map())."""
-    rm = phi.radial_map()
-    center = tuple(rm.center)
-    c2 = float(np.dot(center, center))
-    u = _u_symbol()
-    g1 = sp.diff(rm.gexpr, u)
-    gp = float(g1.subs(u, c2))
-    grad = tuple(-2.0 * ci * gp for ci in center)
+    """The RadialTestView of a TestFunction; its gradient at the origin
+    is -2c g'(|c|^2)."""
+    c2 = float(np.dot(phi.center, phi.center))
+    gp = float(phi.gu(1)(c2))
+    grad = tuple(-2.0 * ci * gp for ci in phi.center)
     return RadialTestView(
-        gu=rm._g(), support=rm.support_radius, offset=float(np.sqrt(c2)),
-        value_at_origin=float(rm(np.zeros(rm.d))), gradient_at_origin=grad)
+        gu=phi.gu(), support=phi.radius, offset=float(np.sqrt(c2)),
+        value_at_origin=float(phi(np.zeros(phi.d))), gradient_at_origin=grad)
 
 
 def spline_view(profile: ProfileSpline, offset: float) -> RadialTestView:
@@ -347,8 +347,9 @@ def pair_extension(t: ScalarDistribution, phi,
     """Pairing of a single renormalized (or integrable bare) propagator
     power with a test function on the relative space R^d.
 
-    phi: RadialTestView, or any object with radial_map().  A view with
-    an array of offsets gives the array of their pairings.
+    phi: RadialTestView, or a TestFunction, whose view ``radial_view``
+    forms from its closed-form profile.  A view with an array of
+    offsets gives the array of their pairings.
     """
     if t.n_points != 2 or len(t.factors) != 1:
         raise UnsupportedCase("pair_extension handles single-pair kernels only")

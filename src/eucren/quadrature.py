@@ -287,12 +287,12 @@ def _angular_rule(d: int, n: int):
 
 def _sphere_mean(gu: Callable, rho, c, d: int, n: int):
     """Spherical average of x -> g(|x - c e1|^2) over |x| = rho, for
-    matching arrays rho and c."""
+    matching arrays rho and c; ``gu`` maps an array of u to an array of
+    the same shape."""
     mu, w = _angular_rule(d, n)
     rho, c = rho[:, None], c[:, None]
     u = np.maximum(rho * rho + c * c - 2.0 * c * rho * mu, 0.0)
-    # a constant profile compiles to a function returning one number
-    return np.broadcast_to(np.asarray(gu(u), dtype=float), u.shape) @ w
+    return gu(u) @ w
 
 
 def panel_edges(lo, hi, marks, levels: int = 0, ratio: float = 0.5):

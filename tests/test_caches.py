@@ -10,7 +10,7 @@ import eucren
 from helpers import fresh_run
 
 # keyed only by small integers (orders, dimensions) or by nothing
-UNBOUNDED = {"quadrature.gauss_legendre", "expr.coords", "expr._u_symbol",
+UNBOUNDED = {"quadrature.gauss_legendre", "expr.coords",
              "functionals._multi_indices", "functionals.balanced_basis"}
 
 

@@ -357,8 +357,8 @@ class TestRenormalizeCommand:
         assert np.isfinite(value) and value != 0.0
 
     def test_zero_amplitude_pairs_to_zero(self):
-        # a zero amplitude compiles to a constant profile, which returns
-        # one number rather than an array
+        # a zero amplitude gives both tests the zero profile, so their
+        # correlation profile and the pairing are exact zeros, not nan
         text = ("command=renormalize d=2 m=0.5 factors=0-1:1 bare=true\n"
                 "[functional f]\ncenter=0,0\nradius=1\namplitude=0\n"
                 "[functional g]\ncenter=0,0\nradius=1\namplitude=0\n")

@@ -1,13 +1,25 @@
-"""Tests for the smooth-expression layer (SmoothMap / RadialMap / BumpCore)."""
+"""Tests for the smooth-expression layer: SmoothMap, BumpCore, and the
+closed-form radial profiles of bumps and cutoffs."""
 
+import ast
+import pathlib
+
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
+import eucren
 from eucren import expr
 from eucren.cli import parse_config, run
-from eucren.expr import BumpCore, RadialMap, SmoothMap, coords
-from eucren.functionals import FieldConfiguration
+from eucren.expr import BumpCore, SmoothMap, bump_u, coords, plateau_u
+from eucren.functionals import FieldConfiguration, TestFunction
+from eucren.kernels import CutoffFunction
+from eucren.propagator import (
+    _helmholtz_image,
+    green_function,
+    verify_fundamental_solution,
+)
 
 
 def central_diff(f, x, i, h=1e-5):
@@ -105,51 +117,214 @@ class TestSmoothMap:
             SmoothMap.coordinate(0, 2) + SmoothMap.coordinate(0, 3)
 
 
+def _cartesian_laplacian(f: SmoothMap) -> SmoothMap:
+    return SmoothMap(sum(sp.diff(f.expr, x, 2) for x in coords(f.d)), f.d)
+
+
 class TestRadialMap:
+    """Radial maps in closed form: the bump test function, its Helmholtz
+    image, and the cutoff step, against their Cartesian sympy forms."""
+
     def test_matches_smoothmap_values(self):
-        rm = RadialMap.bump_profile(3, (0.2, -0.1, 0.4), 1.3, amplitude=0.7)
-        sm = rm.to_smoothmap()
+        f = TestFunction(3, (0.2, -0.1, 0.4), 1.3, amplitude=0.7)
+        sm = SmoothMap.bump(3, f.center, f.radius, f.amplitude)
         rng = np.random.default_rng(5)
         pts = rng.normal(scale=0.6, size=(40, 3)) + np.array([0.2, -0.1, 0.4])
-        np.testing.assert_allclose(rm(pts), sm(pts), rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(f(pts), sm(pts), rtol=1e-12, atol=1e-300)
+        # d = 1 takes bare scalars as well as points of shape (n, 1)
+        g = TestFunction(1, (0.3,), 0.8, amplitude=-1.2)
+        x = np.linspace(-0.6, 1.2, 13)
+        sm1 = SmoothMap.bump(1, g.center, g.radius, g.amplitude)
+        np.testing.assert_allclose(g(x), sm1(x[:, None]), rtol=1e-12,
+                                   atol=1e-300)
+        np.testing.assert_array_equal(g(x), g(x[:, None]))
 
     def test_laplacian_agrees_with_cartesian(self):
-        rm = RadialMap.bump_profile(2, (0.0, 0.0), 1.0)
-        lap_radial = rm.laplacian()
-        lap_cart = rm.to_smoothmap().laplacian()
-        pts = np.array([[0.0, 0.0], [0.3, 0.1], [-0.5, 0.45], [0.6, -0.6]])
-        np.testing.assert_allclose(lap_radial(pts), lap_cart(pts), rtol=1e-9, atol=1e-12)
+        # at m = 0 the image is -Lap f, against the sympy Laplacian of
+        # the Cartesian bump
+        rng = np.random.default_rng(3)
+        for d, center, radius in ((1, (0.2,), 0.9), (2, (0.0, 0.0), 1.0),
+                                  (3, (0.1, -0.3, 0.2), 1.1)):
+            f = TestFunction(d, center, radius, amplitude=1.4)
+            lap = _cartesian_laplacian(SmoothMap.bump(d, center, radius, 1.4))
+            pts = np.asarray(center) + rng.uniform(-0.7, 0.7, size=(30, d))
+            u = np.sum((pts - np.asarray(center)) ** 2, axis=1)
+            np.testing.assert_allclose(-_helmholtz_image(f, 0.0)(u),
+                                       lap(pts), rtol=1e-9, atol=1e-12)
 
     def test_laplacian_no_singularity_at_center(self):
-        # The u = s^2 form has no 1/s term, so the center value is exact.
-        rm = RadialMap.bump_profile(3, (0.0, 0.0, 0.0), 1.0)
-        val = rm.laplacian()(np.zeros(3))
-        # Lap f(0) = 2d g'(0) with g(u) = exp(-1/(1-u)): g'(0) = -e^{-1}
-        assert float(val) == pytest.approx(-6 * np.exp(-1.0), rel=1e-12)
+        # The u = s^2 form has no 1/s term, so the center value is exact:
+        # Lap f(0) = 2d g'(0) with g(u) = exp(-1/(1-u)), g'(0) = -e^{-1}
+        f = TestFunction(3, (0.0, 0.0, 0.0), 1.0)
+        val = float(_helmholtz_image(f, 0.0)(0.0))
+        assert val == pytest.approx(6 * np.exp(-1.0), rel=1e-12, abs=0.0)
 
     def test_helmholtz_operator(self):
         m = 1.7
-        rm = RadialMap.bump_profile(3, (0.0, 0.0, 0.0), 1.0)
-        h = rm.helmholtz(m)
-        pts = np.array([[0.1, 0.2, -0.3], [0.0, 0.0, 0.0]])
-        expect = -rm.laplacian()(pts) + m**2 * rm(pts)
-        np.testing.assert_allclose(h(pts), expect, rtol=1e-12)
+        f = TestFunction(3, (0.3, 0.0, -0.2), 1.0, amplitude=0.8)
+        sm = SmoothMap.bump(3, f.center, f.radius, f.amplitude)
+        pts = np.array([[0.4, 0.2, -0.5], [0.3, 0.0, -0.2], [1.0, 0.1, 0.1]])
+        u = np.sum((pts - np.asarray(f.center)) ** 2, axis=1)
+        expect = -_cartesian_laplacian(sm)(pts) + m**2 * sm(pts)
+        np.testing.assert_allclose(_helmholtz_image(f, m)(u), expect,
+                                   rtol=1e-9, atol=1e-12)
 
     def test_plateau_profile(self):
-        w = RadialMap.plateau_profile(3, (0.0, 0.0, 0.0), radius=1.0, plateau_fraction=0.5)
-        inner = np.array([[0.0, 0.0, 0.0], [0.3, 0.3, 0.2], [0.49, 0.0, 0.0]])
-        outer = np.array([[1.0, 0.0, 0.0], [0.8, 0.8, 0.0], [0.0, 0.0, 2.0]])
-        np.testing.assert_allclose(w(inner), 1.0, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(w(outer), 0.0, rtol=0, atol=1e-15)
-        mid = w(np.array([0.75, 0.0, 0.0]))
+        w = CutoffFunction(3, radius=1.0, plateau_fraction=0.5)
+        inner = np.linalg.norm([[0.0, 0.0, 0.0], [0.3, 0.3, 0.2],
+                                [0.49, 0.0, 0.0]], axis=1)
+        outer = np.linalg.norm([[1.0, 0.0, 0.0], [0.8, 0.8, 0.0],
+                                [0.0, 0.0, 2.0]], axis=1)
+        np.testing.assert_array_equal(w.profile(inner), 1.0)
+        np.testing.assert_array_equal(w.profile(outer), 0.0)
+        mid = w.profile(0.75)
         assert 0.0 < float(mid) < 1.0
+        rho = np.linspace(0.0, 1.2, 25)
+        np.testing.assert_array_equal(w.gu()(rho * rho), w.profile(rho))
 
     def test_profile_taylor(self):
-        rm = RadialMap.bump_profile(1, (0.0,), 2.0, amplitude=3.0)
-        c0, c1 = rm.profile_taylor_u(1)
-        # g(u) = 3 exp(-1/(1-u/4)): g(0) = 3/e, g'(0) = -3/(4e)
-        assert c0 == pytest.approx(3 * np.exp(-1.0), rel=1e-12)
-        assert c1 == pytest.approx(-0.75 * np.exp(-1.0), rel=1e-12)
+        # g(u) = 3 exp(-1/(1-u/4)): g(0) = 3/e, g'(0) = -3/(4e), and
+        # g''(0) = (3/16) e^{-1} p_2(1) = -3/(16e)
+        f = TestFunction(1, (0.0,), 2.0, amplitude=3.0)
+        c0, c1, c2 = (float(f.gu(k)(0.0)) for k in range(3))
+        assert c0 == pytest.approx(3 * np.exp(-1.0), rel=1e-12, abs=0.0)
+        assert c1 == pytest.approx(-0.75 * np.exp(-1.0), rel=1e-12, abs=0.0)
+        assert c2 == pytest.approx(-3 / 16 * np.exp(-1.0), rel=1e-12,
+                                   abs=0.0)
+
+
+def _bump_oracle(k):
+    """(u, r^2, A) -> the k-th u-derivative of A exp(-1/(1 - u/r^2)) by
+    sympy, evaluated in mpmath."""
+    u, r2, a = sp.symbols("u r2 A", real=True)
+    return sp.lambdify((u, r2, a), sp.diff(a * sp.exp(-1 / (1 - u / r2)), u, k),
+                       "mpmath")
+
+
+class TestClosedForms:
+    """``bump_u`` and ``plateau_u`` against sympy, at 40 digits."""
+
+    CASES = ((1.0, 1.0), (0.7, 1.3), (-2.5, 0.45))  # (amplitude, radius)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_bump_derivatives_match_sympy(self, k):
+        # max |g^(k)| is the scale: p_2 has a root at t = 1/2, where a
+        # relative check would ask for an exact zero
+        oracle = _bump_oracle(k)
+        t = np.linspace(0.05, 1.0, 191)
+        for amplitude, radius in self.CASES:
+            u = radius * radius * (1.0 - t)
+            got = bump_u(u, radius, amplitude, k)
+            with mpmath.workdps(40):
+                ref = np.array([float(oracle(mpmath.mpf(x),
+                                             mpmath.mpf(radius) ** 2,
+                                             mpmath.mpf(amplitude)))
+                                for x in u])
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_bump_derivatives_near_the_boundary(self, k):
+        # g is ill-conditioned in u there (relative error about eps/t^2),
+        # so the oracle is taken at the float t the closed form computes;
+        # exp(-1/t) still turns the rounding of 1/t into about eps/t
+        oracle = _bump_oracle(k)
+        for amplitude, radius in self.CASES:
+            r2 = radius * radius
+            u = r2 * (1.0 - np.geomspace(2e-3, 0.05, 60))
+            t = 1.0 - u / r2
+            got = bump_u(u, radius, amplitude, k)
+            with mpmath.workdps(40):
+                ref = np.array([float(oracle(mpmath.mpf(r2) * (1 - mpmath.mpf(x)),
+                                             mpmath.mpf(r2),
+                                             mpmath.mpf(amplitude)))
+                                for x in t])
+            assert np.all(ref != 0.0)
+            assert np.all(np.abs(got - ref) <= 1e-15 / t * np.abs(ref))
+
+    def test_bump_is_zero_off_the_support(self):
+        for k in (0, 1, 2, 3, 12):
+            # t <= 0, the sphere itself included
+            out = bump_u(np.array([1.0, 1.0 + 1e-12, 1.5, 4.0, np.inf]),
+                         1.0, 2.0, k)
+            np.testing.assert_array_equal(out, 0.0)
+            # the smallest positive t that 1 - u/r^2 can produce: E(t)
+            # underflows, and p_k(1/t) must not turn it into nan
+            u = 1.0 - 2.0 ** -53
+            assert 1.0 - u == 2.0 ** -53
+            edge = bump_u(u, 1.0, 2.0, k)
+            assert np.isfinite(edge) and edge == 0.0
+
+    def test_plateau_matches_sympy(self):
+        u, a2, b2 = sp.symbols("u a2 b2", real=True)
+        s = (u - a2) / (b2 - a2)
+
+        def core(t):
+            return sp.Piecewise((sp.exp(-1 / t), t > 0), (0, True))
+
+        oracle = sp.lambdify((u, a2, b2),
+                             core(1 - s) / (core(1 - s) + core(s)), "mpmath")
+        inner, outer = 0.45, 1.2
+        grid = np.linspace(0.0, 2.0, 401)
+        got = plateau_u(grid, inner, outer)
+        with mpmath.workdps(40):
+            ref = np.array([float(oracle(mpmath.mpf(x), mpmath.mpf(inner) ** 2,
+                                         mpmath.mpf(outer) ** 2))
+                            for x in grid])
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14)
+        np.testing.assert_array_equal(got[grid <= inner**2], 1.0)
+        np.testing.assert_array_equal(got[grid >= outer**2], 0.0)
+
+
+class TestNumericCore:
+    """The pairing, renormalization and verification routes build no
+    symbolic expression: only ``expr`` imports sympy, for the field
+    grammar."""
+
+    @pytest.fixture
+    def no_sympy(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("symbolic work in the numeric core")
+
+        monkeypatch.setattr(sp, "diff", refuse)
+        monkeypatch.setattr(expr, "_compiled", refuse)
+
+    def test_fundamental_solution_is_numeric(self, no_sympy):
+        phi = TestFunction(3, (0.1, 0.0, -0.2), 1.0, amplitude=1.3)
+        assert verify_fundamental_solution(green_function(3, 1.0), phi) < 1e-9
+
+    def test_renormalize_sweep_is_numeric(self, no_sympy):
+        # the lambda sweep pairs through radial_view, the pairing through
+        # correlation profiles
+        text = ("command=renormalize d=3 m=1 factors=0-1:3\n"
+                "[functional f]\ncenter=0,0,0\nradius=0.8\n"
+                "[functional g]\ncenter=0.5,0,0\nradius=0.8\n")
+        sections = {s.name: dict(s.pairs) for s in run(parse_config(text)).sections}
+        assert abs(float(sections["scaling"]["estimate"]) - 3.0) < 0.2
+        assert np.isfinite(float(sections["pairing"]["value"]))
+
+    def test_triangle_is_numeric(self, no_sympy):
+        text = ("command=renormalize d=3 m=1 factors=0-1:3,0-2:2,1-2:1 "
+                "gauss_n=6\n"
+                "[functional f]\ncenter=0,0,0\nradius=1.0\n"
+                "[functional g]\ncenter=0,0,0\nradius=0.9\n"
+                "[functional h]\ncenter=0,0,0\nradius=0.8\n")
+        pairing = run(parse_config(text)).sections[-1]
+        assert pairing.name == "pairing"
+        assert np.isfinite(float(dict(pairing.pairs)["value"]))
+
+    def test_only_expr_imports_sympy(self):
+        importers = set()
+        for path in pathlib.Path(eucren.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(n.split(".")[0] == "sympy" for n in names):
+                    importers.add(path.stem)
+        assert importers == {"expr"}
 
 
 class TestCompileOnce:
