@@ -4,8 +4,8 @@ of scalar field theories on flat R^d.
 Modules, bottom up:
 
 - ``errors``: shared failure taxonomy and CLI exit-code table.
-- ``expr``: symbolic smooth maps, the field-expression grammar, and the
-  closed-form radial profiles of bumps and cutoffs.
+- ``expr``: the one closed-form bump (its profile, partials and cutoff
+  steps) and field maps: a sympy background plus bump terms.
 - ``quadrature``: 1d/ball/tensor rules and the scheme record.
 - ``bessel``: K_nu for the kernels: scipy's ``kv``, with elementary
   closed forms at half-integer orders.

@@ -1,42 +1,29 @@
-"""Closed-form smooth functions on R^d.
+"""Closed-form smooth functions on R^d, around one bump.
 
-Two representations cooperate here:
+The bump of radius r and amplitude A is g(u) = A*E(t), with
+E(t) = exp(-1/t) and t = 1 - u/r^2, in the *squared* distance
+u = |x-c|^2, which keeps every radial formula (notably the Laplacian
+4*u*g'' + 2*d*g') free of 1/|x-c| singularities at the center.
+``bump_u`` gives its k-th u-derivative
 
-* ``SmoothMap`` wraps a sympy expression in coordinates x1..xd.  The
-  grammar is constants, coordinates, polynomials, exponentials,
-  sine/cosine, plus the compactly supported atom ``BumpCore``
-  (see below), and is closed under exact partial differentiation.
-  It is also the field configuration phi of the functional calculus:
-  an optional ``support_ball`` bounds its support, and
-  ``SmoothMap.from_expression`` reads the field-expression grammar of
-  config files (an ``ast`` whitelist; the text is never evaluated).
+    g^(k)(u) = A * (-1/r^2)^k * E(t) * p_k(1/t),
 
-* Radial profiles are plain numpy functions of the *squared* distance
-  u = |x-c|^2, which keeps every radial formula (notably the Laplacian
-  4*u*g'' + 2*d*g') free of 1/|x-c| singularities at the center.
-  With E(t) = exp(-1/t) and t = 1 - u/r^2, ``bump_u`` gives the bump
-  g(u) = A*E(t) and its k-th u-derivative
+with integer polynomials p_0 = 1, p_(k+1)(s) = s^2 (p_k(s) - p_k'(s)),
+and 0 for t <= 0; p_k is evaluated only where E(t) > 0, so no
+0*inf = nan appears at the boundary.  ``bump_partial`` gives the
+Cartesian partials of g(|x-c|^2), ``step`` the C-infinity step
+E(1-s)/(E(1-s) + E(s)) and ``plateau_u`` the cutoff step in u.
 
-      g^(k)(u) = A * (-1/r^2)^k * E(t) * p_k(1/t),
-
-  with integer polynomials p_0 = 1, p_(k+1)(s) = s^2 (p_k(s) - p_k'(s)),
-  and 0 for t <= 0.  ``plateau_u`` is the C-infinity step
-  w = E(1-s)/(E(1-s) + E(s)), s = (u - a^2)/(b^2 - a^2): 1 for |x-c| <= a
-  and 0 for |x-c| >= b.
-
-``BumpCore(t)`` is exp(-1/t) for t > 0 and identically 0 for t <= 0,
-the standard C-infinity transition germ.  Its derivative is
-BumpCore(t)/t**2, so derivative trees stay inside the grammar.
-Numeric caveat: expressions produced by differentiation contain
-rational prefactors 1/t**k that are 0*inf = nan exactly on the support
-boundary t = 0; all quadrature grids in this package therefore sample
-strictly inside or strictly outside supports.  The closed forms have no
-such point: they evaluate p_k only where E(t) > 0.
+``SmoothMap``, the field configuration phi of the functional calculus,
+is a sympy expression in x1..xd plus bump terms;
+``SmoothMap.from_expression`` reads the field-expression grammar of
+config files (an ``ast`` whitelist; the text is never evaluated).
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 import operator
 import re
@@ -45,31 +32,6 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
-
-
-class BumpCore(sp.Function):
-    """exp(-1/t) smoothly glued to 0 for t <= 0."""
-
-    nargs = 1
-
-    @classmethod
-    def eval(cls, t):
-        if t.is_Number:
-            if t.is_zero or t.is_negative:
-                return sp.Integer(0)
-        return None
-
-    def fdiff(self, argindex=1):
-        t = self.args[0]
-        return BumpCore(t) / t**2
-
-    def _eval_evalf(self, prec):
-        t = self.args[0].evalf(prec)
-        if not t.is_Number:
-            return None
-        if t <= 0:
-            return sp.Float(0, prec)
-        return sp.exp(-1 / t).evalf(prec)
 
 
 def _bumpcore_numpy(t):
@@ -88,62 +50,61 @@ def bump_u(u, radius: float, amplitude: float = 1.0, k: int = 0):
     t = 1.0 - np.asarray(u, dtype=float) / (radius * radius)
     out = _bumpcore_numpy(t)
     if k:
-        p = np.polynomial.Polynomial([1.0])
+        p = (1,)  # the integer coefficients of p_k, lowest degree first
         for _ in range(k):
-            p = np.polynomial.Polynomial([0.0, 0.0, 1.0]) * (p - p.deriv())
-        # where E(t) underflows to 0, p_k(1/t) could overflow
+            p = (0, 0, *(a - i * b for i, (a, b) in
+                         enumerate(zip(p, p[1:] + (0,)), start=1)))
+        # p_k(1/t) by Horner; 1/t is 0 where E(t) underflows to 0, so
+        # that p_k cannot overflow there
         inside = out > 0.0
-        out[inside] *= p(1.0 / t[inside]) * (-1.0 / (radius * radius)) ** k
+        s = np.divide(1.0, t, out=np.zeros_like(t), where=inside)
+        poly = np.zeros_like(t)
+        for c in reversed(p):
+            poly *= s
+            poly += c
+        poly *= (-1.0 / (radius * radius)) ** k
+        np.multiply(out, poly, out=out, where=inside)
     # in place: a block of u holds up to quadrature._BLOCK_ENTRIES entries
     out *= amplitude
     return out
 
 
+def bump_partial(y, radius: float, amplitude: float, alpha: Sequence[int]):
+    """The partial d^alpha of the bump g(|y|^2) at offsets y = x - c of
+    shape (..., d): by Faa di Bruno for the square,
+
+        sum_j prod_i a_i!/(j_i! (a_i - 2 j_i)!) (2 y_i)^(a_i - 2 j_i)
+              * g^(|alpha| - |j|)(|y|^2),
+
+    over 0 <= 2 j_i <= a_i."""
+    y = np.asarray(y, dtype=float)
+    u = np.sum(y * y, axis=-1)
+    out = np.zeros(u.shape)
+    for js in itertools.product(*(range(a // 2 + 1) for a in alpha)):
+        term = bump_u(u, radius, amplitude, sum(alpha) - sum(js))
+        for a, j, yi in zip(alpha, js, np.moveaxis(y, -1, 0)):
+            term *= math.perm(a, 2 * j) // math.factorial(j) * (2.0 * yi) ** (a - 2 * j)
+        out += term
+    return out
+
+
+def step(s):
+    """The smooth step E(1-s)/(E(1-s) + E(s)): 1 for s <= 0, 0 for s >= 1."""
+    fall = _bumpcore_numpy(1.0 - s)
+    return fall / (fall + _bumpcore_numpy(s))
+
+
 def plateau_u(u, inner: float, outer: float):
     """The smooth step w(u): 1 for u <= inner^2, 0 for u >= outer^2."""
     a2 = inner * inner
-    s = (np.asarray(u, dtype=float) - a2) / (outer * outer - a2)
-    rise = _bumpcore_numpy(1.0 - s)
-    return rise / (rise + _bumpcore_numpy(s))
-
-
-_LAMBDIFY_MODULES = [{"BumpCore": _bumpcore_numpy}, "numpy"]
+    return step((np.asarray(u, dtype=float) - a2) / (outer * outer - a2))
 
 
 @lru_cache(maxsize=1024)
 def _compiled(args, expr):
     """The numpy callable of ``expr`` in ``args``, compiled once however
-    many maps carry it; ``_numpy_fn`` hands it expressions whose float
-    constants are parameters, so maps that differ only in those
-    constants share one compilation."""
-    return sp.lambdify(args, expr, modules=_LAMBDIFY_MODULES)
-
-
-@lru_cache(maxsize=1024)
-def _lifted(expr):
-    """(template, parameters, values): ``expr`` with each distinct Float
-    replaced by a parameter symbol, numbered in order of first
-    appearance, and the values those Floats have in compiled code (a
-    53-bit Float prints 15 digits there; a literal keeps its source
-    digits, so Floats of different precision stay distinct)."""
-    from sympy.printing.numpy import NumPyPrinter
-
-    floats = {}
-    for node in sp.preorder_traversal(expr):
-        if isinstance(node, sp.Float) and node not in floats:
-            floats[node] = sp.Symbol(f"float_{len(floats)}")
-    printer = NumPyPrinter()
-    values = tuple(float(printer.doprint(f)) for f in floats)
-    return expr.xreplace(floats), tuple(floats.values()), values
-
-
-def _numpy_fn(args, expr):
-    """The numpy callable of ``expr`` in ``args`` (a symbol or a tuple
-    of them)."""
-    template, params, values = _lifted(expr)
-    args = args if isinstance(args, tuple) else (args,)
-    fn = _compiled(args + params, template)
-    return lambda *xs: fn(*xs, *values)
+    many maps carry it."""
+    return sp.lambdify(args, expr, modules="numpy")
 
 
 @lru_cache(maxsize=None)
@@ -153,7 +114,13 @@ def coords(d: int) -> tuple:
 
 
 class SmoothMap:
-    """A smooth function R^d -> R given as a sympy expression.
+    """A smooth function R^d -> R: a sympy expression in x1..xd
+    (constants, polynomials, exp, sin, cos) plus ``bumps``, terms
+    (center, radius, amplitude, alpha) that each stand for d^alpha of
+    the bump A*exp(-1/(1 - |x-c|^2/r^2)).  Sums concatenate the terms,
+    constant multiples scale the amplitudes, derivatives add to alpha.
+    A product of two non-constant maps where either has bump terms, and
+    a power of a map with bump terms, raise ValueError.
 
     ``support_ball`` is an optional declared bounding ball (center,
     radius) of the support.  A sum gets the smallest ball containing
@@ -161,16 +128,18 @@ class SmoothMap:
     result carries None, as do globally supported atoms.
     """
 
-    __slots__ = ("d", "expr", "support_ball")
+    __slots__ = ("d", "expr", "support_ball", "bumps")
 
     def __init__(self, expr, d: int,
-                 support_ball: Optional[Tuple[Tuple[float, ...], float]] = None):
+                 support_ball: Optional[Tuple[Tuple[float, ...], float]] = None,
+                 bumps: tuple = ()):
         self.d = int(d)
         self.expr = sp.sympify(expr)
         if support_ball is not None:
             center, radius = support_ball
             support_ball = (tuple(float(c) for c in center), float(radius))
         self.support_ball = support_ball
+        self.bumps = tuple(bumps)
 
     # -- constructors -------------------------------------------------
 
@@ -197,9 +166,8 @@ class SmoothMap:
             raise ValueError("center length must equal the dimension")
         if radius <= 0:
             raise ValueError("radius must be positive")
-        u = sum((x - sp.Float(c)) ** 2 for x, c in zip(coords(d), center))
-        expr = sp.sympify(amplitude) * BumpCore(1 - u / sp.Float(radius) ** 2)
-        return SmoothMap(expr, d, support_ball=(center, radius))
+        return SmoothMap(0, d, support_ball=(center, radius),
+                         bumps=((center, radius, float(amplitude), (0,) * d),))
 
     @staticmethod
     def from_expression(text: str, d: int) -> "SmoothMap":
@@ -224,13 +192,14 @@ class SmoothMap:
         """Evaluate at points of shape (..., d) (or scalars when d == 1)."""
         pts = np.asarray(points, dtype=float)
         if self.d == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            comps = [pts]
-        else:
-            comps = [pts[..., i] for i in range(self.d)]
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            out = _numpy_fn(coords(self.d), self.expr)(*comps)
-        return np.broadcast_to(np.asarray(out, dtype=float), comps[0].shape).copy() \
-            if np.ndim(out) == 0 and np.ndim(comps[0]) > 0 else np.asarray(out, dtype=float)
+            pts = pts[..., None]
+        with np.errstate(all="ignore"):
+            out = float(self.expr) if self.expr.is_number else _compiled(
+                coords(self.d), self.expr)(*np.moveaxis(pts, -1, 0))
+        out = np.array(np.broadcast_to(out, pts.shape[:-1]), dtype=float)
+        for center, radius, amplitude, alpha in self.bumps:
+            out += bump_partial(pts - center, radius, amplitude, alpha)
+        return out
 
     # -- calculus ------------------------------------------------------
 
@@ -240,10 +209,12 @@ class SmoothMap:
         if len(alpha) != self.d:
             raise ValueError("multi-index length must equal the dimension")
         e = self.expr
-        for i, a in enumerate(alpha):
-            if a:
-                e = sp.diff(e, coords(self.d)[i], a)
-        return SmoothMap(e, self.d, self.support_ball)
+        if any(alpha):
+            e = sp.S.Zero if e.is_number else sp.diff(
+                e, *((x, a) for x, a in zip(coords(self.d), alpha) if a))
+        bumps = tuple((c, r, amp, tuple(a + b for a, b in zip(beta, alpha)))
+                      for c, r, amp, beta in self.bumps)
+        return SmoothMap(e, self.d, self.support_ball, bumps)
 
     # -- algebra -------------------------------------------------------
 
@@ -273,7 +244,8 @@ class SmoothMap:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return SmoothMap(self.expr + o.expr, self.d, self._merged_ball(o))
+        return SmoothMap(self.expr + o.expr, self.d, self._merged_ball(o),
+                         self.bumps + o.bumps)
 
     __radd__ = __add__
 
@@ -282,13 +254,15 @@ class SmoothMap:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        if o.is_constant:
-            ball = self.support_ball
-        elif self.is_constant:
-            ball = o.support_ball
-        else:
-            ball = None
-        return SmoothMap(self.expr * o.expr, self.d, ball)
+        scale, kept = (o, self) if o.is_constant else (self, o)
+        if not scale.is_constant:
+            if self.bumps or o.bumps:
+                raise ValueError("a product of non-constant maps with bump "
+                                 "terms is not a SmoothMap")
+            return SmoothMap(self.expr * o.expr, self.d)
+        return SmoothMap(self.expr * o.expr, self.d, kept.support_ball,
+                         tuple((c, r, amp * scale.constant_value(), alpha)
+                               for c, r, amp, alpha in kept.bumps))
 
     __rmul__ = __mul__
 
@@ -297,13 +271,14 @@ class SmoothMap:
 
     def __pow__(self, n: int):
         n = int(n)
-        if n < 0:
-            raise ValueError("only nonnegative integer powers are smooth-safe")
+        if n < 0 or self.bumps:
+            raise ValueError("only nonnegative integer powers of maps "
+                             "without bump terms are smooth-safe")
         return SmoothMap(self.expr**n, self.d)
 
     @property
     def is_constant(self) -> bool:
-        return not self.expr.free_symbols
+        return not self.bumps and not self.expr.free_symbols
 
     def constant_value(self) -> float:
         if not self.is_constant:
@@ -311,7 +286,7 @@ class SmoothMap:
         return float(self.expr)
 
     def __repr__(self):
-        return f"SmoothMap(d={self.d}, {self.expr})"
+        return f"SmoothMap(d={self.d}, {self.expr}, bumps={self.bumps})"
 
 
 _BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,

@@ -23,12 +23,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import PreconditionViolated, UnsupportedCase
-from .expr import SmoothMap, bump_u, coords
+from .expr import SmoothMap, bump_u, step
 from .quadrature import (
     DEFAULT_SCHEME,
     QuadratureScheme,
@@ -95,12 +95,7 @@ class TestFunction:
 
     def __call__(self, points):
         """f at points of shape (..., d), or at scalars when d == 1."""
-        pts = np.asarray(points, dtype=float)
-        if self.d == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-            u = (pts - self.center[0]) ** 2
-        else:
-            u = np.sum((pts - np.asarray(self.center)) ** 2, axis=-1)
-        return self.gu()(u)
+        return self.to_field()(points)
 
     @property
     def nodes_key(self):
@@ -141,11 +136,12 @@ FieldConfiguration = SmoothMap
 
 @dataclass(frozen=True)
 class CoefficientPiece:
-    """A windowed coefficient from a partition-of-unity split: the
-    original bump times a smooth slab window, with a bounding ball.
-    Not radial, so only the tensor evaluation paths apply."""
+    """A windowed coefficient from a partition-of-unity split: ``fn``,
+    a numeric callable of points (..., d) that is the original bump
+    times a smooth slab window, with a bounding ball.  Not radial, so
+    only the tensor evaluation paths apply."""
 
-    fn: SmoothMap
+    fn: Callable
     d: int
     center: Tuple[float, ...]
     radius: float
@@ -580,10 +576,24 @@ def taylor_evaluate(terms: Sequence[BalancedFieldTerm],
 # -- partition-of-unity splitting ------------------------------------------
 
 
-def _step_expr(t):
-    """Smooth monotone step: 0 for t <= 0, 1 for t >= 1."""
-    from .expr import BumpCore
-    return BumpCore(t) / (BumpCore(t) + BumpCore(1 - t))
+@dataclass(frozen=True)
+class _Windowed:
+    """The bump ``parent`` times the slab window of ``split_support``
+    along ``axis``: the rising smooth step of width ``tau`` centred at
+    the cut ``left``, minus the one at ``right``; an infinite cut is no
+    cut."""
+
+    parent: TestFunction
+    axis: int
+    left: float
+    right: float
+    tau: float
+
+    def __call__(self, points):
+        x = np.asarray(points, dtype=float)[..., self.axis]
+        window = (step(0.5 - (x - self.left) / self.tau)
+                  - step(0.5 - (x - self.right) / self.tau))
+        return self.parent(points) * window
 
 
 def split_support(F: LocalFunctional, pieces: int,
@@ -605,24 +615,17 @@ def split_support(F: LocalFunctional, pieces: int,
         if not isinstance(f, TestFunction):
             raise UnsupportedCase("only bump coefficients can be split")
         d, c, r = f.d, np.asarray(f.center), f.radius
-        lo, hi = c[axis] - r, c[axis] + r
+        lo, hi = f.center[axis] - r, f.center[axis] + r
         width = (hi - lo) / pieces
         # wide transitions keep the windows quadrature-friendly
         tau = 0.75 * width
-        x = coords(d)[axis]
-        bump_expr = f.to_field().expr
-        cuts = [lo + k * width for k in range(pieces + 1)]
+        cuts = [-math.inf, *(lo + k * width for k in range(1, pieces)),
+                math.inf]
         for k in range(pieces):
             # rising steps at both cuts; the telescoping sum is 1 on supp f
-            left = (_step_expr((x - cuts[k]) / tau + Fraction(1, 2))
-                    if k > 0 else 1)
-            right = (_step_expr((x - cuts[k + 1]) / tau + Fraction(1, 2))
-                     if k + 1 < pieces else 0)
-            window = left - right
-            piece_fn = SmoothMap(bump_expr * window, d)
+            piece_fn = _Windowed(f, axis, cuts[k], cuts[k + 1], tau)
             # bounding ball of (slab + transition) intersected with the bump
-            a = max(lo, cuts[k] - tau) if k > 0 else lo
-            b = min(hi, cuts[k + 1] + tau) if k + 1 < pieces else hi
+            a, b = max(lo, cuts[k] - tau), min(hi, cuts[k + 1] + tau)
             mid = np.array(c, dtype=float)
             mid[axis] = 0.5 * (a + b)
             radius = math.hypot(0.5 * (b - a), r) if d > 1 else 0.5 * (b - a)

@@ -459,7 +459,7 @@ def pair(t: ScalarDistribution, tests: Sequence,
             result *= _pair_two(sub, sub_tests[0], sub_tests[1], scheme, method)
         elif len(verts) == 3:
             from .triple import pair_three
-            result *= pair_three(sub, sub_tests, scheme, method)
+            result *= pair_three(sub, sub_tests, scheme)
         else:
             raise UnsupportedCase(
                 "connected kernels on >= 4 points are outside the numeric "

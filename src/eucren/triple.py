@@ -56,7 +56,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.ndimage import spline_filter
 
 from .errors import (
     NonIntegrableSingularity,
@@ -121,6 +120,18 @@ def _cubic_taps(x):
                                    t * t * t / 6.0)
 
 
+def _prefilter(a):
+    """Cubic B-spline coefficients that interpolate the samples ``a``:
+    on each axis, a solve of the collocation matrix (1, 4, 1)/6 under
+    the mirror boundary c[-1] = c[1], c[n] = c[n-2]."""
+    for axis in range(a.ndim):
+        n = a.shape[axis]
+        m = (4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 6.0
+        m[0, 1] = m[-1, -2] = 2.0 / 6.0
+        a = np.moveaxis(np.linalg.solve(m, np.moveaxis(a, axis, -2)), -2, axis)
+    return a
+
+
 @lru_cache(maxsize=8)
 def grid_field(f0, f1, f2, scheme: QuadratureScheme = DEFAULT_SCHEME) -> TripleField:
     """Tabulate Phi for concentric tests (centers already coinciding)."""
@@ -158,10 +169,9 @@ def grid_field(f0, f1, f2, scheme: QuadratureScheme = DEFAULT_SCHEME) -> TripleF
                + (r2g ** 2)[None, :, None])
         H = np.asarray(g2u(arg), dtype=float).reshape(len(G), -1)
         phi += (F[sl, None] * G).T @ H
-    # the prefiltered spline, with ndimage's "mirror" boundary as two
-    # padded nodes on each side
-    cpad = np.pad(spline_filter(phi.reshape(n1, n2, n_th), order=3,
-                                mode="mirror"), 2, mode="reflect")
+    # the prefiltered spline, with its mirror boundary as two padded
+    # nodes on each side
+    cpad = np.pad(_prefilter(phi.reshape(n1, n2, n_th)), 2, mode="reflect")
 
     g1_at0 = F * np.asarray(g1u(u0), dtype=float)
     s2 = np.concatenate([-(np.arange(_GHOSTS, 0, -1)) * h2,
@@ -376,8 +386,7 @@ def _pair_path(t: ScalarDistribution, tests, scheme: QuadratureScheme) -> float:
 
 
 def pair_three(t: ScalarDistribution, tests,
-               scheme: QuadratureScheme = DEFAULT_SCHEME,
-               method: str = "auto") -> float:
+               scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
     """Pairing of a connected three-point kernel against three tests."""
     for factor in t.factors:
         if factor.deriv_order:

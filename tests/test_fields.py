@@ -1,7 +1,8 @@
-"""Tests for the smooth-expression layer: SmoothMap, BumpCore, and the
-closed-form radial profiles of bumps and cutoffs."""
+"""Tests for the smooth-expression layer: SmoothMap, and the closed-form
+bump, its partials, and the cutoff profiles."""
 
 import ast
+import itertools
 import pathlib
 
 import mpmath
@@ -12,8 +13,10 @@ import sympy as sp
 import eucren
 from eucren import expr
 from eucren.cli import parse_config, run
-from eucren.expr import BumpCore, SmoothMap, bump_u, coords, plateau_u
-from eucren.functionals import FieldConfiguration, TestFunction
+from eucren.expr import SmoothMap, bump_partial, bump_u, coords, plateau_u
+from eucren.functionals import (FieldConfiguration, LocalFunctional,
+                                MonomialTerm, TestFunction, additivity_check,
+                                evaluate)
 from eucren.kernels import CutoffFunction
 from eucren.propagator import (
     _helmholtz_image,
@@ -31,21 +34,6 @@ def central_diff(f, x, i, h=1e-5):
 
 
 class TestBumpCore:
-    def test_zero_at_and_below_zero(self):
-        assert BumpCore(0) == 0
-        assert BumpCore(-3) == 0
-        assert BumpCore(sp.Rational(-1, 2)) == 0
-
-    def test_positive_values(self):
-        t = 0.7
-        val = float(BumpCore(sp.Float(t)).evalf())
-        assert val == pytest.approx(np.exp(-1 / t), rel=1e-12)
-
-    def test_derivative_rule(self):
-        t = sp.Symbol("t")
-        d = sp.diff(BumpCore(t), t)
-        assert sp.simplify(d - BumpCore(t) / t**2) == 0
-
     @pytest.mark.parametrize("t", [
         np.array([-2.0, -1e-300, -0.0, 0.0, 1e-310, 1e-300, 0.004, 0.7,
                   3.0, np.inf, -np.inf, np.nan]),
@@ -112,13 +100,34 @@ class TestSmoothMap:
         assert np.all(np.isfinite(vals))
         assert np.max(np.abs(vals)) < 1e9
 
+    def test_bump_products_and_powers_rejected(self):
+        f = SmoothMap.bump(2, center=(0.0, 0.0), radius=1.0)
+        x = SmoothMap.coordinate(0, 2)
+        for make in (lambda: f * x, lambda: x * f, lambda: f * f,
+                     lambda: f ** 2, lambda: f ** 1, lambda: f.diff((1, 0)) ** 0):
+            with pytest.raises(ValueError, match="bump terms"):
+                make()
+        # constant multiples scale the amplitudes
+        pts = np.array([[0.2, -0.3], [0.5, 0.5]])
+        np.testing.assert_array_equal((-2.5 * f)(pts), -2.5 * f(pts))
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             SmoothMap.coordinate(0, 2) + SmoothMap.coordinate(0, 3)
 
 
-def _cartesian_laplacian(f: SmoothMap) -> SmoothMap:
-    return SmoothMap(sum(sp.diff(f.expr, x, 2) for x in coords(f.d)), f.d)
+def _sympy_bump(d, center, radius, amplitude):
+    """The bump A*exp(-1/(1 - |x-c|^2/r^2)) as a sympy ``Piecewise`` in
+    x1..xd, 0 off the open ball."""
+    u = sum((x - sp.Float(c, 40)) ** 2 for x, c in zip(coords(d), center))
+    t = 1 - u / sp.Float(radius, 40) ** 2
+    return sp.Piecewise((sp.Float(amplitude, 40) * sp.exp(-1 / t), t > 0),
+                        (0, True))
+
+
+def _cartesian_laplacian(d, center, radius, amplitude) -> SmoothMap:
+    bump = _sympy_bump(d, center, radius, amplitude)
+    return SmoothMap(sum(sp.diff(bump, x, 2) for x in coords(d)), d)
 
 
 class TestRadialMap:
@@ -146,7 +155,7 @@ class TestRadialMap:
         for d, center, radius in ((1, (0.2,), 0.9), (2, (0.0, 0.0), 1.0),
                                   (3, (0.1, -0.3, 0.2), 1.1)):
             f = TestFunction(d, center, radius, amplitude=1.4)
-            lap = _cartesian_laplacian(SmoothMap.bump(d, center, radius, 1.4))
+            lap = _cartesian_laplacian(d, center, radius, 1.4)
             pts = np.asarray(center) + rng.uniform(-0.7, 0.7, size=(30, d))
             u = np.sum((pts - np.asarray(center)) ** 2, axis=1)
             np.testing.assert_allclose(-_helmholtz_image(f, 0.0)(u),
@@ -162,10 +171,11 @@ class TestRadialMap:
     def test_helmholtz_operator(self):
         m = 1.7
         f = TestFunction(3, (0.3, 0.0, -0.2), 1.0, amplitude=0.8)
-        sm = SmoothMap.bump(3, f.center, f.radius, f.amplitude)
+        sm = SmoothMap(_sympy_bump(3, f.center, f.radius, f.amplitude), 3)
         pts = np.array([[0.4, 0.2, -0.5], [0.3, 0.0, -0.2], [1.0, 0.1, 0.1]])
         u = np.sum((pts - np.asarray(f.center)) ** 2, axis=1)
-        expect = -_cartesian_laplacian(sm)(pts) + m**2 * sm(pts)
+        expect = (-_cartesian_laplacian(3, f.center, f.radius, f.amplitude)(pts)
+                  + m**2 * sm(pts))
         np.testing.assert_allclose(_helmholtz_image(f, m)(u), expect,
                                    rtol=1e-9, atol=1e-12)
 
@@ -275,6 +285,48 @@ class TestClosedForms:
         np.testing.assert_array_equal(got[grid >= outer**2], 0.0)
 
 
+class TestBumpPartial:
+    """``bump_partial`` against the sympy ``Piecewise`` bump, evaluated
+    in mpmath at 40 digits."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_partials_match_sympy(self, d):
+        center = (0.3, -0.2, 0.1)[:d]
+        radius, amplitude = 0.9, -1.3
+        bump = _sympy_bump(d, center, radius, amplitude)
+        rng = np.random.default_rng(d)
+        # t = 1 - |y|^2/r^2 in [0.05, 1], random directions
+        direction = rng.normal(size=(40, d))
+        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+        rho = radius * np.sqrt(1.0 - rng.uniform(0.05, 1.0, 40))
+        y = direction * rho[:, None]
+        outside = direction * radius * rng.uniform(1.0, 1.5, 40)[:, None]
+        outside[0] = direction[0] * radius
+        alphas = [a for a in itertools.product(range(5), repeat=d)
+                  if sum(a) <= 4]
+        for alpha in alphas:
+            expr_ = bump
+            for x, a in zip(coords(d), alpha):
+                expr_ = sp.diff(expr_, x, a) if a else expr_
+            oracle = sp.lambdify(coords(d), expr_, "mpmath")
+            got = bump_partial(y, radius, amplitude, alpha)
+            with mpmath.workdps(40):
+                ref = np.array([float(oracle(*(mpmath.mpf(float(c)) + x
+                                               for c, x in zip(center, p))))
+                                for p in y])
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * scale, alpha
+            np.testing.assert_array_equal(
+                bump_partial(outside, radius, amplitude, alpha), 0.0)
+
+    def test_field_partials_are_bump_partials(self):
+        f = SmoothMap.bump(2, (0.3, -0.2), 0.9, 1.7)
+        pts = np.array([[0.1, 0.0], [0.5, -0.6], [2.0, 2.0]])
+        np.testing.assert_array_equal(
+            f.diff((2, 1))(pts),
+            bump_partial(pts - np.array([0.3, -0.2]), 0.9, 1.7, (2, 1)))
+
+
 class TestNumericCore:
     """The pairing, renormalization and verification routes build no
     symbolic expression: only ``expr`` imports sympy, for the field
@@ -311,6 +363,17 @@ class TestNumericCore:
         pairing = run(parse_config(text)).sections[-1]
         assert pairing.name == "pairing"
         assert np.isfinite(float(dict(pairing.pairs)["value"]))
+
+    def test_additivity_on_bump_fields_is_numeric(self, no_sympy):
+        f = TestFunction(2, (0.1, -0.2), 1.2, 1.3)
+        F = LocalFunctional([MonomialTerm(3, ((0, 0), (1, 0), (0, 2)), f),
+                             MonomialTerm(2, ((0, 0), (0, 0)), f)])
+        phi = FieldConfiguration.bump(2, (-3.0, 0.0), 0.9, 0.7)
+        chi = FieldConfiguration.bump(2, (3.0, 0.0), 1.1, -1.2)
+        psi = (FieldConfiguration.bump(2, (0.2, 0.1), 2.5, 0.8)
+               + FieldConfiguration.bump(2, (-0.3, 0.0), 1.5, -0.4))
+        assert additivity_check(F, phi, psi, chi) == 0.0
+        assert evaluate(F, psi) != 0.0
 
     def test_only_expr_imports_sympy(self):
         importers = set()

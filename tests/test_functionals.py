@@ -281,7 +281,7 @@ class TestSupport:
             h = FieldConfiguration.bump(2, tuple(c), 1.0, rng.normal())
             a = evaluate(F, phi, TIGHT)
             b = evaluate(F, phi + h, TIGHT)
-            assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
+            assert b == pytest.approx(a, rel=1e-12, abs=0.0)
 
 
 class TestSupportBall:
@@ -404,20 +404,21 @@ class TestAdditivity:
         assert abs(additivity_check(F, phi, psi, chi) - abs(total)) <= 1e-14
 
     def test_verify_compiles_few_expressions(self, monkeypatch):
-        # each field of the 20 additivity cases of verify is evaluated
-        # on its own, and fields differing only in float constants share
-        # one compilation
+        # the additivity fields are bumps and the background's
+        # derivatives are numbers, so only the background compiles
         compiled = []
 
         @functools.lru_cache(maxsize=None)
         def counting(args, body):
             compiled.append(body)
-            return sp.lambdify(args, body, modules=expr._LAMBDIFY_MODULES)
+            return sp.lambdify(args, body, modules="numpy")
 
         monkeypatch.setattr(expr, "_compiled", counting)
-        report = run(parse_config("command=verify d=2 m=1 seed=3"))
-        assert report.ok
-        assert 0 < len(compiled) <= 10
+        for d in (1, 2, 3):
+            compiled.clear()
+            report = run(parse_config(f"command=verify d={d} m=1 seed=3"))
+            assert report.ok
+            assert 0 < len(compiled) <= 1, d
 
     def test_randomized_suite(self):
         """20 randomized (F, phi, psi, chi) with disjoint phi/chi."""
@@ -467,7 +468,7 @@ class TestTaylor:
         phi = FieldConfiguration.from_expression("x1", 1)
         # around 0, orders 0 and 1 of a pure square vanish
         assert taylor_evaluate(terms, phi, TIGHT) == pytest.approx(0.0,
-                                                                   abs=1e-15)
+                                                                   abs=0.0)
 
     def test_cubic_around_constant_background(self):
         f = TestFunction(1, (0.0,), 1.0)

@@ -315,6 +315,27 @@ class TestTripleGrid:
         got, ref = np.array(got), np.array(ref)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    def test_prefilter_matches_spline_filter(self):
+        rng = np.random.default_rng(11)
+        samples = rng.normal(size=(53, 53, 48))
+        ref = scipy.ndimage.spline_filter(samples, order=3, mode="mirror")
+        got = triple._prefilter(samples)
+        assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+    def test_triangle_leaves_ndimage_unloaded(self):
+        code = (
+            "import sys\n"
+            "from eucren.functionals import TestFunction\n"
+            "from eucren.kernels import PropFactor, ScalarDistribution\n"
+            "from eucren.propagator import pair\n"
+            "tests = [TestFunction(3, (0.0, 0.0, 0.0), r) for r in (1.0, 0.9, 0.8)]\n"
+            "t = ScalarDistribution(3, 3, 1.0, (PropFactor(0, 1, 1),\n"
+            "                                    PropFactor(0, 2, 1),\n"
+            "                                    PropFactor(1, 2, 1)))\n"
+            "pair(t, tests)\n"
+            "print('scipy.ndimage' in sys.modules)\n")
+        assert fresh_run(code).strip() == "False"
+
     def test_zero_beyond_the_support(self):
         field = grid_field(*self.tests)
         r1 = np.array([0.2, self.R1, self.R1 + 0.3, 0.9])
