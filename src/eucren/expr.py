@@ -32,6 +32,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 
 def _bumpcore_numpy(t):
@@ -100,11 +101,25 @@ def plateau_u(u, inner: float, outer: float):
     return step((np.asarray(u, dtype=float) - a2) / (outer * outer - a2))
 
 
+class _FloatPrinter(NumPyPrinter):
+    """numpy code in which a ``Float`` of at most 53 bits, a Python
+    float, prints all its digits (``repr``), where sympy prints 15.  A
+    wider ``Float``, such as a config-file literal of 16 or more digits,
+    keeps its source digits, which Python then rounds to the nearest
+    double once (rounding its binary value instead would round twice)."""
+
+    def _print_Float(self, e):
+        return repr(float(e)) if e._prec <= 53 else super()._print_Float(e)
+
+
 @lru_cache(maxsize=1024)
 def _compiled(args, expr):
     """The numpy callable of ``expr`` in ``args``, compiled once however
     many maps carry it."""
-    return sp.lambdify(args, expr, modules="numpy")
+    printer = _FloatPrinter({"fully_qualified_modules": False,
+                             "inline": True,
+                             "allow_unknown_functions": True})
+    return sp.lambdify(args, expr, modules="numpy", printer=printer)
 
 
 @lru_cache(maxsize=None)

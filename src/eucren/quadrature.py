@@ -23,20 +23,24 @@ integrals plus small tensor rules:
 
 * ``contract_pass`` applies several kernel matrices between two point
   sets to several columns each, toward either set, in one pass over
-  blocks of rows; every graph-term contraction goes through it, and
-  ``contract`` (one kernel, one column) is what the tensor-rule
-  pairings use.
+  blocks of rows; every graph-term contraction goes through it or
+  through ``ring_pass``, and ``contract`` (one kernel, one column) is
+  what the tensor-rule pairings use.  ``ring_pass`` does the same for
+  kernels that are block-circulant in the azimuth, as P is between two
+  d = 3 bump rules whose centres differ only in x1: it forms one
+  column of each circulant block and applies the blocks by FFT.
 
 * ``bump_rule`` and ``ball_rule`` are product rules on a ball: radius,
   polar cosine (d = 3) and azimuth (d = 2, 3).  ``bump_rule`` serves
   integrals against a coefficient bump centred on the ball: its radial
   axis is Gauss for the weight rho^(d-1) exp(-1/(1 - rho^2/r^2))
-  (``bump_gauss``), and gauss_n = n gives it ceil(n/2) radial,
-  max(n-2, floor(n/2)+1) polar and twice as many azimuthal nodes
-  (``bump_orders``; in d = 1 the diameter carries 2 ceil(n/2) nodes).
-  ``ball_rule`` is Gauss-Legendre of order n in the radius and the
-  polar cosine with max(2n, 8) azimuthal nodes (n on the diameter in
-  d = 1); it serves integrands that carry no centred bump.
+  (``bump_gauss``), its polar axis is x1, and gauss_n = n gives it
+  ceil(n/2) radial, b + 1 polar and 2b azimuthal nodes with
+  b = max(n-2, floor(n/2)+1) (``bump_orders``; in d = 1 the diameter
+  carries 2 ceil(n/2) nodes).  ``ball_rule`` is Gauss-Legendre of order
+  n in the radius and the polar cosine about x3 with max(2n, 8)
+  azimuthal nodes (n on the diameter in d = 1); it serves integrands
+  that carry no centred bump.
 
 The radial integrals double the panel order until two successive
 levels agree; an integral that does not settle raises
@@ -69,6 +73,7 @@ __all__ = [
     "ball_rule",
     "bump_orders",
     "bump_rule",
+    "bump_ring_size",
     "bump_gauss",
     "panel_edges",
     "panel_rule",
@@ -77,6 +82,7 @@ __all__ = [
     "correlation_profile",
     "contract",
     "contract_pass",
+    "ring_pass",
     "pair_tensor",
 ]
 
@@ -87,10 +93,9 @@ class QuadratureScheme:
 
     rtol / atol are the tolerances of the 1-d integrals (the agreement
     between panel levels in ``radial_pair``); gauss_n the order of the
-    ball rules (the bump rule of a coefficient bump: ceil(n/2) radial,
-    max(n-2, floor(n/2)+1) polar and twice as many azimuthal nodes; any
-    other ball rule: Gauss-Legendre of order n in the radius and polar
-    cosine, max(2n, 8) azimuthal nodes); angular_n the polar-average
+    ball rules (the bump rule of a coefficient bump: ``bump_orders``;
+    any other ball rule: Gauss-Legendre of order n in the radius and
+    polar cosine, max(2n, 8) azimuthal nodes); angular_n the polar-average
     order; grid_nodes the per-axis size of the triple-correlation grid.
     """
 
@@ -155,7 +160,8 @@ def _ball_rule(d: int, center, radius: float, n: int):
         x, w = _mapped_gauss(center[0] - radius, center[0] + radius, n)
         return _read_only(x.reshape(-1, 1), w)
     r, wr = _mapped_gauss(0.0, radius, n)
-    return _product_rule(d, center, r, wr * r**(d - 1), n, max(2 * n, 8))
+    return _product_rule(d, center, r, wr * r**(d - 1), n, max(2 * n, 8),
+                         polar_axis=2)
 
 
 def bump_orders(n: int):
@@ -163,14 +169,18 @@ def bump_orders(n: int):
 
     The radial axis carries the bump, so Gauss for its weight needs
     about half the nodes Gauss-Legendre needs for the smooth remainder
-    on the angles; ``tests/test_quadrature.py::TestBumpRule`` records
-    the convergence study that fixed the formula.  Every n >= 2 has at
-    least two polar and four azimuthal nodes, so the angular axes
-    integrate every polynomial of degree <= 3 exactly, and raising n by
-    two or more raises every axis.
+    on the angles.  With b = max(n - 2, n // 2 + 1) the polar order is
+    b + 1 and the azimuthal 2 b: the polar axis x1 runs along the line
+    of the centres of the products, where the kernel varies most, and
+    the azimuth matters only for centres off that line.
+    ``tests/test_quadrature.py::TestBumpRule`` records the convergence
+    study that fixed the formula.  Every n >= 2 has at least three polar
+    and four azimuthal nodes, so the angular axes integrate every
+    polynomial of degree <= 3 exactly, and raising n by two or more
+    raises every axis.
     """
-    polar = max(n - 2, n // 2 + 1)
-    return (n + 1) // 2, polar, 2 * polar
+    base = max(n - 2, n // 2 + 1)
+    return (n + 1) // 2, base + 1, 2 * base
 
 
 def bump_rule(d: int, center, radius: float, n: int):
@@ -181,11 +191,24 @@ def bump_rule(d: int, center, radius: float, n: int):
     The radial axis is Gauss for that weight (times rho^(d-1)), so only
     the smooth factors of an integrand are left to resolve; the polar
     and azimuthal axes are those of ``ball_rule`` at the orders of
-    ``bump_orders(n)``.  In d = 1 the interval carries twice the radial
-    order, the nodes of both half-diameters.  Arrays are read-only.
+    ``bump_orders(n)``, except that in d = 3 the polar axis is x1, not
+    x3.  Two such rules whose centres differ only in x1 then make every
+    undecorated kernel between them block-circulant (``ring_pass``).
+    In d = 1 the interval carries twice the radial order, the nodes of
+    both half-diameters.  Arrays are read-only.
     """
     center = tuple(float(c) for c in np.atleast_1d(center))
     return _bump_rule(d, center, float(radius), n)
+
+
+def bump_ring_size(d: int, center_x, center_y, n: int) -> int:
+    """The ring size n_phi of the bump rules of order n at two centres
+    when every kernel of |x - y| between them is block-circulant in
+    rings of n_phi nodes (``ring_pass``), else 0: in d = 3, centres that
+    differ only in x1, the rules' polar axis."""
+    if d == 3 and tuple(center_x[1:]) == tuple(center_y[1:]):
+        return bump_orders(n)[2]
+    return 0
 
 
 @lru_cache(maxsize=32)
@@ -240,11 +263,18 @@ def bump_gauss(d: int, order: int):
     return _read_only(nodes, mass * vecs[0] ** 2)
 
 
-def _product_rule(d: int, center, r, wr, n_polar: int, n_phi: int):
+def _product_rule(d: int, center, r, wr, n_polar: int, n_phi: int,
+                  polar_axis: int = 0):
     """The radial rule (r, wr), whose weights carry the measure
     rho^(d-1), times Gauss-Legendre of order n_polar in the polar
     cosine (d = 3; d = 2 is the single polar node mu = 0) and the
-    n_phi-point midpoint rule in the azimuth."""
+    n_phi-point midpoint rule in the azimuth.
+
+    In d = 3 the polar axis is the coordinate ``polar_axis`` and the
+    azimuth turns the other two in cyclic order; in d = 2 the azimuth
+    turns (x1, x2).  Nodes run azimuth fastest, so each (radius, polar)
+    pair owns a ring of n_phi consecutive nodes.
+    """
     if d not in (2, 3):
         raise UnsupportedCase(
             f"ball rules are implemented for d in 1..3, got {d}")
@@ -254,7 +284,9 @@ def _product_rule(d: int, center, r, wr, n_polar: int, n_phi: int):
     R, MU, PH = np.meshgrid(r, mu, phi, indexing="ij")
     WR, WMU, _ = np.meshgrid(wr, wmu, phi, indexing="ij")
     ST = np.sqrt(1.0 - MU**2)
-    axes = (R * ST * np.cos(PH), R * ST * np.sin(PH), R * MU)[:d]
+    axes = [R * ST * np.cos(PH), R * ST * np.sin(PH)]
+    if d == 3:
+        axes = [([R * MU] + axes)[(i - polar_axis) % 3] for i in range(3)]
     pts = np.stack([c + a for c, a in zip(center, axes)],
                    axis=-1).reshape(-1, d)
     return _read_only(pts, (WR * WMU * w_phi).reshape(-1))
@@ -505,9 +537,9 @@ def correlation_profile(f_gu: Callable, f_support: float,
 
 # entries of one row block of ``contract_pass`` (its kernel matrices,
 # their rows of the columns sent toward yp, and the columns sent
-# toward xp; about a 167-row block of one kernel between 3,136-node
-# rules), and of one x-chunk array of ``triple.grid_field`` (about 206
-# nodes at grid_nodes 48)
+# toward xp; about a 156-row block of one kernel between 3,360-node
+# rules), of one ring block of ``ring_pass`` and of one x-chunk array
+# of ``triple.grid_field`` (about 206 nodes at grid_nodes 48)
 _BLOCK_ENTRIES = 1 << 19
 
 
@@ -540,6 +572,65 @@ def contract_pass(blocks: Callable, xp: np.ndarray, yp: np.ndarray,
             if toward_y[k].shape[1]:
                 out_y[k] += kernel.T @ toward_y[k][lo:hi]
     return out_x, out_y
+
+
+def ring_pass(blocks: Callable, xp: np.ndarray, yp: np.ndarray, n_phi: int,
+              toward_x: Sequence[np.ndarray],
+              toward_y: Sequence[np.ndarray]):
+    """``contract_pass`` for kernels that are block-circulant in rings of
+    n_phi consecutive nodes: K_k(x_(a,i), y_(b,j)) depends on the ring
+    indices a, b and on i - j mod n_phi only, and is even in i - j.
+    Two bump rules of one order in d = 3 whose centres differ only in
+    x1 are such a pair for every undecorated kernel (``bump_rule``).
+
+    Only the first column of each block is formed, K_k(xp, yp[::n_phi]).
+    A circulant block is diagonal in the azimuthal Fourier basis, with
+    the (real) spectrum of that column on its diagonal, so K @ V and
+    K^T @ U become an rfft of the columns over the azimuth, one real
+    batched matrix product per frequency, and an irfft.  Rings of xp are
+    taken a block at a time, each block's kernel columns, one kernel's
+    spectrum and its rows of ``toward_y`` within _BLOCK_ENTRIES entries
+    besides the spectra of ``toward_x`` and of the K^T @ U sums, which
+    accumulate in frequency space.
+    """
+    if len(xp) % n_phi or len(yp) % n_phi:
+        raise ValueError(f"point sets of {len(xp)} and {len(yp)} nodes do "
+                         f"not split into rings of {n_phi}")
+    x_rings, y_rings = len(xp) // n_phi, len(yp) // n_phi
+    n_freq = n_phi // 2 + 1
+
+    def spectra(v, rings):
+        # (rings * n_phi, c) -> (n_freq, rings, 2c): the real and imaginary
+        # parts side by side, contiguous for the matrix products
+        z = np.fft.rfft(v.reshape(rings, n_phi, -1), axis=1).transpose(1, 0, 2)
+        return np.concatenate([z.real, z.imag], axis=2)
+
+    def signal(s, rings):
+        c = s.shape[2] // 2
+        z = (s[..., :c] + 1j * s[..., c:]).transpose(1, 0, 2)
+        return np.fft.irfft(z, n_phi, axis=1).reshape(rings * n_phi, c)
+
+    v_hat = [spectra(v, y_rings) for v in toward_x]
+    u_hat = [np.zeros((n_freq, y_rings, 2 * u.shape[1])) for u in toward_y]
+    fixed = sum(s.size for s in v_hat + u_hat)
+    per_ring = (n_phi * (len(toward_x) * y_rings
+                         + sum(u.shape[1] for u in toward_y))
+                + 2 * n_freq * y_rings)
+    step = max(1, (_BLOCK_ENTRIES - fixed) // per_ring)
+    out_x = [np.empty((len(xp), v.shape[1])) for v in toward_x]
+    first = yp[::n_phi]
+    for lo in range(0, x_rings, step):
+        rings = min(step, x_rings - lo)
+        rows = slice(lo * n_phi, (lo + rings) * n_phi)
+        for k, kernel in enumerate(blocks(xp[rows], first)):
+            k_hat = np.fft.rfft(kernel.reshape(rings, n_phi, y_rings), axis=1)
+            k_hat = np.ascontiguousarray(k_hat.real.transpose(1, 0, 2))
+            if toward_x[k].shape[1]:
+                out_x[k][rows] = signal(k_hat @ v_hat[k], rings)
+            if toward_y[k].shape[1]:
+                u_hat[k] += k_hat.transpose(0, 2, 1) @ spectra(
+                    toward_y[k][rows], rings)
+    return out_x, [signal(s, y_rings) for s in u_hat]
 
 
 def contract(block: Callable, xp: np.ndarray, yp: np.ndarray,

@@ -25,6 +25,14 @@ directions.  The schedule takes first a pair whose messages all have
 their children's messages, and otherwise the pair with the most such
 messages, for those alone; ties go to a fixed order of the rules.
 
+The route of a pass follows from the pair's geometry.  Two d = 3 bump
+rules, whose polar axis is x1, with centres that differ only in x1
+make every undecorated kernel between them block-circulant in the
+azimuth (``quadrature.bump_ring_size``); such a pair takes
+``quadrature.ring_pass``, which forms the
+kernels against one node per ring of the second rule and applies them
+by FFT.  Every other pair takes the dense ``contract_pass``.
+
 Components with a cycle are outside the numeric envelope, and
 derivative decorations are evaluated only on a component that is a
 single power-one edge.
@@ -71,7 +79,8 @@ from .graphs import (MultiGraph, compositions, expansion_terms,
                      graph_to_amplitude, vertex_pairs)
 from .kernels import ScalarDistribution, components
 from .propagator import green_function, pair
-from .quadrature import DEFAULT_SCHEME, QuadratureScheme, contract_pass
+from .quadrature import (DEFAULT_SCHEME, QuadratureScheme, bump_ring_size,
+                         bump_rule, contract_pass, ring_pass)
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
@@ -248,8 +257,8 @@ def _messages(keys, phi: FieldConfiguration, m: float,
     have their children's messages is contracted first; when no pair
     is ready, the pair with the most ready columns is contracted on
     those alone.  Ties go to the first pair in ``_rule_order``.  A pair
-    is one ``contract_pass``: each of its kernels is evaluated once per
-    row block, for all of its columns in both directions.
+    is one pass (``_contract``): each of its kernels is evaluated once
+    per block, for all of its columns in both directions.
     """
     values, sums, open_parts = {}, {}, {}
     columns: Dict[tuple, list] = {}
@@ -300,9 +309,10 @@ def _messages(keys, phi: FieldConfiguration, m: float,
 
 def _contract(pair, columns, values, phi, m, scheme):
     """Every column's contraction on the rule pair (rows, cols), from
-    one ``contract_pass``: a column whose parent is the rows' rule is
-    K @ v, one whose parent is the cols' K^T @ u, with K oriented rows
-    by cols."""
+    one ``ring_pass`` when ``_ring_size`` finds the kernels
+    block-circulant and one ``contract_pass`` otherwise: a column whose
+    parent is the rows' rule is K @ v, one whose parent is the cols'
+    K^T @ u, with K oriented rows by cols."""
     rows, cols = pair
     specs: Dict[tuple, Tuple[list, list]] = {}
     place = []
@@ -314,13 +324,30 @@ def _contract(pair, columns, values, phi, m, scheme):
         place.append((spec, side, len(sent)))
         sent.append(_sent(children, dk, values, phi, scheme))
     x, y = _nodes(rows, scheme), _nodes(cols, scheme)
-    to_x, to_y = contract_pass(
-        green_function(phi.d, m).blocks(list(specs)), x, y,
-        [_stack(v, len(y)) for v, _ in specs.values()],
-        [_stack(u, len(x)) for _, u in specs.values()])
+    kernels = green_function(phi.d, m).blocks(list(specs))
+    toward = ([_stack(v, len(y)) for v, _ in specs.values()],
+              [_stack(u, len(x)) for _, u in specs.values()])
+    n_phi = _ring_size(pair, specs, scheme)
+    if n_phi:
+        to_x, to_y = ring_pass(kernels, x, y, n_phi, *toward)
+    else:
+        to_x, to_y = contract_pass(kernels, x, y, *toward)
     index = {spec: k for k, spec in enumerate(specs)}
     return [(to_y if side else to_x)[index[spec]][:, j]
             for spec, side, j in place]
+
+
+def _ring_size(pair, specs, scheme: QuadratureScheme) -> int:
+    """The azimuthal ring size of the pair's rules when every kernel on
+    it is block-circulant, else 0: both rules are bump rules that
+    ``bump_ring_size`` finds block-circulant, and no kernel carries a
+    derivative decoration (its x_i - y_i factors turn with the
+    azimuth)."""
+    (rule_a, d, center_a, _), (rule_b, _, center_b, _) = pair
+    if rule_a is rule_b is bump_rule and not any(
+            sum(left) + sum(right) for _, left, right in specs):
+        return bump_ring_size(d, center_a, center_b, scheme.gauss_n)
+    return 0
 
 
 def _stack(vectors, n: int) -> np.ndarray:

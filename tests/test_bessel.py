@@ -81,7 +81,7 @@ class TestBesselK:
     def test_scalar_in_scalar_out(self):
         v = besselk(0.0, 1.0)
         assert isinstance(v, float)
-        assert v == pytest.approx(0.42102443824070834, rel=1e-12)
+        assert v == pytest.approx(0.42102443824070834, rel=1e-12, abs=0.0)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):

@@ -87,7 +87,7 @@ class TestSmoothMap:
             pt = center + np.array([scale, 0, 0])
             assert f(pt) == 0.0
         # positive strictly inside
-        assert f(center) == pytest.approx(2.0 * np.exp(-1.0), rel=1e-12)
+        assert f(center) == pytest.approx(2.0 * np.exp(-1.0), rel=1e-12, abs=0.0)
         assert float(f(center + np.array([0.4, 0, 0]))) > 0
 
     def test_bump_derivatives_bounded_near_boundary(self):
@@ -405,11 +405,14 @@ class TestCompileOnce:
         assert len(compiled) == len(set(compiled)) > 0
 
     def test_float_precision_keeps_separate_entries(self):
-        # equal hashes, unequal expressions: a 53-bit Float prints 15
-        # digits into the compiled code, a literal keeps all 17
+        # equal hashes, unequal expressions: a 53-bit Float and a literal
+        # of its 17 digits compile to separate entries, and both print
+        # all 17 digits into the compiled code
+        expr._compiled.cache_clear()
         x1 = coords(1)[0]
         short = SmoothMap(sp.Float(1.1455927773739436) * x1, 1)
         full = FieldConfiguration.from_expression("1.1455927773739436*x1", 1)
         at_one = np.array([[1.0]])
         assert float(full(at_one)[0]) == 1.1455927773739436
-        assert float(short(at_one)[0]) != float(full(at_one)[0])
+        assert float(short(at_one)[0]) == float(full(at_one)[0])
+        assert expr._compiled.cache_info().currsize == 2

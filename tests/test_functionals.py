@@ -55,7 +55,7 @@ class TestTestFunction:
         on_bdry = np.array([[0.5 + 1.5, -1.0], [0.5, -1.0 + 1.5 + 1e-9]])
         np.testing.assert_array_equal(f(on_bdry), [0.0, 0.0])
         assert float(f(np.array([[0.5, -1.0]]))[0]) == pytest.approx(
-            2.0 * np.exp(-1), rel=1e-12)
+            2.0 * np.exp(-1), rel=1e-12, abs=0.0)
 
     def test_smoothness_at_boundary(self):
         # finite differences of fixed order stay bounded as h -> 0
@@ -85,7 +85,7 @@ class TestTestFunction:
         f = TestFunction(3, (0.4, 0.0, -0.2), 0.9)
         g = f.scaled(0.5)
         assert g.radius == pytest.approx(0.45)
-        assert g.center == pytest.approx((0.2, 0.0, -0.1))
+        assert g.center == pytest.approx((0.2, 0.0, -0.1), abs=0.0)
         assert g.integral() == pytest.approx(f.integral(), rel=1e-9)
 
 
@@ -458,7 +458,7 @@ class TestTaylor:
         terms = taylor_expand(F, phi0, 2)
         phi = FieldConfiguration.from_expression("cos(x1)", 1)
         assert taylor_evaluate(terms, phi, TIGHT) == pytest.approx(
-            evaluate(F, phi, TIGHT), rel=1e-12)
+            evaluate(F, phi, TIGHT), rel=1e-12, abs=0.0)
 
     def test_truncation_below_degree(self):
         f = TestFunction(1, (0.0,), 1.0)

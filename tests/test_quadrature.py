@@ -1,5 +1,7 @@
 """Tests for the pairing quadratures against independent oracles."""
 
+from functools import lru_cache
+
 import mpmath
 import numpy as np
 import pytest
@@ -17,12 +19,14 @@ from eucren.quadrature import (
     ball_rule,
     bump_gauss,
     bump_orders,
+    bump_ring_size,
     bump_rule,
     contract,
     contract_pass,
     correlation_profile,
     pair_tensor,
     radial_pair,
+    ring_pass,
     sphere_area,
 )
 from helpers import mc_ball, mc_pair, quadpack
@@ -246,9 +250,9 @@ class TestContract:
 
 
 class TestContractPass:
-    """``contract_pass`` against the dense K @ V and K^T @ U of
-    ``Propagator.block``, with rows that the block size does not divide;
-    d = 2 and 4 go through besselk."""
+    """``contract_pass`` and ``ring_pass`` against the dense K @ V and
+    K^T @ U of ``Propagator.block``, with rows that the block size does
+    not divide; d = 2 and 4 go through besselk."""
 
     @staticmethod
     def points(d, center, radius, n, seed):
@@ -315,6 +319,75 @@ class TestContractPass:
         assert max(rows) * (2 * 40 + 3) + 120 <= 1000
         assert (max(rows) + 1) * (2 * 40 + 3) + 120 > 1000
 
+    # the ring pass, on product rules with polar axis x1 whose centres
+    # differ only in x1, so that every kernel block between two rings is
+    # circulant
+
+    @staticmethod
+    def rings(center, radius, n_r, n_polar, n_phi):
+        r = radius * (np.arange(n_r) + 0.5) / n_r
+        return _product_rule(3, center, r, np.ones(n_r), n_polar, n_phi,
+                             polar_axis=0)[0]
+
+    @pytest.mark.parametrize("n_phi", [7, 8])
+    def test_ring_pass_matches_dense(self, n_phi, monkeypatch):
+        P = green_function(3, 1.0)
+        xp = self.rings((0.0, 0.2, -0.1), 1.0, 5, 3, n_phi)
+        yp = self.rings((2.5, 0.2, -0.1), 0.8, 2, 3, n_phi)
+        specs = [(1, (), ()), (2, (), ()), (3, (), ())]
+        rng = np.random.default_rng(n_phi)
+        # P^1 sends two columns toward xp and one toward yp, P^2 none
+        # toward yp, P^3 none toward xp
+        toward_x = [rng.normal(size=(len(yp), c)) for c in (2, 1, 0)]
+        toward_y = [rng.normal(size=(len(xp), c)) for c in (1, 0, 2)]
+        # four of the 15 rings of xp a block
+        monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES",
+                            {7: 1100, 8: 1300}[n_phi])
+        shapes = []
+        kernels = P.blocks(specs)
+
+        def recording(x, y):
+            shapes.append((len(x), len(y)))
+            return kernels(x, y)
+
+        to_x, to_y = ring_pass(recording, xp, yp, n_phi, toward_x, toward_y)
+        rows = [x for x, _ in shapes]
+        assert {y for _, y in shapes} == {len(yp) // n_phi}
+        assert len(rows) > 2 and sum(rows) == len(xp)
+        assert rows[0] == 4 * n_phi
+        for k, (power, left, right) in enumerate(specs):
+            dense = P.block(power, left, right)(xp, yp)
+            for got, ref in ((to_x[k], dense @ toward_x[k]),
+                             (to_y[k], dense.T @ toward_y[k])):
+                assert got.shape == ref.shape
+                np.testing.assert_allclose(
+                    got, ref, rtol=1e-13,
+                    atol=1e-13 * np.max(np.abs(ref), initial=0.0))
+        with pytest.raises(ValueError):
+            ring_pass(kernels, xp[:-1], yp, n_phi, toward_x, toward_y)
+
+    def test_ring_block_entries_bound_the_rings(self, monkeypatch):
+        # a block holds its kernel columns, one kernel's spectrum and its
+        # rows of U, besides the spectra of V and of the K^T U sums:
+        # 4 frequencies of 6 azimuths, 4 rings of yp, 10 of xp
+        xp = self.rings((0.0, 0.0, 0.0), 1.0, 5, 2, 6)
+        yp = self.rings((3.0, 0.0, 0.0), 1.0, 2, 2, 6)
+        toward_x = [np.ones((24, 3)), np.ones((24, 0))]
+        toward_y = [np.ones((60, 1)), np.ones((60, 2))]
+        monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES", 600)
+        kernels = green_function(3, 1.0).blocks([(1, (), ()), (2, (), ())])
+        rows = []
+
+        def recording(x, y):
+            rows.append(len(x) // 6)
+            return kernels(x, y)
+
+        ring_pass(recording, xp, yp, 6, toward_x, toward_y)
+        fixed = 4 * 4 * 2 * (3 + 0) + 4 * 4 * 2 * (1 + 2)
+        per_ring = 6 * (2 * 4 + 3) + 2 * 4 * 4
+        assert max(rows) * per_ring + fixed <= 600
+        assert (max(rows) + 1) * per_ring + fixed > 600
+
 
 def _bump_moments(d: int, top: int):
     """(int t^k w, int |t|^k w) for k < top, w the bump weight of
@@ -330,22 +403,28 @@ def _bump_moments(d: int, top: int):
                 [moment(k, True) for k in range(top)])
 
 
-def _product_value(orders, k: int) -> float:
-    """int int f(x) a(x) P(x-y)^k b(y) g(y) dx dy in d = 3 at the
-    geometry of ``verify``: bumps of radius 1.1 and 1.05 with centres 3
-    apart, smooth factors on both sides, on the product rule with the
-    bump-weight radial axis at (radial, polar, azimuthal) ``orders``."""
+@lru_cache(maxsize=32)
+def _product_values(orders, y_center=(3.0, 0.0, 0.0)):
+    """int int f(x) a(x) P(x-y)^k b(y) g(y) dx dy for k = 1, 2, 3 in
+    d = 3 at the geometry of ``verify``: bumps of radius 1.1 at the
+    origin and 1.05 at ``y_center``, smooth factors on both sides, on
+    the bump rule's product rule (polar axis x1) with the bump-weight
+    radial axis at (radial, polar, azimuthal) ``orders``; one dense
+    pass."""
     def rule(center, radius):
         n_r, n_polar, n_phi = orders
         t, w = bump_gauss(3, n_r)
         return _product_rule(3, center, radius * t, radius**3 * w, n_polar,
-                             n_phi)
+                             n_phi, polar_axis=0)
     x, wx = rule((0.0, 0.0, 0.0), 1.1)
-    y, wy = rule((3.0, 0.0, 0.0), 1.05)
+    y, wy = rule(y_center, 1.05)
     a = (0.9 + 0.2 * x[:, 0]) ** 2
     b = (0.9 + 0.2 * y[:, 0]) ** 2 * np.cos(0.3 * y[:, 1])
-    block = green_function(3, 1.0).block(k)
-    return float((wx * a) @ contract(block, x, y, wy * b))
+    specs = [(k, (), ()) for k in (1, 2, 3)]
+    out, _ = contract_pass(green_function(3, 1.0).blocks(specs), x, y,
+                           [(wy * b)[:, None]] * 3,
+                           [np.empty((len(x), 0))] * 3)
+    return tuple(float((wx * a) @ v[:, 0]) for v in out)
 
 
 class TestBumpRule:
@@ -368,7 +447,7 @@ class TestBumpRule:
         f = TestFunction(d, (0.4, -0.2, 1.0)[:d], 0.7, amplitude=1.3)
         pts, wts = f.rule(12)
         assert pts is bump_rule(d, f.center, f.radius, 12)[0]
-        assert len(pts) == {1: 12, 2: 120, 3: 1200}[d]
+        assert len(pts) == {1: 12, 2: 120, 3: 1320}[d]
         # the mass and the second moment about the centre, against the
         # 1-d radial integrals
         gu = f.gu()
@@ -385,26 +464,43 @@ class TestBumpRule:
     # the convergence study behind ``bump_orders``: gauss_n -> the
     # (radial, polar, azimuthal) orders it gives, and the bound on the
     # relative error of int int f a P^k g b (k = 1, 2, 3) against the
-    # rule (10, 18, 36).  Measured: (6, 10, 20) 1.6e-11, 1.3e-9, 4.0e-8;
-    # (8, 14, 28) 1.3e-16, 1.5e-13, 8.8e-12; Gauss-Legendre ball rules
-    # of 3,456 and 8,192 nodes (gauss_n 12 and 16) err 1e-5 to 4e-5.
-    # Each axis one step lower errs at least 3 times more, so neither
-    # axis is resolved further than the other needs.
-    CONVERGENCE = {12: ((6, 10, 20), 1e-7), 16: ((8, 14, 28), 1e-10)}
+    # rule (10, 18, 36), for a y centre on the polar axis x1 and two
+    # off it.  Measured, worst over k and the geometries: (6, 11, 20)
+    # 2.5e-8, (8, 15, 28) 5.9e-12; Gauss-Legendre ball rules of 3,456
+    # and 8,192 nodes (gauss_n 12 and 16) err 1e-5 to 4e-5.  Each axis
+    # one step lower errs at least 3 times more at k = 3: the radial and
+    # polar ones on the axis, the azimuthal one off it, since on the
+    # axis the kernel's azimuthal dependence is that of the smooth
+    # factors alone ((6, 10, 12) and (6, 10, 20) both err 6.8e-8 there)
+    CONVERGENCE = {12: ((6, 11, 20), 1e-7), 16: ((8, 15, 28), 1e-10)}
+    ON_AXIS, OFF_AXIS = (3.0, 0.0, 0.0), (0.0, 3.0, 0.0)
+
+    @staticmethod
+    def errors(orders, y_center):
+        ref = _product_values((10, 18, 36), y_center)
+        return [abs(v / r - 1.0)
+                for v, r in zip(_product_values(orders, y_center), ref)]
 
     @pytest.mark.parametrize("n", sorted(CONVERGENCE))
     def test_convergence_fixes_the_orders(self, n):
         orders, bound = self.CONVERGENCE[n]
         assert bump_orders(n) == orders
+        for y_center in (self.ON_AXIS, self.OFF_AXIS, (2.0, 2.0, 1.0)):
+            assert max(self.errors(orders, y_center)) < bound, y_center
         n_r, n_polar, n_phi = orders
-        for k in (1, 2, 3):
-            ref = _product_value((10, 18, 36), k)
-            err = abs(_product_value(orders, k) / ref - 1.0)
-            assert err < bound
-            if k == 3:
-                for lower in ((n_r - 1, n_polar, n_phi),
-                              (n_r, n_polar - 2, n_phi - 4)):
-                    assert abs(_product_value(lower, k) / ref - 1.0) > 3 * err
+        for lower, y_center in (((n_r - 1, n_polar, n_phi), self.ON_AXIS),
+                                ((n_r, n_polar - 1, n_phi), self.ON_AXIS),
+                                ((n_r, n_polar, n_phi - 2), self.OFF_AXIS)):
+            err = self.errors(orders, y_center)[2]
+            assert self.errors(lower, y_center)[2] > 3 * err, lower
+
+    def test_ring_size_follows_the_geometry(self):
+        # centres that differ only in x1, the polar axis of d = 3 bump
+        # rules, make rings of the azimuthal order; nothing else does
+        assert bump_ring_size(3, (0.0, 0.2, -0.1), (2.5, 0.2, -0.1), 12) == 20
+        assert bump_ring_size(3, (0.0, 0.0, 0.0), (0.0, 2.6, 0.0), 12) == 0
+        assert bump_ring_size(2, (0.0, 0.0), (2.5, 0.0), 12) == 0
+        assert bump_ring_size(1, (0.0,), (2.5,), 12) == 0
 
     @pytest.mark.parametrize("shift", [2, 3, 4])
     def test_rule_shift_raises_every_axis(self, shift):

@@ -21,7 +21,7 @@ from eucren.functionals import (CoefficientPiece, FieldConfiguration,
                                 supports_disjoint)
 from eucren.propagator import Propagator
 from eucren.quadrature import (QuadratureScheme, ball_rule, bump_orders,
-                               bump_rule, contract_pass)
+                               bump_rule, contract_pass, ring_pass)
 from eucren.tordered import (E_n, FormalSeries, block_product,
                              causal_factorization_check, product_expansion,
                              star_E, wick_expansion, wick_order_pair,
@@ -320,21 +320,72 @@ class TestTrees:
             E_n(squares, PHI, M, 3, SCHEME)
 
     @staticmethod
-    def record_contractions(monkeypatch):
+    def record_passes(monkeypatch, record):
         """Empty the message caches, so that every message is contracted
-        anew, and return the list every contracted column appends to."""
+        anew, and call ``record(route, x, y, out)`` after every pair
+        pass, dense or ring."""
         tordered._message_memo.cache_clear()
         tordered._weights.cache_clear()
-        vectors = []
 
-        def recording(blocks, x, y, toward_x, toward_y):
+        def dense(blocks, x, y, toward_x, toward_y):
             out = contract_pass(blocks, x, y, toward_x, toward_y)
-            vectors.extend(column.tobytes() for side in out
-                           for matrix in side for column in matrix.T)
+            record("dense", x, y, out)
             return out
 
-        monkeypatch.setattr(tordered, "contract_pass", recording)
+        def ring(blocks, x, y, n_phi, toward_x, toward_y):
+            out = ring_pass(blocks, x, y, n_phi, toward_x, toward_y)
+            record("ring", x, y, out)
+            return out
+
+        monkeypatch.setattr(tordered, "contract_pass", dense)
+        monkeypatch.setattr(tordered, "ring_pass", ring)
+
+    def record_contractions(self, monkeypatch):
+        """The list every contracted column appends to."""
+        vectors = []
+        self.record_passes(monkeypatch, lambda route, x, y, out: vectors.extend(
+            column.tobytes() for side in out for matrix in side
+            for column in matrix.T))
         return vectors
+
+    def record_routes(self, monkeypatch):
+        """The list every pair pass appends its route to."""
+        routes = []
+        self.record_passes(monkeypatch,
+                           lambda route, x, y, out: routes.append(route))
+        return routes
+
+    def test_collinear_bumps_take_the_ring_route(self, monkeypatch):
+        # F0 and F1 lie on the x1 axis; the ring route gives the series
+        # of the dense one to rounding
+        F, G = (LocalFunctional.phi_power(3, f) for f in (F0, F1))
+        routes = self.record_routes(monkeypatch)
+        ring = star_E(F, G, PHI, M, 3, SCHEME)
+        assert routes and set(routes) == {"ring"}
+        monkeypatch.setattr(
+            tordered, "ring_pass",
+            lambda blocks, x, y, n_phi, *toward: contract_pass(blocks, x, y,
+                                                               *toward))
+        tordered._message_memo.cache_clear()
+        dense = star_E(F, G, PHI, M, 3, SCHEME)
+        for k in range(4):
+            np.testing.assert_allclose(ring.coefficient(k),
+                                       dense.coefficient(k), rtol=1e-13)
+
+    def test_off_axis_centre_takes_the_dense_route(self, monkeypatch):
+        # F2's centre (0, 2.6, 0) is off the polar axis of F0's rule
+        routes = self.record_routes(monkeypatch)
+        F, G = (LocalFunctional.phi_power(2, f) for f in (F0, F2))
+        star_E(F, G, PHI, M, 2, SCHEME)
+        assert routes and set(routes) == {"dense"}
+
+    def test_decorated_kernel_takes_the_dense_route(self, monkeypatch):
+        # the kernel d_x1 P carries a factor x1 - y1 that does not turn
+        # with the azimuth, but a decorated pair goes dense all the same
+        routes = self.record_routes(monkeypatch)
+        F = LocalFunctional([MonomialTerm(1, ((1, 0, 0),), F0)])
+        star_E(F, LocalFunctional.linear(F1), PHI, M, 1, SCHEME)
+        assert routes == ["dense"]
 
     def test_terms_share_subtree_messages(self, monkeypatch):
         # the path 1-0-2 contains the single edges 0-1 and 0-2, and the
@@ -399,32 +450,29 @@ class TestTrees:
                                        rtol=1e-12)
         assert messages[2] is messages[0]
         assert tordered._message_memo.cache_info().misses == 2
-        assert len(F0.rule(6)[0]) == 96
+        assert len(F0.rule(6)[0]) == 120
         assert len(ball_rule(D, F0.center, F0.radius, 6)[0]) == 432
 
     def test_rule_shift_reaches_the_rules(self, monkeypatch):
         # the shifted product contracts on the bump rules of gauss_n + 4,
         # every axis of which is finer (TestBumpRule)
-        tordered._message_memo.cache_clear()
-        tordered._weights.cache_clear()
         sizes = []
-
-        def recording(blocks, x, y, toward_x, toward_y):
-            sizes.append((len(x), len(y)))
-            return contract_pass(blocks, x, y, toward_x, toward_y)
-
-        monkeypatch.setattr(tordered, "contract_pass", recording)
+        self.record_passes(monkeypatch, lambda route, x, y, out: sizes.append(
+            (len(x), len(y))))
         F, G = (LocalFunctional.phi_power(2, f) for f in (F0, F1))
         star_E(F, G, PHI, M, 1, QuadratureScheme(gauss_n=6), rule_shift=4)
-        assert sizes and set(sizes) == {(640, 640)}
-        assert bump_orders(10) == (5, 8, 16)
+        assert sizes and set(sizes) == {(720, 720)}
+        assert bump_orders(10) == (5, 9, 16)
 
     def test_verify_evaluates_each_rule_pair_once(self, monkeypatch):
-        # verify d=3 joins three bumps pairwise, on gauss_n and on the
-        # shifted gauss_n + 4: the binary product evaluates one pair, the
-        # block product the other two and then the first again for the
-        # messages whose children it needed, so 4 full-pair evaluations
-        # per rule size, and P is evaluated on no other matrix
+        # verify d=3 joins three bumps on the x1 axis pairwise, on gauss_n
+        # and on the shifted gauss_n + 4: the binary product evaluates one
+        # pair, the block product the other two and then the first again
+        # for the messages whose children it needed, so 4 pair passes per
+        # rule size.  Each is a ring pass, which forms P against the
+        # first node of each ring of the y rule only: N * N / n_phi
+        # entries, against N * N for a dense pass.  P is evaluated on no
+        # other matrix
         tordered._message_memo.cache_clear()
         tordered._weights.cache_clear()
         entries = Counter()
@@ -440,8 +488,11 @@ class TestTrees:
         run(parse_config("command=verify d=3 m=1 seed=3 gauss_n=4"))
         small, large = (len(bump_rule(3, (0.0,) * 3, 1.0, n)[0])
                         for n in (4, 8))
-        assert (small, large) == (36, 288)
-        assert entries == {small: 4 * small ** 2, large: 4 * large ** 2}
+        assert (small, large) == (48, 336)
+        rings = small // bump_orders(4)[2], large // bump_orders(8)[2]
+        assert rings == (8, 28)
+        assert entries == {rings[0]: 4 * small * rings[0],
+                           rings[1]: 4 * large * rings[1]}
 
 
 class TestCausality:
