@@ -5,7 +5,7 @@ Modules, bottom up:
 
 - ``errors``: shared failure taxonomy and CLI exit-code table.
 - ``expr``: the one closed-form bump (its profile, partials and cutoff
-  steps) and field maps: a sympy background plus bump terms.
+  steps) and field maps: a background expression tree plus bump terms.
 - ``quadrature``: 1d/ball/tensor rules and the scheme record.
 - ``bessel``: K_nu for the kernels: scipy's ``kv``, with elementary
   closed forms at half-integer orders.

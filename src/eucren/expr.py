@@ -15,9 +15,12 @@ Cartesian partials of g(|x-c|^2), ``step`` the C-infinity step
 E(1-s)/(E(1-s) + E(s)) and ``plateau_u`` the cutoff step in u.
 
 ``SmoothMap``, the field configuration phi of the functional calculus,
-is a sympy expression in x1..xd plus bump terms;
+is an expression tree in x1..xd plus bump terms;
 ``SmoothMap.from_expression`` reads the field-expression grammar of
-config files (an ``ast`` whitelist; the text is never evaluated).
+config files (an ``ast`` whitelist; the text is never evaluated).  The
+tree takes exact derivatives by the chain and product rules and is
+evaluated with numpy; integer and rational numbers in it are exact
+``Fraction``s, floats are float64.
 """
 
 from __future__ import annotations
@@ -25,14 +28,12 @@ from __future__ import annotations
 import ast
 import itertools
 import math
-import operator
+import numbers
 import re
-from functools import lru_cache
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-import sympy as sp
-from sympy.printing.numpy import NumPyPrinter
 
 
 def _bumpcore_numpy(t):
@@ -101,36 +102,160 @@ def plateau_u(u, inner: float, outer: float):
     return step((np.asarray(u, dtype=float) - a2) / (outer * outer - a2))
 
 
-class _FloatPrinter(NumPyPrinter):
-    """numpy code in which a ``Float`` of at most 53 bits, a Python
-    float, prints all its digits (``repr``), where sympy prints 15.  A
-    wider ``Float``, such as a config-file literal of 16 or more digits,
-    keeps its source digits, which Python then rounds to the nearest
-    double once (rounding its binary value instead would round twice)."""
+# -- the field-expression tree ----------------------------------------------
+# A tree is a number (an exact Fraction, or a float64) or a tuple:
+# ("x", i) for x_(i+1), ("+", *terms) with any number last,
+# ("*", number, *factors), ("**", base, exponent), or (f, argument) for f
+# in exp, sin, cos, log.  ``add``, ``mul``, ``power`` and ``call`` build
+# it in sympy's canonical form (sums and products flatten, numbers fold,
+# like terms and like bases collect, a number distributes over a sum, an
+# integer power over a product) and in sympy's print order, which
+# ``_value`` evaluates as the printed form does.
 
-    def _print_Float(self, e):
-        return repr(float(e)) if e._prec <= 53 else super()._print_Float(e)
-
-
-@lru_cache(maxsize=1024)
-def _compiled(args, expr):
-    """The numpy callable of ``expr`` in ``args``, compiled once however
-    many maps carry it."""
-    printer = _FloatPrinter({"fully_qualified_modules": False,
-                             "inline": True,
-                             "allow_unknown_functions": True})
-    return sp.lambdify(args, expr, modules="numpy", printer=printer)
+_FUNCS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "log": np.log}
 
 
-@lru_cache(maxsize=None)
-def coords(d: int) -> tuple:
-    """The coordinate symbols x1..xd."""
-    return sp.symbols(f"x1:{d + 1}", real=True)
+def _is_num(a) -> bool:
+    return not isinstance(a, tuple)
+
+
+def _float(a) -> float:
+    try:
+        return float(a)
+    except OverflowError:  # a Fraction beyond the float range
+        return math.copysign(math.inf, a)
+
+
+def _flat(args, op):
+    for a in args:
+        if isinstance(a, tuple) and a[0] == op:
+            yield from a[1:]
+        else:
+            yield Fraction(a) if isinstance(a, int) else a
+
+
+def _order(term):
+    """sympy's print order: descending powers of x1, then of x2, ..."""
+    powers = [f[1:] if f[0] == "**" else (f, 1)
+              for f in (term[2:] if term[0] == "*" else (term,))]
+    return sorted((b[1], -e) for b, e in powers if isinstance(b, tuple)
+                  and b[0] == "x" and _is_num(e)) + [(math.inf, 0)], repr(term)
+
+
+def add(*args):
+    """The sum of trees."""
+    const, groups = Fraction(0), {}
+    for a in _flat(args, "+"):
+        if _is_num(a):
+            const += a
+        else:
+            fs = a[2:] if a[0] == "*" else (a,)
+            groups[fs] = groups.get(fs, 0) + (a[1] if a[0] == "*" else 1)
+    terms = sorted((mul(c, *fs) for fs, c in groups.items() if c != 0),
+                   key=_order) + ([const] if const != 0 else [])
+    return ("+", *terms) if len(terms) > 1 else terms[0] if terms else const
+
+
+def mul(*args):
+    """The product of trees."""
+    coef, bases = Fraction(1), {}
+    for a in _flat(args, "*"):
+        if _is_num(a):
+            coef *= a
+        else:  # exp(a)*exp(b) = exp(a + b): exp collects under None
+            b, e = ((None, a[1]) if a[0] == "exp"
+                    else a[1:] if a[0] == "**" else (a, 1))
+            bases.setdefault(b, []).append(e)
+    nodes = []
+    for f in _flat((call("exp", add(*es)) if b is None else power(b, add(*es))
+                    for b, es in bases.items()), "*"):
+        if _is_num(f):
+            coef *= f
+        else:
+            nodes.append(f)
+    if coef == 0 or not nodes:
+        return coef
+    if len(nodes) == 1 and (coef == 1 or nodes[0][0] == "+"):
+        return nodes[0] if coef == 1 else add(*(mul(coef, t)
+                                                for t in nodes[0][1:]))
+    return ("*", coef, *sorted(nodes, key=_order))  # coordinates first
+
+
+def power(b, e):
+    """b**e; integer and rational powers of numbers stay exact."""
+    b, e = (Fraction(v) if isinstance(v, int) else v for v in (b, e))
+    if _is_num(b) and _is_num(e):
+        try:  # a large exact power goes through floats
+            return (float(b) if abs(e) > 1024 else b) ** e
+        except ZeroDivisionError:
+            return math.nan
+        except OverflowError:
+            return math.inf
+    if e == 0 or e == 1:
+        return b if e == 1 else Fraction(1)
+    if (isinstance(e, Fraction) and e.denominator == 1 and not _is_num(b)
+            and b[0] in ("*", "**", "exp")):
+        return (mul(*(power(f, e) for f in b[1:])) if b[0] == "*"
+                else power(b[1], mul(b[2], e)) if b[0] == "**"
+                else call("exp", mul(b[1], e)))
+    return ("**", b, e)
+
+
+def call(f: str, a):
+    """f(a); a number folds in float64, as numpy evaluates it."""
+    if not _is_num(a):
+        return (f, a)
+    with np.errstate(all="ignore"):
+        return float(_FUNCS[f](_float(a)))
+
+
+def _diff(e, i: int):
+    """The exact partial derivative of a tree in x_(i+1)."""
+    if _is_num(e):
+        return Fraction(0)
+    op, a = e[0], e[1]
+    if op == "x":
+        return Fraction(a == i)
+    if op == "+":
+        return add(*(_diff(t, i) for t in e[1:]))
+    if op == "*":
+        return add(*(mul(*e[1:k], _diff(e[k], i), *e[k + 1:])
+                     for k in range(2, len(e))))
+    if op == "**" and _is_num(e[2]):
+        return mul(e[2], power(a, add(e[2], -1)), _diff(a, i))
+    if op == "**":
+        return mul(e, add(mul(_diff(e[2], i), call("log", a)),
+                          mul(e[2], _diff(a, i), power(a, -1))))
+    return mul(_diff(a, i), e if op == "exp" else call("cos", a) if op == "sin"
+               else mul(-1, call("sin", a)) if op == "cos" else power(a, -1))
+
+
+def _value(e, xs):
+    """A tree at the coordinate arrays xs."""
+    if _is_num(e):
+        return _float(e)
+    if e[0] == "x":
+        return xs[e[1]]
+    if e[0] in _FUNCS:
+        return _FUNCS[e[0]](_value(e[1], xs))
+    if e[0] == "**":
+        return _value(e[1], xs) ** _value(e[2], xs)
+    args = e[1:] if e[0] == "+" else e[2:]
+    out = _value(args[0], xs)
+    if e[0] == "*" and e[1] != 1:
+        out = _float(e[1]) * out
+    for a in args[1:]:
+        out = out + _value(a, xs) if e[0] == "+" else out * _value(a, xs)
+    return out
+
+
+def _depth(e) -> int:
+    return 1 + max(map(_depth, e[1:])) if isinstance(e, tuple) else 0
 
 
 class SmoothMap:
-    """A smooth function R^d -> R: a sympy expression in x1..xd
-    (constants, polynomials, exp, sin, cos) plus ``bumps``, terms
+    """A smooth function R^d -> R: an expression tree ``expr`` in x1..xd
+    (numbers, polynomials, exp, sin, cos) plus ``bumps``, terms
     (center, radius, amplitude, alpha) that each stand for d^alpha of
     the bump A*exp(-1/(1 - |x-c|^2/r^2)).  Sums concatenate the terms,
     constant multiples scale the amplitudes, derivatives add to alpha.
@@ -149,7 +274,9 @@ class SmoothMap:
                  support_ball: Optional[Tuple[Tuple[float, ...], float]] = None,
                  bumps: tuple = ()):
         self.d = int(d)
-        self.expr = sp.sympify(expr)
+        self.expr = (expr if isinstance(expr, (tuple, Fraction))
+                     else Fraction(expr) if isinstance(expr, numbers.Integral)
+                     else float(expr))
         if support_ball is not None:
             center, radius = support_ball
             support_ball = (tuple(float(c) for c in center), float(radius))
@@ -160,7 +287,7 @@ class SmoothMap:
 
     @staticmethod
     def constant(value, d: int) -> "SmoothMap":
-        return SmoothMap(sp.sympify(value), d)
+        return SmoothMap(value, d)
 
     @staticmethod
     def zero(d: int) -> "SmoothMap":
@@ -170,7 +297,7 @@ class SmoothMap:
     def coordinate(i: int, d: int) -> "SmoothMap":
         if not 0 <= i < d:
             raise ValueError(f"coordinate index {i} out of range for d={d}")
-        return SmoothMap(coords(d)[i], d)
+        return SmoothMap(("x", i), d)
 
     @staticmethod
     def bump(d: int, center: Sequence[float], radius: float, amplitude=1) -> "SmoothMap":
@@ -191,15 +318,19 @@ class SmoothMap:
 
         The text is never evaluated: its syntax tree is walked under a
         whitelist (int and float literals, x1..xd, binary + - * / **,
-        unary + and -, one-argument exp, sin and cos) and the sympy
-        expression is built node by node.  Float literals keep their
+        unary + and -, one-argument exp, sin and cos) and the tree is
+        built node by node.  A float literal is rounded once, from its
         source digits.  Anything else raises ValueError.
         """
         try:
             tree = ast.parse(text.strip(), mode="eval")
         except SyntaxError as exc:
             raise ValueError(f"invalid field expression: {exc.msg}")
-        return SmoothMap(_field_expr(tree.body, text.strip(), d), d)
+        expr = _field_expr(tree.body, text.strip(), d)
+        if _depth(expr) > _MAX_DEPTH:
+            raise ValueError(f"field expression nests deeper than "
+                             f"{_MAX_DEPTH} levels")
+        return SmoothMap(expr, d)
 
     # -- evaluation ----------------------------------------------------
 
@@ -209,8 +340,8 @@ class SmoothMap:
         if self.d == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
             pts = pts[..., None]
         with np.errstate(all="ignore"):
-            out = float(self.expr) if self.expr.is_number else _compiled(
-                coords(self.d), self.expr)(*np.moveaxis(pts, -1, 0))
+            out = _float(self.expr) if _is_num(self.expr) else _value(
+                self.expr, np.moveaxis(pts, -1, 0))
         out = np.array(np.broadcast_to(out, pts.shape[:-1]), dtype=float)
         for center, radius, amplitude, alpha in self.bumps:
             out += bump_partial(pts - center, radius, amplitude, alpha)
@@ -224,9 +355,9 @@ class SmoothMap:
         if len(alpha) != self.d:
             raise ValueError("multi-index length must equal the dimension")
         e = self.expr
-        if any(alpha):
-            e = sp.S.Zero if e.is_number else sp.diff(
-                e, *((x, a) for x, a in zip(coords(self.d), alpha) if a))
+        for i, a in enumerate(alpha):
+            for _ in range(a):
+                e = _diff(e, i)
         bumps = tuple((c, r, amp, tuple(a + b for a, b in zip(beta, alpha)))
                       for c, r, amp, beta in self.bumps)
         return SmoothMap(e, self.d, self.support_ball, bumps)
@@ -259,7 +390,7 @@ class SmoothMap:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return SmoothMap(self.expr + o.expr, self.d, self._merged_ball(o),
+        return SmoothMap(add(self.expr, o.expr), self.d, self._merged_ball(o),
                          self.bumps + o.bumps)
 
     __radd__ = __add__
@@ -274,8 +405,8 @@ class SmoothMap:
             if self.bumps or o.bumps:
                 raise ValueError("a product of non-constant maps with bump "
                                  "terms is not a SmoothMap")
-            return SmoothMap(self.expr * o.expr, self.d)
-        return SmoothMap(self.expr * o.expr, self.d, kept.support_ball,
+            return SmoothMap(mul(self.expr, o.expr), self.d)
+        return SmoothMap(mul(self.expr, o.expr), self.d, kept.support_ball,
                          tuple((c, r, amp * scale.constant_value(), alpha)
                                for c, r, amp, alpha in kept.bumps))
 
@@ -289,61 +420,66 @@ class SmoothMap:
         if n < 0 or self.bumps:
             raise ValueError("only nonnegative integer powers of maps "
                              "without bump terms are smooth-safe")
-        return SmoothMap(self.expr**n, self.d)
+        return SmoothMap(power(self.expr, n), self.d)
 
     @property
     def is_constant(self) -> bool:
-        return not self.bumps and not self.expr.free_symbols
+        return not self.bumps and _is_num(self.expr)
 
     def constant_value(self) -> float:
         if not self.is_constant:
             raise ValueError("not a constant map")
-        return float(self.expr)
+        return _float(self.expr)
 
     def __repr__(self):
-        return f"SmoothMap(d={self.d}, {self.expr}, bumps={self.bumps})"
+        return f"SmoothMap(d={self.d}, {self.expr!r}, bumps={self.bumps})"
 
 
-_BINARY_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
-               ast.Mult: operator.mul, ast.Div: operator.truediv,
-               ast.Pow: operator.pow}
-_UNARY_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
-_FIELD_FUNCS = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos}
+_BINARY_OPS = {ast.Add: add, ast.Sub: lambda a, b: add(a, mul(-1, b)),
+               ast.Mult: mul, ast.Div: lambda a, b: mul(a, power(b, -1)),
+               ast.Pow: power}
+_FIELD_FUNCS = ("exp", "sin", "cos")
+# the height of a parsed tree; derivatives and evaluation recurse along
+# their trees, a few times as high
+_MAX_DEPTH = 64
 
 
 def _field_expr(node: ast.AST, text: str, d: int):
-    """The sympy expression of one whitelisted syntax-tree node.  Numeric
-    subexpressions must be finite and real, and a power of two numbers
-    has an exponent of at most 1024 in magnitude: an exact integer power
-    such as 10**10**8 would take unbounded time."""
+    """The tree of one whitelisted syntax-tree node.  Numeric
+    subexpressions must be finite and real, a numeric divisor nonzero,
+    and a power of two numbers has an exponent of at most 1024 in
+    magnitude: an exact integer power such as 10**10**8 would take
+    unbounded time."""
     segment = ast.get_source_segment(text, node)
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        if isinstance(node.value, int):
-            expr = sp.Integer(node.value)
-        else:
-            expr = sp.Float(segment)
+        expr = (Fraction(node.value) if isinstance(node.value, int)
+                else float(segment))
     elif isinstance(node, ast.Name):
         match = re.fullmatch(r"x([1-9]\d*)", node.id)
         if match is None or int(match.group(1)) > d:
             raise ValueError(f"unknown name {node.id!r} in field expression")
-        return coords(d)[int(match.group(1)) - 1]
+        return ("x", int(match.group(1)) - 1)
     elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
         left = _field_expr(node.left, text, d)
         right = _field_expr(node.right, text, d)
-        if (isinstance(node.op, ast.Pow) and left.is_number
-                and right.is_number and abs(right) > 1024):
+        if isinstance(node.op, ast.Pow) and _is_num(left) and _is_num(right) \
+                and abs(right) > 1024:
             raise ValueError(
                 f"exponent in {segment!r} exceeds 1024 in magnitude")
+        if isinstance(node.op, ast.Div) and _is_num(right) and right == 0:
+            raise ValueError(f"{segment!r} divides by zero")
         expr = _BINARY_OPS[type(node.op)](left, right)
-    elif isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY_OPS:
-        expr = _UNARY_OPS[type(node.op)](_field_expr(node.operand, text, d))
+    elif isinstance(node, ast.UnaryOp) and type(node.op) in (ast.UAdd, ast.USub):
+        expr = _field_expr(node.operand, text, d)
+        if isinstance(node.op, ast.USub):
+            expr = mul(-1, expr)
     elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in _FIELD_FUNCS and len(node.args) == 1
             and not node.keywords):
-        expr = _FIELD_FUNCS[node.func.id](_field_expr(node.args[0], text, d))
+        expr = call(node.func.id, _field_expr(node.args[0], text, d))
     else:
         raise ValueError(f"unsupported syntax {segment!r} in field expression")
-    if expr.is_number and not (expr.is_extended_real
-                               and math.isfinite(float(expr))):
+    if _is_num(expr) and (isinstance(expr, complex)
+                          or not math.isfinite(_float(expr))):
         raise ValueError(f"{segment!r} has no finite real value")
     return expr

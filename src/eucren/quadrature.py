@@ -19,7 +19,8 @@ integrals plus small tensor rules:
   the structural radii, cut geometrically toward rho = 0.
 
 * ``ProfileSpline`` caches a smooth radial profile on a window as a
-  cubic spline; used for correlation profiles.
+  not-a-knot cubic spline, scipy's ``CubicSpline`` interpolant without
+  ``scipy.interpolate``; used for correlation and leg profiles.
 
 * ``contract_pass`` applies several kernel matrices between two point
   sets to several columns each, toward either set, in one pass over
@@ -61,7 +62,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import QuadratureFailure, UnsupportedCase
 
@@ -488,26 +489,43 @@ def radial_pair(kernel: Callable, gu: Callable, support: float, c, d: int,
 
 
 class ProfileSpline:
-    """Cubic-spline cache of a radial profile on [0, support]; zero beyond."""
+    """Cubic-spline cache of a radial profile on [0, support], clamped
+    below the first sample and zero beyond the support: the not-a-knot
+    interpolant of scipy's ``CubicSpline`` (its banded system for the
+    slopes k), evaluated in Horner form."""
 
-    __slots__ = ("support_radius", "_spline", "_s0")
+    __slots__ = ("support_radius", "_s", "_coef")
 
     def __init__(self, s: np.ndarray, values: np.ndarray, support: float):
         order = np.argsort(s)
-        self._s0 = float(s[order][0])
-        self._spline = CubicSpline(s[order], values[order])
+        x, y = np.asarray(s, float)[order], np.asarray(values, float)[order]
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        rows = np.zeros((3, len(x)))  # super-, main and subdiagonal
+        rows[0, 1:] = d0, *dx[:-1]
+        rows[1] = dx[1], *(2.0 * (dx[:-1] + dx[1:])), dx[-2]
+        rows[2, :-1] = *dx[1:], d1
+        rhs = np.empty(len(x))
+        rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0]
+                  + dx[0] ** 2 * slope[1]) / d0
+        rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        rhs[-1] = (dx[-1] ** 2 * slope[-2]
+                   + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        k = solve_banded((1, 1), rows, rhs)
+        t = (k[:-1] + k[1:] - 2.0 * slope) / dx
+        self._s = x
+        self._coef = (t / dx, (slope - k[:-1]) / dx - t, k[:-1], y[:-1])
         self.support_radius = float(support)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        inside = (s >= self._s0) & (s <= self.support_radius)
-        out = np.zeros_like(s, dtype=float)
-        if np.any(inside):
-            out[inside] = self._spline(s[inside])
-        # below the first sample: clamp (profiles are smooth at 0)
-        low = s < self._s0
-        if np.any(low):
-            out[low] = self._spline(self._s0)
+        z = np.maximum(s, self._s[0])  # profiles are smooth at 0
+        i = np.searchsorted(self._s[1:-1], z, side="right")
+        z -= self._s.take(i)
+        c0, c1, c2, c3 = (c.take(i) for c in self._coef)
+        out = np.where(s <= self.support_radius,
+                       ((c0 * z + c1) * z + c2) * z + c3, 0.0)
         return out if out.ndim else float(out)
 
     def profile_u(self):
@@ -541,6 +559,14 @@ def correlation_profile(f_gu: Callable, f_support: float,
 # rules), of one ring block of ``ring_pass`` and of one x-chunk array
 # of ``triple.grid_field`` (about 206 nodes at grid_nodes 48)
 _BLOCK_ENTRIES = 1 << 19
+# glibc serves a block above its mmap threshold from fresh mmap pages,
+# which page faults zero on first touch; the threshold starts at 128 KiB
+# and rises to the size of the largest such block freed.  Freeing one
+# block of two row blocks at import lifts it, so that row blocks and the
+# other large temporaries of a round reuse the heap (sympy's import used
+# to do this by accident; `radial` rounds ran slower without it).  Other
+# allocators ignore it.
+np.empty(2 * _BLOCK_ENTRIES)
 
 
 def contract_pass(blocks: Callable, xp: np.ndarray, yp: np.ndarray,

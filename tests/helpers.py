@@ -3,7 +3,8 @@
 Monte Carlo estimators are deliberately independent of the package's
 quadrature code paths: uniform sampling over balls, nothing radial.
 The deterministic references are adaptive QUADPACK, which the package
-itself never calls.
+itself never calls, and sympy for field expressions, which the package
+no longer imports.
 """
 
 import math
@@ -11,8 +12,11 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
+import sympy as sp
 from scipy.integrate import quad
+from sympy.printing.numpy import NumPyPrinter
 
 import eucren
 
@@ -24,6 +28,53 @@ def fresh_run(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True).stdout
+
+
+def coords(d: int) -> tuple:
+    """The sympy symbols x1..xd."""
+    return sp.symbols(f"x1:{d + 1}", real=True)
+
+
+class _FloatPrinter(NumPyPrinter):
+    """numpy code in which a ``Float`` of at most 53 bits prints all its
+    digits (``repr``), where sympy prints 15; a wider ``Float`` keeps its
+    source digits, which Python rounds to the nearest double once."""
+
+    def _print_Float(self, e):
+        return repr(float(e)) if e._prec <= 53 else super()._print_Float(e)
+
+
+def sympy_partial(text: str, d: int, alpha=None, digits: int = 0):
+    """The field expression ``text`` in x1..xd, or its partial d^alpha,
+    as sympy differentiates it one axis at a time, compiled to numpy
+    with every float digit: the way the package evaluated backgrounds
+    before it had its own expression tree.  With ``digits``, the float
+    literals are their exact decimals instead and the partial is
+    evaluated in mpmath at that precision.  Returns f(points)."""
+    xs = coords(d)
+    e = sp.sympify(text, locals={f"x{i + 1}": x for i, x in enumerate(xs)},
+                   rational=bool(digits))
+    for x, a in zip(xs, alpha or (0,) * d):
+        for _ in range(a):
+            e = sp.diff(e, x)
+    if digits:
+        fn = sp.lambdify(xs, e, modules="mpmath")
+
+        def exact(points):
+            with mpmath.workdps(digits):
+                return np.array([float(fn(*map(mpmath.mpf, p)))
+                                 for p in np.reshape(points, (-1, d))])
+        return exact
+    fn = sp.lambdify(xs, e, modules="numpy", printer=_FloatPrinter(
+        {"fully_qualified_modules": False, "inline": True,
+         "allow_unknown_functions": True}))
+
+    def value(points):
+        pts = np.asarray(points, dtype=float)
+        with np.errstate(all="ignore"):
+            out = fn(*np.moveaxis(pts, -1, 0))
+        return np.array(np.broadcast_to(out, pts.shape[:-1]), dtype=float)
+    return value
 
 
 def ball_volume(d: int, radius: float) -> float:

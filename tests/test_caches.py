@@ -10,8 +10,8 @@ import eucren
 from helpers import fresh_run
 
 # keyed only by small integers (orders, dimensions) or by nothing
-UNBOUNDED = {"quadrature.gauss_legendre", "expr.coords",
-             "functionals._multi_indices", "functionals.balanced_basis"}
+UNBOUNDED = {"quadrature.gauss_legendre", "functionals._multi_indices",
+             "functionals.balanced_basis"}
 
 
 def _caches():
@@ -55,3 +55,31 @@ def test_import_loads_no_quadpack():
     # line never loads scipy.integrate
     code = "import sys, eucren.cli; print('scipy.integrate' in sys.modules)"
     assert fresh_run(code).strip() == "False"
+
+
+def test_runs_load_no_sympy_or_interpolate(tmp_path):
+    # the command line imports neither sympy nor scipy.interpolate nor
+    # scipy.optimize, and no job loads them later: a lazy import would
+    # only move their cost from start-up into the run
+    jobs = {
+        "verify": "command=verify d=2 m=1 seed=3\n",
+        "product": ("command=product d=1 order=1\nbackground = 0.9 + 0.1*x1\n"
+                    "[functional F]\ncenter=0\nradius=0.9\npower=2\n"
+                    "[functional G]\ncenter=3\nradius=0.9\npower=2\n"),
+        # overlapping tests pair through a correlation profile spline
+        "renormalize": ("command=renormalize d=3 m=1 factors=0-1:3\n"
+                        "[functional f]\ncenter=0,0,0\nradius=0.8\n"
+                        "[functional g]\ncenter=0.5,0,0\nradius=0.8\n"),
+    }
+    for name, text in jobs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    code = (
+        "import sys, eucren.cli as cli\n"
+        "heavy = ('sympy', 'scipy.interpolate', 'scipy.optimize')\n"
+        "print(*(m in sys.modules for m in heavy))\n"
+        f"for name in {list(jobs)!r}:\n"
+        f"    stem = {str(tmp_path)!r} + '/' + name\n"
+        "    print(cli.main(['--config', stem + '.cfg', '--out', stem + '.txt']))\n"
+        "print(*(m in sys.modules for m in heavy))\n")
+    lines = fresh_run(code).splitlines()
+    assert lines == ["False False False", "0", "0", "0", "False False False"]

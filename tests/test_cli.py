@@ -487,6 +487,27 @@ class TestMain:
         assert main(["--config", str(cfg)]) == 3
         assert "ok = true" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("background, code", [
+        ("-" * 900 + "x1", 0),  # -(-a) folds to a
+        ("-" * 990 + "x1", 2),  # beyond the parser's recursion
+        ("+".join(["x1"] * 3000), 2),
+        ("x1**100000", 0),
+        ("exp(exp(exp(exp(x1))))", 3),
+        ("2**-1025*x1", 2),
+        ("(-1)**0.5", 2),
+        ("x1/0", 2),
+        ("x1**" * 70 + "x1", 2),  # a tree higher than 64 levels
+    ], ids=["neg900", "neg990", "sum3000", "pow100000", "exp4", "tiny",
+            "sqrt-1", "div0", "tower70"])
+    def test_hostile_background_exit(self, tmp_path, background, code):
+        # phi^2 on B(0, 0.9) in d = 1: every background ends in a
+        # documented exit code, never in a traceback
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"command=product d=1 order=1\nbackground = {background}\n"
+                       "[functional F]\ncenter=0\nradius=0.9\npower=2\n")
+        assert main(["--config", str(cfg), "--out",
+                     str(tmp_path / "report.txt")]) == code
+
     def test_huge_exact_power_is_parse_exit(self, tmp_path, capsys):
         # building the exact integer 10**(10**7) alone takes seconds
         cfg = tmp_path / "run.cfg"

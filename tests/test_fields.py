@@ -13,7 +13,7 @@ import sympy as sp
 import eucren
 from eucren import expr
 from eucren.cli import parse_config, run
-from eucren.expr import SmoothMap, bump_partial, bump_u, coords, plateau_u
+from eucren.expr import SmoothMap, bump_partial, bump_u, plateau_u
 from eucren.functionals import (FieldConfiguration, LocalFunctional,
                                 MonomialTerm, TestFunction, additivity_check,
                                 evaluate)
@@ -23,6 +23,7 @@ from eucren.propagator import (
     green_function,
     verify_fundamental_solution,
 )
+from helpers import coords
 
 
 def central_diff(f, x, i, h=1e-5):
@@ -72,8 +73,7 @@ class TestSmoothMap:
         np.testing.assert_allclose(g(pts), expect, rtol=1e-12)
 
     def test_diff_against_central_difference(self):
-        xs = coords(2)
-        f = SmoothMap(sp.sin(xs[0]) * sp.exp(-(xs[0] ** 2 + 2 * xs[1] ** 2)), 2)
+        f = SmoothMap.from_expression("sin(x1)*exp(-(x1**2 + 2*x2**2))", 2)
         df = f.diff((1, 0))
         for pt in [np.array([0.3, -0.2]), np.array([1.1, 0.7])]:
             approx = central_diff(lambda q: float(f(q)), pt, 0)
@@ -125,9 +125,16 @@ def _sympy_bump(d, center, radius, amplitude):
                         (0, True))
 
 
-def _cartesian_laplacian(d, center, radius, amplitude) -> SmoothMap:
+def _numpy(e, d):
+    """The sympy expression e in x1..xd as a function of points (n, d)."""
+    fn = sp.lambdify(coords(d), e, "numpy")
+    return lambda pts: np.broadcast_to(fn(*np.moveaxis(pts, -1, 0)),
+                                       pts.shape[:-1])
+
+
+def _cartesian_laplacian(d, center, radius, amplitude):
     bump = _sympy_bump(d, center, radius, amplitude)
-    return SmoothMap(sum(sp.diff(bump, x, 2) for x in coords(d)), d)
+    return _numpy(sum(sp.diff(bump, x, 2) for x in coords(d)), d)
 
 
 class TestRadialMap:
@@ -171,7 +178,7 @@ class TestRadialMap:
     def test_helmholtz_operator(self):
         m = 1.7
         f = TestFunction(3, (0.3, 0.0, -0.2), 1.0, amplitude=0.8)
-        sm = SmoothMap(_sympy_bump(3, f.center, f.radius, f.amplitude), 3)
+        sm = _numpy(_sympy_bump(3, f.center, f.radius, f.amplitude), 3)
         pts = np.array([[0.4, 0.2, -0.5], [0.3, 0.0, -0.2], [1.0, 0.1, 0.1]])
         u = np.sum((pts - np.asarray(f.center)) ** 2, axis=1)
         expect = (-_cartesian_laplacian(3, f.center, f.radius, f.amplitude)(pts)
@@ -328,23 +335,25 @@ class TestBumpPartial:
 
 
 class TestNumericCore:
-    """The pairing, renormalization and verification routes build no
-    symbolic expression: only ``expr`` imports sympy, for the field
-    grammar."""
+    """The pairing, renormalization and verification routes evaluate no
+    expression tree, and no module of the package imports sympy or
+    scipy.interpolate."""
 
     @pytest.fixture
-    def no_sympy(self, monkeypatch):
+    def no_tree(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("symbolic work in the numeric core")
+            raise AssertionError("expression-tree work in the numeric core")
 
-        monkeypatch.setattr(sp, "diff", refuse)
-        monkeypatch.setattr(expr, "_compiled", refuse)
+        diff = expr._diff
+        monkeypatch.setattr(expr, "_value", refuse)
+        monkeypatch.setattr(expr, "_diff", lambda e, i: refuse()
+                            if isinstance(e, tuple) else diff(e, i))
 
-    def test_fundamental_solution_is_numeric(self, no_sympy):
+    def test_fundamental_solution_is_numeric(self, no_tree):
         phi = TestFunction(3, (0.1, 0.0, -0.2), 1.0, amplitude=1.3)
         assert verify_fundamental_solution(green_function(3, 1.0), phi) < 1e-9
 
-    def test_renormalize_sweep_is_numeric(self, no_sympy):
+    def test_renormalize_sweep_is_numeric(self, no_tree):
         # the lambda sweep pairs through radial_view, the pairing through
         # correlation profiles
         text = ("command=renormalize d=3 m=1 factors=0-1:3\n"
@@ -354,7 +363,7 @@ class TestNumericCore:
         assert abs(float(sections["scaling"]["estimate"]) - 3.0) < 0.2
         assert np.isfinite(float(sections["pairing"]["value"]))
 
-    def test_triangle_is_numeric(self, no_sympy):
+    def test_triangle_is_numeric(self, no_tree):
         text = ("command=renormalize d=3 m=1 factors=0-1:3,0-2:2,1-2:1 "
                 "gauss_n=6\n"
                 "[functional f]\ncenter=0,0,0\nradius=1.0\n"
@@ -364,7 +373,7 @@ class TestNumericCore:
         assert pairing.name == "pairing"
         assert np.isfinite(float(dict(pairing.pairs)["value"]))
 
-    def test_additivity_on_bump_fields_is_numeric(self, no_sympy):
+    def test_additivity_on_bump_fields_is_numeric(self, no_tree):
         f = TestFunction(2, (0.1, -0.2), 1.2, 1.3)
         F = LocalFunctional([MonomialTerm(3, ((0, 0), (1, 0), (0, 2)), f),
                              MonomialTerm(2, ((0, 0), (0, 0)), f)])
@@ -375,7 +384,8 @@ class TestNumericCore:
         assert additivity_check(F, phi, psi, chi) == 0.0
         assert evaluate(F, psi) != 0.0
 
-    def test_only_expr_imports_sympy(self):
+    def test_no_module_imports_sympy_or_interpolate(self):
+        # a static check: an import inside a function counts too
         importers = set()
         for path in pathlib.Path(eucren.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -385,34 +395,36 @@ class TestNumericCore:
                     names = [node.module or ""]
                 else:
                     continue
-                if any(n.split(".")[0] == "sympy" for n in names):
+                if any(n.split(".")[0] == "sympy"
+                       or n.startswith(("scipy.interpolate", "scipy.optimize"))
+                       for n in names):
                     importers.add(path.stem)
-        assert importers == {"expr"}
+        assert importers == set()
 
 
 class TestCompileOnce:
+    """A background's tree is its compiled form: it is built once per
+    job and evaluated with numpy."""
+
     def test_verify_compiles_each_expression_once(self, monkeypatch):
-        compiled = []
-        compile_ = sp.lambdify
+        parsed = []
+        parse = SmoothMap.from_expression
 
-        def recording(args, body, **kwargs):
-            compiled.append((args, body))
-            return compile_(args, body, **kwargs)
+        def recording(text, d):
+            parsed.append(text)
+            return parse(text, d)
 
-        monkeypatch.setattr(sp, "lambdify", recording)
-        expr._compiled.cache_clear()
+        monkeypatch.setattr(SmoothMap, "from_expression",
+                            staticmethod(recording))
         run(parse_config("command=verify d=1 m=1 seed=3"))
-        assert len(compiled) == len(set(compiled)) > 0
+        assert len(parsed) == len(set(parsed)) > 0
 
-    def test_float_precision_keeps_separate_entries(self):
-        # equal hashes, unequal expressions: a 53-bit Float and a literal
-        # of its 17 digits compile to separate entries, and both print
-        # all 17 digits into the compiled code
-        expr._compiled.cache_clear()
-        x1 = coords(1)[0]
-        short = SmoothMap(sp.Float(1.1455927773739436) * x1, 1)
+    def test_float_coefficient_keeps_every_digit(self):
+        # a 53-bit float from arithmetic and a literal of its 17 digits
+        # build the same tree, and both evaluate to that float
+        x1 = SmoothMap.coordinate(0, 1)
+        short = 1.1455927773739436 * x1
         full = FieldConfiguration.from_expression("1.1455927773739436*x1", 1)
-        at_one = np.array([[1.0]])
-        assert float(full(at_one)[0]) == 1.1455927773739436
-        assert float(short(at_one)[0]) == float(full(at_one)[0])
-        assert expr._compiled.cache_info().currsize == 2
+        assert short.expr == full.expr
+        assert float(full(np.array([[1.0]]))[0]) == 1.1455927773739436
+        assert float(short(np.array([[1.0]]))[0]) == 1.1455927773739436

@@ -5,6 +5,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.spatial.distance import cdist
 
 from eucren import quadrature
@@ -188,6 +189,33 @@ class TestProfilesAndTensor:
         s = np.linspace(0.05, 1.95, 37)
         np.testing.assert_allclose(sp(s), f(s), atol=5e-9)
         assert sp(2.5) == 0.0
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.0, 1.9, 360),
+        # grid_field's phi2: 5 ghost nodes at step h, then a linspace of
+        # another step
+        np.concatenate([-np.arange(5, 0, -1) * (1.02 * 1.9 / 39),
+                        np.linspace(0.0, 1.9, 360)]),
+        # _leg_profile: a linspace from an offset
+        np.linspace(0.37, 2.1, 180),
+    ], ids=["uniform", "ghosts", "offset"])
+    def test_profile_spline_is_scipy_not_a_knot(self, grid):
+        # scipy.interpolate stays out of the package; its not-a-knot
+        # CubicSpline is the oracle
+        f = lambda s: np.exp(-s * s) * np.cos(3.0 * s) + 0.1 * s
+        spline = ProfileSpline(grid[::-1], f(grid[::-1]), grid[-1])
+        oracle = CubicSpline(grid, f(grid))
+        s = np.concatenate([grid, np.random.default_rng(4).uniform(
+            grid[0], grid[-1], 2000)])
+        ref = oracle(s)
+        assert np.max(np.abs(spline(s) - ref)) <= 1e-15 * np.max(np.abs(ref))
+        # clamped below the first sample, zero beyond the support
+        low = grid[0] - np.array([1e-9, 0.5, 3.0])
+        np.testing.assert_array_equal(spline(low), oracle(grid[0]))
+        assert spline(grid[0] - 0.5) == oracle(grid[0])
+        np.testing.assert_array_equal(
+            spline(grid[-1] + np.array([1e-12, 0.1, 5.0])), 0.0)
+        assert spline(grid[-1] + 0.1) == 0.0
 
     def test_correlation_profile_matches_mc(self):
         f = TestFunction(3, (0, 0, 0), 1.0)
