@@ -19,14 +19,17 @@ factor subtracts w1(r1) K3(r2) Phi(0, z2), an overall extension
 subtracts W(sqrt(r1^2 + r2^2)) Phi(0, 0); the subtracted terms stay
 inside the innermost integrand so the small-r1 cancellation happens
 pointwise.  Counterterms act on Phi(0, .) and Phi(0, 0) directly.
+Both subtracted values come from the field itself, Phi(0, z2) as the
+limit of its Phi(z1, z2) at r1 = 0, so the subtraction cancels to
+rounding as r1 -> 0 and the subtracted integrand stays bounded there.
 
 The radial integrals run on fixed composite Gauss rules: panels split
 at every structural point (cutoff plateau edges and radii, support
-radii, and r1 = r2 where the s-window closes) and refine
-geometrically toward the subtracted endpoint at zero.  Between those
-points the integrands are analytic, so the rules converge fast and
-the whole reduction is deterministic; two resolutions are compared
-and a mismatch raises rather than returning a silently wrong value.
+radii, the joint radii a field marks, and r1 = r2 where the s-window
+closes) and are cut geometrically a few times toward zero.  Two rules,
+orders 10 and 12 per panel (``_RULES``, fixed by a convergence study),
+are compared, and a gap above 5e-4 of the value raises rather than
+returning a silently wrong value; the reduction is deterministic.
 
 Phi itself is tabulated once per test triple and scheme on a uniform
 (r1, r2, theta) grid by a ball-Gauss x-integral, summed in x-chunks
@@ -85,6 +88,12 @@ __all__ = ["pair_three", "TripleField", "grid_field", "analytic_field",
 
 _ZERO3 = (0, 0, 0)
 _S_NODES = 24
+# (Gauss order per panel, geometric cuts toward r = 0) of the coarse
+# and the fine rule of triple_pairing, from the convergence study in
+# tests/test_pairing.py::TestTripleRules; their values must agree to
+# _RULES_RTOL
+_RULES = ((10, 5), (12, 5))
+_RULES_RTOL = 5e-4
 
 
 @dataclass(frozen=True)
@@ -94,8 +103,10 @@ class TripleField:
     phi_tilde(r1, r2, s) takes a scalar r2, r1 of shape (P,) or (P, 1)
     and s of shape (P,) or (P, S), so a whole (r1 panel) x (s node)
     mesh is one call that shares each r1 node's spline row among its
-    s-nodes; phi2 is the radial profile of Phi(0, z2); phi00 =
-    Phi(0, 0).  r1max / r2max bound the support in each radius.
+    s-nodes; phi2 is the radial profile of Phi(0, z2), the limit of
+    phi_tilde at r1 = 0; phi00 = Phi(0, 0).  r1max / r2max bound the
+    support in each radius.  marks are joint radii sqrt(r1^2 + r2^2)
+    where Phi has structure that the radial rules must split at.
     """
 
     phi_tilde: Callable
@@ -103,6 +114,7 @@ class TripleField:
     phi00: float
     r1max: float
     r2max: float
+    marks: Tuple[float, ...] = ()
 
 
 _GHOSTS = 5
@@ -173,18 +185,19 @@ def grid_field(f0, f1, f2, scheme: QuadratureScheme = DEFAULT_SCHEME) -> TripleF
     # nodes on each side
     cpad = np.pad(_prefilter(phi.reshape(n1, n2, n_th)), 2, mode="reflect")
 
-    g1_at0 = F * np.asarray(g1u(u0), dtype=float)
-    s2 = np.concatenate([-(np.arange(_GHOSTS, 0, -1)) * h2,
-                         np.linspace(0.0, R2, PROFILE_SAMPLES)])
-    vals2 = np.zeros(s2.size)
-    step = max(1, _BLOCK_ENTRIES // s2.size)
-    for lo in range(0, len(pts), step):
-        sl = slice(lo, lo + step)
-        vals2 += g1_at0[sl] @ np.asarray(
-            g2u(u0[sl, None] - 2.0 * np.outer(x0[sl], s2) + s2 ** 2),
-            dtype=float)
-    phi2 = ProfileSpline(s2, vals2, R2)
-    phi00 = float(g1_at0 @ np.asarray(g2u(u0), dtype=float))
+    # Phi(0, z2) is the spline's own r1 = 0 row at theta = pi/2, where
+    # phi_tilde puts r1 = 0, collapsed once: the subtractions of
+    # triple_pairing then cancel to rounding as r1 -> 0
+    i1, w1 = _cubic_taps(-r1g[0] / h1 + 2.0)
+    ith, wth = _cubic_taps(np.arccos(0.0) / h_th + 2.0)
+    row = sum(w * cpad[i1 + k] for k, w in enumerate(w1))
+    row = sum(w * row[:, ith + k] for k, w in enumerate(wth))
+
+    def phi2(r):
+        r = np.asarray(r, dtype=float)
+        i2, w2 = _cubic_taps((np.minimum(r, R2) - r2g[0]) / h2 + 2.0)
+        return np.where(r < R2, sum(w * row[i2 + k] for k, w in enumerate(w2)),
+                        0.0)
 
     def phi_tilde(r1, r2: float, s):
         r1 = np.asarray(r1, dtype=float)
@@ -211,14 +224,17 @@ def grid_field(f0, f1, f2, scheme: QuadratureScheme = DEFAULT_SCHEME) -> TripleF
         rows[sel] = sum(w * line[ith + k] for k, w in enumerate(wth))
         return out
 
-    return TripleField(phi_tilde=phi_tilde, phi2=phi2, phi00=phi00,
-                       r1max=R1, r2max=R2)
+    return TripleField(phi_tilde=phi_tilde, phi2=phi2,
+                       phi00=float(phi2(0.0)), r1max=R1, r2max=R2)
 
 
-def analytic_field(V: Callable, r1max: float, r2max: float) -> TripleField:
+def analytic_field(V: Callable, r1max: float, r2max: float,
+                   marks: Tuple[float, ...] = ()) -> TripleField:
     """Field data for a function of the joint radius only,
     Phi(z1, z2) = V(sqrt(r1^2 + r2^2)); used for cutoff-change
-    compensation integrals.  V must accept numpy arrays."""
+    compensation integrals.  V must accept numpy arrays; ``marks`` are
+    the joint radii where it is not smooth (its cutoffs' plateau edges
+    and radii)."""
     def phi_tilde(r1, r2, s):
         r1b, sb = np.broadcast_arrays(np.asarray(r1, dtype=float),
                                       np.asarray(s, dtype=float))
@@ -226,7 +242,8 @@ def analytic_field(V: Callable, r1max: float, r2max: float) -> TripleField:
 
     return TripleField(phi_tilde=phi_tilde,
                        phi2=lambda r: np.asarray(V(r), dtype=float),
-                       phi00=float(V(0.0)), r1max=r1max, r2max=r2max)
+                       phi00=float(V(0.0)), r1max=r1max, r2max=r2max,
+                       marks=tuple(marks))
 
 
 def _order0_only(spec: ExtensionSpec, role: str) -> float:
@@ -264,12 +281,13 @@ def triple_pairing(m: float, powers: Tuple[int, int, int],
     W = overall.cutoff.profile if overall is not None else None
     w1_marks = ((e1.cutoff.plateau_radius, e1.cutoff.radius)
                 if e1 is not None else ())
-    W_marks = ((overall.cutoff.plateau_radius, overall.cutoff.radius)
-               if overall is not None else ())
+    # joint radii where the integrand has structure: W's and the field's
+    joint_marks = ((overall.cutoff.plateau_radius, overall.cutoff.radius)
+                   if overall is not None else ()) + field.marks
 
     phi2, phi00 = field.phi2, field.phi00
-    r1_hi = max(field.r1max, *w1_marks, *W_marks, 0.0)
-    r2_hi = max(field.r2max, *W_marks, 0.0)
+    r1_hi = max(field.r1max, *w1_marks, *joint_marks, 0.0)
+    r2_hi = max(field.r2max, *joint_marks, 0.0)
 
     sx, sw = gauss_legendre(_S_NODES)
 
@@ -280,8 +298,8 @@ def triple_pairing(m: float, powers: Tuple[int, int, int],
             if W is not None:
                 base2 -= float(np.asarray(W(r2))) * phi00
             marks = [r2, field.r1max, *w1_marks]
-            # W transitions sit on joint-radius spheres; map to r1
-            for t in W_marks:
+            # joint-radius spheres, mapped to r1
+            for t in joint_marks:
                 if t > r2:
                     marks.append(math.sqrt(t * t - r2 * r2))
             r1n, r1w = panel_rule(0.0, r1_hi, marks, n_panel, levels)
@@ -299,7 +317,7 @@ def triple_pairing(m: float, powers: Tuple[int, int, int],
             vals = r1n * np.asarray(K1(r1n), dtype=float) * half * (integ @ sw)
             return float(r1w @ vals)
 
-        r2n, r2w = panel_rule(0.0, r2_hi, [field.r2max, *W_marks],
+        r2n, r2w = panel_rule(0.0, r2_hi, [field.r2max, *joint_marks],
                               n_panel, levels)
         outer_vals = np.fromiter((inner(float(r2)) for r2 in r2n),
                                  dtype=float, count=r2n.size)
@@ -315,10 +333,8 @@ def triple_pairing(m: float, powers: Tuple[int, int, int],
             value += c_pair * 4.0 * math.pi * float(r2w @ ct)
         return value
 
-    n_panel = max(10, scheme.gauss_n)
-    coarse = evaluate(n_panel - 2, levels=7)
-    value = evaluate(n_panel + 6, levels=9)
-    if abs(value - coarse) > max(5e-4 * abs(value), 1e-9):
+    coarse, value = (evaluate(*rule) for rule in _RULES)
+    if abs(value - coarse) > max(_RULES_RTOL * abs(value), scheme.atol):
         raise QuadratureFailure(
             "triple reduction rules disagree: "
             f"{coarse:.9g} vs {value:.9g}; the field grid is likely "

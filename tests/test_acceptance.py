@@ -262,7 +262,8 @@ def test_criterion_09_worked_triangle():
     c_o = triple_pairing(
         M, (3, 2, 1),
         ExtensionSpec.make(CutoffFunction(3, 1.0), {(0, 0, 0): c_p}),
-        None, analytic_field(dV, 1.1, 1.1))
+        None, analytic_field(dV, 1.1, 1.1, (W_old.plateau_radius, W_old.radius,
+                                            W_new.plateau_radius, W_new.radius)))
     _, v_new = renormalized_value(1.0, c_p, 1.1, c_o)
     rel = abs(v_new - v_old) / abs(v_old)
     elapsed = time.perf_counter() - start

@@ -5,6 +5,8 @@ code with the package: plain or importance-sampled Monte Carlo over
 balls, or a raw scipy quadrature for the radial cutoff identities.
 """
 
+import contextlib
+import functools
 import inspect
 import tracemalloc
 
@@ -248,8 +250,10 @@ class TestThreePoint:
         dV = lambda r: (np.asarray(W_new.profile(r), dtype=float)
                         - np.asarray(W_old.profile(r), dtype=float))
         spec_pair = ExtensionSpec(CutoffFunction(3, radius=0.6))
+        marks = (W_old.plateau_radius, W_old.radius,
+                 W_new.plateau_radius, W_new.radius)
         shift = triple_pairing(M, (3, 2, 1), spec_pair, None,
-                               analytic_field(dV, 1.1, 1.1))
+                               analytic_field(dV, 1.1, 1.1, marks))
         v_old = self.worked_example(0.6, 0.0, 0.8, 0.0)
         v_new = self.worked_example(0.6, 0.0, 1.1, shift)
         np.testing.assert_allclose(v_new, v_old, rtol=0, atol=1e-3 * abs(v_old))
@@ -322,6 +326,33 @@ class TestTripleGrid:
         got = triple._prefilter(samples)
         assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
 
+    def test_phi2_is_the_r1_zero_row(self):
+        # triple_pairing subtracts phi2 where phi_tilde reaches r1 = 0;
+        # a gap between them would leave a 1/r1 tail in the integrand
+        field = grid_field(*self.tests)
+        s = np.array([0.0, 0.3, 1.7])
+        r = np.concatenate([np.linspace(0.0, self.R2, 61), [self.R2 - 1e-12]])
+        profile = field.phi2(r)
+        for r2, value in zip(r, profile):
+            row = field.phi_tilde(np.zeros(3), float(r2), s)
+            assert np.max(np.abs(row - value)) <= 1e-14 * field.phi00
+            assert field.phi2(float(r2)) == value
+        assert field.phi00 == profile[0]
+        np.testing.assert_array_equal(field.phi2(np.array([self.R2, 2.5])), 0.0)
+
+    def test_rows_do_not_amplify_prefilter_rounding(self, monkeypatch):
+        # coefficients that differ from scipy's by rounding (at most
+        # 2e-15 of their maximum, see above) move the triangle rows by
+        # less than 1e-12
+        rows = TestTripleRules.rows
+        ours = rows(grid_field.__wrapped__(*self.tests, TestTripleRules.SCHEME))
+        monkeypatch.setattr(
+            triple, "_prefilter",
+            lambda a: scipy.ndimage.spline_filter(a, order=3, mode="mirror"))
+        theirs = rows(grid_field.__wrapped__(*self.tests, TestTripleRules.SCHEME))
+        # measured: 1.0e-13 and 5.0e-13
+        np.testing.assert_allclose(theirs, ours, rtol=1e-12, atol=0.0)
+
     def test_triangle_leaves_ndimage_unloaded(self):
         code = (
             "import sys\n"
@@ -384,6 +415,125 @@ class TestTripleGrid:
                                          PropFactor(0, 2, 1),
                                          PropFactor(1, 2, 1)))
         assert np.isfinite(pair_three(t, self.tests))
+
+
+class TestTripleRules:
+    """The coarse and the fine rule of ``triple_pairing``
+    (``triple._RULES``): the convergence study that fixes their orders,
+    and the check between them.  The fields are the worked triangle's
+    grid at the benchmark's gauss_n 12, with the pair and overall
+    cutoffs 0.6 / 0.8 ("old") and 1.0 / 1.1 with their counterterm
+    shifts ("new"), and the analytic field of the overall shift."""
+
+    SCHEME = QuadratureScheme(gauss_n=12)
+    REFERENCE = (32, 14)
+    # the counterterm shifts of the cutoff changes 0.6 -> 1.0 and
+    # 0.8 -> 1.1
+    C_PAIR, C_OVER = 5.37155362210431e-4, 1.030936738541916e-6
+    W_OLD, W_NEW = CutoffFunction(3, radius=0.8), CutoffFunction(3, radius=1.1)
+    MARKS = (W_OLD.plateau_radius, W_OLD.radius,
+             W_NEW.plateau_radius, W_NEW.radius)
+
+    @staticmethod
+    def spec(radius, c0):
+        return ExtensionSpec(CutoffFunction(3, radius=radius)).with_counterterms(
+            {(0, 0, 0): c0})
+
+    @classmethod
+    def rows(cls, field):
+        """triangle-old and triangle-new on ``field``."""
+        return np.array([
+            triple_pairing(M, (3, 2, 1), cls.spec(0.6, 0.0),
+                           cls.spec(0.8, 0.0), field, cls.SCHEME),
+            triple_pairing(M, (3, 2, 1), cls.spec(1.0, cls.C_PAIR),
+                           cls.spec(1.1, cls.C_OVER), field, cls.SCHEME)])
+
+    @classmethod
+    def shift(cls, scale=1.0, marks=MARKS):
+        """The overall counterterm shift: the pair-extended kernel
+        against W_new - W_old, scaled by ``scale``."""
+        dV = lambda r: scale * (np.asarray(cls.W_NEW.profile(r), dtype=float)
+                                - np.asarray(cls.W_OLD.profile(r), dtype=float))
+        return triple_pairing(M, (3, 2, 1), cls.spec(1.0, cls.C_PAIR), None,
+                              analytic_field(dV, 1.1, 1.1, marks))
+
+    @staticmethod
+    @contextlib.contextmanager
+    def one_rule(rule):
+        """``rule`` as the coarse and the fine rule alike."""
+        saved, triple._RULES = triple._RULES, (rule, rule)
+        try:
+            yield
+        finally:
+            triple._RULES = saved
+
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def values(cls, rule):
+        """The two rows and the shift on one rule."""
+        with cls.one_rule(rule):
+            field = grid_field(*TestTripleGrid.tests, cls.SCHEME)
+            return np.append(cls.rows(field), cls.shift())
+
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def unmarked(cls, rule):
+        """The shift on one rule, without the marks of W."""
+        with cls.one_rule(rule):
+            return cls.shift(marks=())
+
+    def errors(self, rule):
+        return np.abs(self.values(rule) / self.values(self.REFERENCE) - 1.0)
+
+    def gap(self, coarse, fine):
+        return np.abs(self.values(coarse) / self.values(fine) - 1.0)
+
+    def test_convergence_fixes_the_orders(self):
+        coarse, fine = triple._RULES
+        assert (coarse, fine) == ((10, 5), (12, 5))
+        assert np.max(self.errors(fine)) < 1e-4
+        assert np.max(self.gap(coarse, fine)) <= 0.5 * triple._RULES_RTOL
+        # between its marks the shift converges spectrally: 9.7e-8 at
+        # the coarse rule, and one order lower is measurably worse on it
+        assert self.errors(coarse)[2] < 2e-7
+        for n, levels in (coarse, fine):
+            assert (self.errors((n - 1, levels))[2]
+                    > 2 * self.errors((n, levels))[2]), n
+        # the rows' integrand is a C^2 spline, so they converge slowly
+        # (3e-6 at order 32); one order lower on both rules still widens
+        # the gap the check sees by half or more on every value
+        lower = [(n - 1, levels) for n, levels in (coarse, fine)]
+        assert np.all(self.gap(*lower) > 1.5 * self.gap(coarse, fine))
+
+    def test_shift_needs_its_marks(self):
+        # unmarked, the cutoff edges of W fall inside panels: the fine
+        # rule is off by 2.9e-4, and order 24 still by 2.4e-5
+        ref = self.values(self.REFERENCE)[2]
+        for rule, bound in ((triple._RULES[1], 1e-4), ((24, 9), 1e-5)):
+            assert abs(self.unmarked(rule) / ref - 1.0) > bound
+
+    def test_rule_check_has_no_absolute_floor(self):
+        # the unmarked shift scaled to a value near 1e-8: its two rules
+        # differ by 1.4e-3 relative, a gap that an absolute floor of
+        # 1e-9 would let through
+        scale = 1e-2
+        coarse, fine = (scale * self.unmarked(rule) for rule in triple._RULES)
+        assert triple._RULES_RTOL * abs(fine) < abs(fine - coarse) < 1e-9
+        with pytest.raises(QuadratureFailure):
+            self.shift(scale, marks=())
+        marked = scale * self.values(triple._RULES[1])[2]
+        assert self.shift(scale) == pytest.approx(marked, rel=1e-12, abs=0.0)
+
+    def test_rows_converge_in_the_grid(self):
+        # the worked triangle at the default gauss_n: the rows settle as
+        # the grid refines (-1.9513e-8, -1.9521e-8, -1.9525e-8 at 48, 72
+        # and 96 nodes per axis)
+        old = [triple_pairing(M, (3, 2, 1), self.spec(0.6, 0.0),
+                              self.spec(0.8, 0.0),
+                              grid_field(*TestTripleGrid.tests,
+                                         QuadratureScheme(grid_nodes=n)))
+               for n in (48, 72)]
+        assert old[0] == pytest.approx(old[1], rel=1e-3, abs=0.0)
 
 
 class TestComposite:

@@ -192,8 +192,8 @@ class TestProfilesAndTensor:
 
     @pytest.mark.parametrize("grid", [
         np.linspace(0.0, 1.9, 360),
-        # grid_field's phi2: 5 ghost nodes at step h, then a linspace of
-        # another step
+        # a grid of two steps: 5 ghost nodes below zero at one, then a
+        # linspace at another
         np.concatenate([-np.arange(5, 0, -1) * (1.02 * 1.9 / 39),
                         np.linspace(0.0, 1.9, 360)]),
         # _leg_profile: a linspace from an offset
