@@ -1,5 +1,6 @@
 """Symbolic-numeric engine for Euclidean perturbative renormalization
-of scalar field theories on flat R^d.
+of scalar field theories on flat R^d.  Its only runtime dependency is
+numpy.
 
 Modules, bottom up:
 
@@ -7,8 +8,9 @@ Modules, bottom up:
 - ``expr``: the one closed-form bump (its profile, partials and cutoff
   steps) and field maps: a background expression tree plus bump terms.
 - ``quadrature``: 1d/ball/tensor rules and the scheme record.
-- ``bessel``: K_nu for the kernels: scipy's ``kv``, with elementary
-  closed forms at half-integer orders.
+- ``bessel``: K_nu for the kernels at integer and half-integer orders:
+  series and fitted rational forms of K_0 and K_1, elementary closed
+  forms at half-integer orders, upward recurrence above.
 - ``kernels``: translation-invariant kernel data (propagator powers,
   delta kernels, cutoffs, extension specs).
 - ``propagator``: closed-form P(r), pairings, extensions of two-point

@@ -33,7 +33,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .bessel import besselk
 from .errors import (
@@ -44,6 +43,7 @@ from .errors import (
 )
 from .kernels import DeltaKernel, PropFactor, ScalarDistribution
 from .quadrature import (
+    _BLOCK_ENTRIES,
     DEFAULT_SCHEME,
     ProfileSpline,
     QuadratureScheme,
@@ -190,7 +190,7 @@ class Propagator:
         derivs = [self.u_derivative(k) for k in range(1, n_derivs + 1)]
 
         def kernel_blocks(x, y):
-            r = cdist(x, y)
+            r = distances(x, y)
             out = {}
             if plain:
                 p = acc = self(r)
@@ -214,6 +214,32 @@ class Propagator:
             return [out[left, right] if (left, right) in decorated
                     else out[power] for power, left, right in specs]
         return kernel_blocks
+
+
+# entries of one row chunk of ``distances``: its two arrays stay in cache
+_DISTANCE_ENTRIES = _BLOCK_ENTRIES >> 4
+
+
+def distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|x_i - y_j| between two point sets, bit for bit as scipy's
+    ``cdist`` forms it: the squared coordinate differences summed in
+    axis order, then the root.  Rows go in chunks of about
+    _DISTANCE_ENTRIES entries, one in-place pass per coordinate each."""
+    out = np.empty((len(x), len(y)))
+    y = np.ascontiguousarray(y.T)
+    step = max(1, _DISTANCE_ENTRIES // max(1, y.shape[1]))
+    part = np.empty((min(step, len(x)), y.shape[1]))
+    for lo in range(0, len(x), step):
+        rows = out[lo:lo + step]
+        np.subtract.outer(x[lo:lo + step, 0], y[0], out=rows)
+        rows *= rows
+        for i in range(1, len(y)):
+            diff = part[:len(rows)]
+            np.subtract.outer(x[lo:lo + step, i], y[i], out=diff)
+            diff *= diff
+            rows += diff
+        np.sqrt(rows, out=rows)
+    return out
 
 
 def green_function(d: int, m: float) -> Propagator:

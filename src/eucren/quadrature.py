@@ -19,8 +19,9 @@ integrals plus small tensor rules:
   the structural radii, cut geometrically toward rho = 0.
 
 * ``ProfileSpline`` caches a smooth radial profile on a window as a
-  not-a-knot cubic spline, scipy's ``CubicSpline`` interpolant without
-  ``scipy.interpolate``; used for correlation and leg profiles.
+  not-a-knot cubic spline, the interpolant of scipy's ``CubicSpline``
+  with its slopes solved in numpy; used for correlation and leg
+  profiles.
 
 * ``contract_pass`` applies several kernel matrices between two point
   sets to several columns each, toward either set, in one pass over
@@ -62,7 +63,10 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+# numpy loads these on first use; imported here, they load with eucren
+# and not inside the first job
+from numpy.fft import irfft, rfft
+from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureFailure, UnsupportedCase
 
@@ -126,7 +130,7 @@ def quad(*args, **kwargs):
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int):
     """Nodes and weights on [-1, 1]."""
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    x, w = leggauss(int(n))
     return x, w
 
 
@@ -491,28 +495,50 @@ def radial_pair(kernel: Callable, gu: Callable, support: float, c, d: int,
 class ProfileSpline:
     """Cubic-spline cache of a radial profile on [0, support], clamped
     below the first sample and zero beyond the support: the not-a-knot
-    interpolant of scipy's ``CubicSpline`` (its banded system for the
-    slopes k), evaluated in Horner form."""
+    interpolant of scipy's ``CubicSpline``, evaluated in Horner form.
+
+    Its slopes k solve CubicSpline's tridiagonal system.  The two
+    not-a-knot rows are not diagonally dominant; folding each into its
+    neighbour (row 1 minus row 0, row n-2 minus row n-1) leaves a
+    dominant system on the inner slopes, which a Thomas sweep solves
+    without pivoting.
+    """
 
     __slots__ = ("support_radius", "_s", "_coef")
 
     def __init__(self, s: np.ndarray, values: np.ndarray, support: float):
         order = np.argsort(s)
         x, y = np.asarray(s, float)[order], np.asarray(values, float)[order]
+        if len(x) < 4:
+            raise ValueError(f"a not-a-knot spline needs 4 samples, got {len(x)}")
         dx = np.diff(x)
         slope = np.diff(y) / dx
         d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        rows = np.zeros((3, len(x)))  # super-, main and subdiagonal
-        rows[0, 1:] = d0, *dx[:-1]
-        rows[1] = dx[1], *(2.0 * (dx[:-1] + dx[1:])), dx[-2]
-        rows[2, :-1] = *dx[1:], d1
         rhs = np.empty(len(x))
         rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0]
                   + dx[0] ** 2 * slope[1]) / d0
         rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         rhs[-1] = (dx[-1] ** 2 * slope[-2]
                    + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-        k = solve_banded((1, 1), rows, rhs)
+        # rows 1 .. n-2: dx[i] k[i-1] + 2 (dx[i-1] + dx[i]) k[i]
+        # + dx[i-1] k[i+1] = rhs[i]; folded, rows 1 and n-2 lose k[0] and
+        # k[n-1] and take d0 and d1 on the diagonal
+        diag = 2.0 * (dx[:-1] + dx[1:])
+        diag[0], diag[-1] = d0, d1
+        inner = rhs[1:-1].copy()
+        inner[0] -= rhs[0]
+        inner[-1] -= rhs[-1]
+        sub, sup = dx[2:].tolist(), dx[:-2].tolist()
+        diag, inner = diag.tolist(), inner.tolist()
+        for i in range(1, len(diag)):
+            w = sub[i - 1] / diag[i - 1]
+            diag[i] -= w * sup[i - 1]
+            inner[i] -= w * inner[i - 1]
+        back = [inner[-1] / diag[-1]]  # k[n-2], k[n-3], ..., k[1]
+        for i in range(len(diag) - 2, -1, -1):
+            back.append((inner[i] - sup[i] * back[-1]) / diag[i])
+        k = np.array([(rhs[0] - d0 * back[-1]) / dx[1], *back[::-1],
+                      (rhs[-1] - d1 * back[0]) / dx[-2]])
         t = (k[:-1] + k[1:] - 2.0 * slope) / dx
         self._s = x
         self._coef = (t / dx, (slope - k[:-1]) / dx - t, k[:-1], y[:-1])
@@ -563,9 +589,9 @@ _BLOCK_ENTRIES = 1 << 19
 # which page faults zero on first touch; the threshold starts at 128 KiB
 # and rises to the size of the largest such block freed.  Freeing one
 # block of two row blocks at import lifts it, so that row blocks and the
-# other large temporaries of a round reuse the heap (sympy's import used
-# to do this by accident; `radial` rounds ran slower without it).  Other
-# allocators ignore it.
+# other large temporaries of a round reuse the heap (the sympy and scipy
+# imports used to do this by accident; `radial` rounds still run about a
+# fifth slower without it).  Other allocators ignore it.
 np.empty(2 * _BLOCK_ENTRIES)
 
 
@@ -628,13 +654,13 @@ def ring_pass(blocks: Callable, xp: np.ndarray, yp: np.ndarray, n_phi: int,
     def spectra(v, rings):
         # (rings * n_phi, c) -> (n_freq, rings, 2c): the real and imaginary
         # parts side by side, contiguous for the matrix products
-        z = np.fft.rfft(v.reshape(rings, n_phi, -1), axis=1).transpose(1, 0, 2)
+        z = rfft(v.reshape(rings, n_phi, -1), axis=1).transpose(1, 0, 2)
         return np.concatenate([z.real, z.imag], axis=2)
 
     def signal(s, rings):
         c = s.shape[2] // 2
         z = (s[..., :c] + 1j * s[..., c:]).transpose(1, 0, 2)
-        return np.fft.irfft(z, n_phi, axis=1).reshape(rings * n_phi, c)
+        return irfft(z, n_phi, axis=1).reshape(rings * n_phi, c)
 
     v_hat = [spectra(v, y_rings) for v in toward_x]
     u_hat = [np.zeros((n_freq, y_rings, 2 * u.shape[1])) for u in toward_y]
@@ -649,7 +675,7 @@ def ring_pass(blocks: Callable, xp: np.ndarray, yp: np.ndarray, n_phi: int,
         rings = min(step, x_rings - lo)
         rows = slice(lo * n_phi, (lo + rings) * n_phi)
         for k, kernel in enumerate(blocks(xp[rows], first)):
-            k_hat = np.fft.rfft(kernel.reshape(rings, n_phi, y_rings), axis=1)
+            k_hat = rfft(kernel.reshape(rings, n_phi, y_rings), axis=1)
             k_hat = np.ascontiguousarray(k_hat.real.transpose(1, 0, 2))
             if toward_x[k].shape[1]:
                 out_x[k][rows] = signal(k_hat @ v_hat[k], rings)

@@ -50,11 +50,52 @@ def test_import_builds_no_rule():
     assert fresh_run(code).split() == ["0", "0", "0", "0"]
 
 
-def test_import_loads_no_quadpack():
-    # every integral runs on the package's own rules, so the command
-    # line never loads scipy.integrate
-    code = "import sys, eucren.cli; print('scipy.integrate' in sys.modules)"
-    assert fresh_run(code).strip() == "False"
+def test_runs_import_no_scipy(tmp_path):
+    # the command line and its jobs run without scipy: in an interpreter
+    # where importing it raises, the jobs of every route that once used
+    # it (K_0, distances, the spline solve, QUADPACK) exit 0 and load no
+    # scipy module, and d = 3 bumps on the x1 axis take the ring route.
+    # Nor do the jobs load a numpy submodule: numpy loads fft, random and
+    # polynomial on first use, which scipy's import used to do up front
+    jobs = {
+        "verify-d2": "command=verify d=2 m=1 seed=3\n",
+        "verify-d3": "command=verify d=3 m=1 seed=3\n",
+        "product-d3": ("command=product d=3 m=1 order=1\n"
+                       "background = 0.9 + 0.1*x1\n"
+                       "[functional F]\ncenter=0,0,0\nradius=0.9\npower=2\n"
+                       "[functional G]\ncenter=2.5,0,0\nradius=0.9\npower=2\n"),
+        # P^3 in d = 2 goes through K_0
+        "renormalize-d2": ("command=renormalize d=2 m=1 factors=0-1:3\n"
+                           "[functional f]\ncenter=0,0\nradius=1\n"
+                           "[functional g]\ncenter=0.7,0\nradius=0.9\n"),
+        # overlapping tests pair through a correlation profile spline
+        "renormalize-d3": ("command=renormalize d=3 m=1 factors=0-1:3\n"
+                           "[functional f]\ncenter=0,0,0\nradius=0.8\n"
+                           "[functional g]\ncenter=0.5,0,0\nradius=0.8\n"),
+    }
+    for name, text in jobs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    code = (
+        "import sys\n"
+        "class Refuse:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError(name)\n"
+        "sys.meta_path.insert(0, Refuse())\n"
+        "import eucren.cli as cli, eucren.tordered as tordered\n"
+        "loaded = set(sys.modules)\n"
+        "rings = []\n"
+        "ring_pass = tordered.ring_pass\n"
+        "tordered.ring_pass = lambda *a: rings.append(1) or ring_pass(*a)\n"
+        f"for name in {list(jobs)!r}:\n"
+        f"    stem = {str(tmp_path)!r} + '/' + name\n"
+        "    print(cli.main(['--config', stem + '.cfg', '--out', stem + '.txt']))\n"
+        "print(len(rings) > 0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in set(sys.modules) - loaded\n"
+        "             if m.split('.')[0] == 'numpy'))\n")
+    lines = fresh_run(code).splitlines()
+    assert lines == ["0"] * len(jobs) + ["True", "[]", "[]"]
 
 
 def test_runs_load_no_sympy_or_interpolate(tmp_path):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 from scipy.special import k0, kv
 
 from eucren.errors import UnsupportedCase, UnsupportedKernel
@@ -12,6 +13,7 @@ from eucren.functionals import TestFunction
 from eucren.kernels import DeltaKernel, PropFactor, ScalarDistribution
 from eucren.propagator import (
     Propagator,
+    distances,
     green_function,
     verify_fundamental_solution,
     wavefront,
@@ -215,3 +217,17 @@ class TestKernelBlocks:
             P.block(2, (1, 0, 0))
         with pytest.raises(UnsupportedCase):
             P.block(1, (2, 0, 0), (1, 0, 0))
+
+
+class TestDistances:
+    @pytest.mark.parametrize("nx, ny, d", [
+        (1372, 120, 3), (1320, 66, 3), (616, 120, 3),  # ring blocks of verify
+        (224, 224, 2), (120, 120, 2), (5, 0, 3), (0, 7, 2), (1, 1, 1)])
+    def test_bit_identical_to_cdist(self, nx, ny, d):
+        rng = np.random.default_rng(nx + ny + d)
+        x = rng.normal(size=(nx, d))
+        x[:, 0] += 2.5
+        y = rng.normal(size=(ny, d))
+        # shared points give exact zeros
+        y[: min(nx, ny) // 3] = x[: min(nx, ny) // 3]
+        np.testing.assert_array_equal(distances(x, y), cdist(x, y))

@@ -198,7 +198,10 @@ class TestProfilesAndTensor:
                         np.linspace(0.0, 1.9, 360)]),
         # _leg_profile: a linspace from an offset
         np.linspace(0.37, 2.1, 180),
-    ], ids=["uniform", "ghosts", "offset"])
+        # as many samples as the ghost grid, the most a profile takes,
+        # with steps that shrink toward the support
+        1.9 * np.sin(np.linspace(0.0, 0.5 * np.pi, 365)),
+    ], ids=["uniform", "ghosts", "offset", "graded"])
     def test_profile_spline_is_scipy_not_a_knot(self, grid):
         # scipy.interpolate stays out of the package; its not-a-knot
         # CubicSpline is the oracle
