@@ -18,6 +18,7 @@ import re
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -727,7 +728,12 @@ def run(config: RunConfig) -> Report:
 # -- entry point -----------------------------------------------------------
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call of ``main``
+    and kept for the later calls of the process.  Building one searches
+    for message catalogs, and the first imports ``locale``; neither
+    belongs in ``import eucren.cli``."""
     parser = argparse.ArgumentParser(
         prog="eucren",
         description="Euclidean perturbative renormalization toolbox")
@@ -739,7 +745,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="override the verify threshold")
     parser.add_argument("--seed", metavar="N",
                         help="seed for randomized checks")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         text = Path(args.config).read_text()

@@ -255,8 +255,11 @@ def _term_value(term: MonomialTerm, phi: FieldConfiguration,
         if isinstance(f, TestFunction):
             return pref * c ** term.power * f.integral()
     pts, vals = f.rule(scheme.gauss_n)
-    for alpha in term.derivs:
-        vals = vals * np.asarray(phi.diff(alpha)(pts), dtype=float)
+    # a product that overflows is inf, which the caller reports as a
+    # non-finite result; numpy's warning would only repeat that
+    with np.errstate(over="ignore"):
+        for alpha in term.derivs:
+            vals = vals * np.asarray(phi.diff(alpha)(pts), dtype=float)
     return pref * float(vals.sum())
 
 

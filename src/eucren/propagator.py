@@ -28,7 +28,7 @@ radial form here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
@@ -272,11 +272,6 @@ def verify_fundamental_solution(P: Propagator, phi,
     the closed form of P.
     """
     c = float(np.linalg.norm(phi.center))
-    # the Helmholtz image is steep near the support boundary; the
-    # off-center polar average needs a finer rule than pairings of
-    # plain bumps
-    if scheme.angular_n < 512:
-        scheme = replace(scheme, angular_n=512)
     val = radial_pair(P, _helmholtz_image(phi, P.m), phi.radius, c, P.d,
                       scheme)
     at_zero = float(phi(np.zeros(P.d)))

@@ -169,10 +169,13 @@ def quadpack(f, a: float, b: float, points=(), epsrel: float = 1e-13) -> float:
 
 def _polar_rule(d: int, n: int):
     """Cosines and weights averaging a function of the polar cosine over
-    the unit sphere in R^d, the rule ``quadrature.radial_pair`` uses at
-    angular_n = n: the two poles in d = 1, Gauss-Legendre in the cosine
-    in d = 3, and in the polar angle with the sin^(d-2) weight
-    otherwise."""
+    the whole unit sphere in R^d: the two poles in d = 1, numpy's
+    Gauss-Legendre in the cosine in d = 3, and in the polar angle with
+    the sin^(d-2) weight otherwise.  Unlike the package's rule it is not
+    windowed at the support's edge, so it needs many more nodes: at the
+    1024 of ``quadpack_radial`` the suite's profiles agree with 2048
+    nodes to 2e-12 of their largest value, where 96 nodes leave up to
+    2e-5."""
     if d == 1:
         return np.array([1.0, -1.0]), np.array([0.5, 0.5])
     x, w = np.polynomial.legendre.leggauss(n)
@@ -185,17 +188,17 @@ def _polar_rule(d: int, n: int):
 
 def quadpack_radial(kernel, gu, support, offsets, d, kernel_window=None,
                     cutoff=None, value_at_origin=0.0, epsrel=1e-11,
-                    n_polar=96):
+                    n_polar=1024):
     """Reference for ``quadrature.radial_pair``: one adaptive QUADPACK
     call per offset c of
 
         |S^(d-1)| int K(rho) rho^(d-1) [A_c(rho) - w(rho) f(0)] drho,
 
     A_c the spherical average of f = g(|x - c e1|^2) over |x| = rho,
-    taken by the same polar rule as the package (so the two differ only
-    in the rho integral), and w the cutoff profile (absent unless
-    ``cutoff`` is given).  ``value_at_origin`` is one f(0) or one per
-    offset."""
+    taken by a fixed polar rule over the whole sphere (``_polar_rule``),
+    independent of the package's rule windowed at the support's edge,
+    and w the cutoff profile (absent unless ``cutoff`` is given).
+    ``value_at_origin`` is one f(0) or one per offset."""
     mu, w_mu = _polar_rule(d, n_polar)
     offsets = np.abs(np.atleast_1d(np.asarray(offsets, dtype=float)))
     f0 = np.broadcast_to(np.asarray(value_at_origin, dtype=float),

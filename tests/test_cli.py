@@ -7,8 +7,11 @@ where possible; the full-size runs live in the acceptance suite.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
+import argparse
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -501,12 +504,39 @@ class TestMain:
             "sqrt-1", "div0", "tower70"])
     def test_hostile_background_exit(self, tmp_path, background, code):
         # phi^2 on B(0, 0.9) in d = 1: every background ends in a
-        # documented exit code, never in a traceback
+        # documented exit code, never in a traceback, and without a
+        # numpy RuntimeWarning (an overflow is reported as exit 3)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"command=product d=1 order=1\nbackground = {background}\n"
                        "[functional F]\ncenter=0\nradius=0.9\npower=2\n")
-        assert main(["--config", str(cfg), "--out",
-                     str(tmp_path / "report.txt")]) == code
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", str(cfg), "--out",
+                         str(tmp_path / "report.txt")]) == code
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch):
+        # the parser is built on the first call of main, not at import,
+        # and every later call reuses it
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return argparse.ArgumentParser(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "argparse",
+                            SimpleNamespace(ArgumentParser=counting))
+        cli._parser.cache_clear()
+        try:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("d=3 command=graphs n=2 order=1\n")
+            for _ in range(2):
+                assert main(["--config", str(cfg), "--out",
+                             str(tmp_path / "report.txt")]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
 
     def test_huge_exact_power_is_parse_exit(self, tmp_path, capsys):
         # building the exact integer 10**(10**7) alone takes seconds

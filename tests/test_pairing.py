@@ -183,6 +183,19 @@ class TestThreePoint:
         ref = triple._pair_path(t, (a, piv, b), QuadratureScheme(gauss_n=48))
         assert got == pytest.approx(ref, rel=5e-6, abs=0.0)
 
+    def test_path_polar_rule_is_converged(self):
+        # the path-d3 geometry of the benchmark: its leg profiles are
+        # spherical means windowed at the leg's support, so the default
+        # 96 polar nodes give the value at 1536 nodes to 1e-10
+        a = TestFunction(3, (-2.2, 0.0, 0.0), 0.9)
+        piv = TestFunction(3, (0.0, 0.0, 0.0), 1.0, amplitude=1.2)
+        b = TestFunction(3, (0.8, 0.3, 0.0), 0.8)
+        t = self.path(2, 1)
+        got = triple._pair_path(t, (a, piv, b), QuadratureScheme(gauss_n=12))
+        ref = triple._pair_path(t, (a, piv, b),
+                                QuadratureScheme(gauss_n=12, angular_n=1536))
+        assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+
     def test_concentric_triangle_vs_mc(self):
         t = ScalarDistribution(3, 3, M, (PropFactor(0, 1, 1),
                                          PropFactor(0, 2, 1),

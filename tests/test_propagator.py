@@ -131,6 +131,20 @@ class TestVerifyFundamentalSolution:
         res = verify_fundamental_solution(P, phi, DEFAULT_SCHEME)
         assert res < 1e-9
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("center,radius", [
+        ((2.0, 0.0), 1.0), ((0.5, 0.2), 0.9), ((1.2, 0.1), 1.1),
+        ((-0.4, 0.3), 1.3)])
+    def test_off_centre_residual_at_roundoff(self, d, center, radius):
+        # the polar rule runs over the window where the bump is nonzero,
+        # so the default 96 nodes settle off-centre bumps to roundoff; a
+        # rule over the whole sphere leaves 1e-9 at (2, 0, 0) even with
+        # 512 nodes
+        phi = TestFunction(d, center + (0.0,) * (d - 2), radius, 1.3)
+        res = verify_fundamental_solution(green_function(d, 1.0), phi,
+                                          DEFAULT_SCHEME)
+        assert res <= 1e-13
+
     def test_linearity_in_amplitude(self):
         phi = TestFunction(2, (0.2, -0.1), 0.9, 1.0)
         phi5 = TestFunction(2, (0.2, -0.1), 0.9, 5.0)

@@ -25,6 +25,7 @@ from eucren.quadrature import (
     contract,
     contract_pass,
     correlation_profile,
+    gauss_legendre,
     pair_tensor,
     radial_pair,
     ring_pass,
@@ -38,6 +39,37 @@ class TestBasicRules:
         assert sphere_area(1) == pytest.approx(2.0)
         assert sphere_area(2) == pytest.approx(2 * np.pi)
         assert sphere_area(3) == pytest.approx(4 * np.pi)
+
+    @pytest.mark.parametrize("n", [8, 9, 31, 96, 255, 512])
+    def test_gauss_legendre_matches_mpmath(self, n):
+        # every node and weight within 1e-13 relative of the exact rule
+        # (numpy's leggauss is 1e-10 off at n = 512); the reference polishes
+        # each node by Newton's method on the recurrence at 40 digits
+        x, w = gauss_legendre(n)
+        assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
+        # the nodes of x >= 0, every other one above n = 96
+        picks = np.arange(n // 2, n)[::1 if n <= 96 else 2]
+        with mpmath.workdps(40):
+            for i in picks:
+                t = mpmath.mpf(float(x[i]))
+                for _ in range(3):
+                    p_prev, p = mpmath.mpf(1), t
+                    for j in range(2, n + 1):
+                        p_prev, p = p, ((2 * j - 1) * t * p - (j - 1) * p_prev) / j
+                    dp = n * (t * p - p_prev) / (t * t - 1)
+                    t -= p / dp
+                weight = 2 / ((1 - t * t) * dp * dp)
+                assert abs(x[i] - t) <= 1e-13 * abs(t) + (0 if t else 1e-300)
+                assert abs(w[i] - weight) <= 1e-13 * weight
+
+    def test_gauss_legendre_integrates_its_degree(self):
+        # order n is exact through degree 2n - 1
+        for n in (1, 2, 5, 40):
+            x, w = gauss_legendre(n)
+            for k in range(0, 2 * n, 2):
+                assert float(w @ x**k) == pytest.approx(2.0 / (k + 1), rel=1e-14)
+            assert abs(float(w @ x ** (2 * n - 1))) < 1e-15
 
     @pytest.mark.parametrize("d,expect", [
         (1, 2.0 / 3.0),          # int_{-1}^{1} x^2 dx
@@ -66,7 +98,7 @@ class TestBasicRules:
         # node mu = 0, with the node order and rounding of a loop over
         # the radial nodes
         center, radius = (0.3, -1.2), 0.7
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = gauss_legendre(n)
         half = 0.5 * radius
         n_theta = max(2 * n, 8)
         theta = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
@@ -81,14 +113,62 @@ class TestBasicRules:
 
 
 class TestAngularAverage:
-    # ``_sphere_mean(gu, rho, c, d, n)``: the average of g(|x - c e1|^2)
-    # over |x| = rho, for matching arrays rho and c
+    # ``_sphere_mean(gu, rho, c, d, n, support)``: the average of
+    # g(|x - c e1|^2) over |x| = rho, for matching arrays rho and c, on
+    # the polar window where g(u) may be nonzero, u < support^2 (the
+    # whole sphere for support = inf)
+    S = 0.9
+    bump = TestFunction(3, (0.0, 0.0, 0.0), S, 1.3)
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e-3])
+    def test_near_concentric_mean_keeps_its_digits(self, c):
+        # the d = 3 mean is (1/(4 c rho)) int g du over [(rho - c)^2,
+        # (rho + c)^2]: its rule may not take the interval's half-width
+        # as a difference of the ends, which would lose about rho/c
+        # digits.  Reference: the same integral at 40 digits
+        rho = np.array([0.1, 0.45, 0.8])
+        got = _sphere_mean(self.bump.gu(), rho, np.full_like(rho, c), 3, 96,
+                           self.S)
+        with mpmath.workdps(40):
+            def g(u):
+                return 1.3 * mpmath.exp(-1 / (1 - u / mpmath.mpf(self.S) ** 2))
+            cm = mpmath.mpf(c)
+            for r, value in zip(rho, got):
+                r = mpmath.mpf(float(r))
+                ref = mpmath.quad(g, [(r - cm) ** 2, (r + cm) ** 2]) / (4 * cm * r)
+                assert abs(value - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("c", [0.3, 0.7, 1.2])
+    def test_windowed_mean_in_higher_dimensions(self, d, c):
+        # the window [0, theta_max] carries the sin^(d-2) weight over the
+        # full sphere's mass, not over the windowed rule's own sum:
+        # against 2048 Gauss-Legendre nodes over the whole of [0, pi]
+        g = self.bump.gu()
+        rho = np.linspace(max(0.0, c - self.S) + 1e-3, c + self.S - 1e-3, 41)
+        x, w = np.polynomial.legendre.leggauss(2048)
+        theta = 0.5 * np.pi * (x + 1.0)
+        w = w * np.sin(theta) ** (d - 2)
+        u = rho[:, None] ** 2 + c * c - 2.0 * c * rho[:, None] * np.cos(theta)
+        ref = g(np.maximum(u, 0.0)) @ (w / w.sum())
+        got = _sphere_mean(g, rho, np.full_like(rho, c), d, 96, self.S)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_sphere_outside_the_support_averages_zero(self):
+        # rho beyond c + S and below c - S: an empty window in every d
+        g = self.bump.gu()
+        rho, c = np.array([0.05, 2.0, 0.0]), np.array([1.0, 1.0, 0.95])
+        for d in (2, 3, 4):
+            assert np.array_equal(_sphere_mean(g, rho, c, d, 96, self.S),
+                                  np.zeros(3))
+
     def test_gaussian_closed_form_3d(self):
         # average of exp(-|x - c e1|^2) over the sphere |x| = rho is
         # exp(-(rho^2+c^2)) sinh(2 rho c)/(2 rho c)
         c = 0.8
         rho = np.array([0.1, 0.5, 1.3, 2.0])
-        avg = _sphere_mean(lambda u: np.exp(-u), rho, np.full_like(rho, c), 3, 96)
+        avg = _sphere_mean(lambda u: np.exp(-u), rho, np.full_like(rho, c), 3, 96,
+                          np.inf)
         expect = np.exp(-(rho**2 + c**2)) * np.sinh(2 * rho * c) / (2 * rho * c)
         np.testing.assert_allclose(avg, expect, rtol=1e-12)
 
@@ -96,12 +176,13 @@ class TestAngularAverage:
         c = 1.1
         for d in (1, 2, 3):
             avg = _sphere_mean(lambda u: np.exp(-u), np.array([1e-12]),
-                               np.array([c]), d, 64)
+                               np.array([c]), d, 64, np.inf)
             assert float(avg[0]) == pytest.approx(np.exp(-c * c), rel=1e-8)
 
     def test_zero_offset_reduces_to_profile(self):
         rho = np.array([0.3, 1.7])
-        avg = _sphere_mean(lambda u: 1.0 / (1.0 + u), rho, np.zeros(2), 3, 32)
+        avg = _sphere_mean(lambda u: 1.0 / (1.0 + u), rho, np.zeros(2), 3, 32,
+                          np.inf)
         np.testing.assert_allclose(avg, 1.0 / (1.0 + rho**2), rtol=1e-12)
 
 
