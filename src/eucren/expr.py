@@ -10,9 +10,15 @@ u = |x-c|^2, which keeps every radial formula (notably the Laplacian
 
 with integer polynomials p_0 = 1, p_(k+1)(s) = s^2 (p_k(s) - p_k'(s)),
 and 0 for t <= 0; p_k is evaluated only where E(t) > 0, so no
-0*inf = nan appears at the boundary.  ``bump_partial`` gives the
-Cartesian partials of g(|x-c|^2), ``step`` the C-infinity step
-E(1-s)/(E(1-s) + E(s)) and ``plateau_u`` the cutoff step in u.
+0*inf = nan appears at the boundary.  ``BumpProfile`` is g itself with
+its integral in u, from the antiderivative of E,
+
+    Q(t) = t E(t) - E_1(1/t) = t^2 E(t) k(t),
+
+k a rational fitted on [0, 1] (``bumpcore_integral``).
+``bump_partial`` gives the Cartesian partials of g(|x-c|^2), ``step``
+the C-infinity step E(1-s)/(E(1-s) + E(s)) and ``plateau_u`` the cutoff
+step in u.
 
 ``SmoothMap``, the field configuration phi of the functional calculus,
 is an expression tree in x1..xd plus bump terms;
@@ -69,6 +75,67 @@ def bump_u(u, radius: float, amplitude: float = 1.0, k: int = 0):
     # in place: a block of u holds up to quadrature._BLOCK_ENTRIES entries
     out *= amplitude
     return out
+
+
+# k(t) = (1 - x e^x E_1(x)) / t at x = 1/t, smooth on [0, 1] with
+# k(0) = 1, as c + sum_j a_j / (1 + b_j t), every term positive; within
+# 4e-16 relative (tools/fit_e1.py)
+_E1_C = 0.0007310963394993491
+_E1_A = (
+    1.0496558658997202e-05, 0.000761234387662001, 0.010951149755820884,
+    0.0202846794686718, 0.05921818027341262, 0.07884933054261904,
+    0.15894175451704354, 0.17144964196181714, 0.24848966319210442,
+    0.2503127730026902)
+_E1_B = (
+    16.1362351269049, 10.98297474443037, 7.580729991785393,
+    0.13042462336183694, 5.176836392736313, 0.3703001626267115,
+    3.4520981372704584, 0.7613288559628638, 2.220397546713589,
+    1.3546571682261634)
+
+
+def _e1_k(t):
+    """k(t) = (1 - x e^x E_1(x)) / t at x = 1/t, for an array t in [0, 1]."""
+    k = np.full_like(t, _E1_C)
+    for a, b in zip(_E1_A, _E1_B):
+        k += a / (1.0 + b * t)
+    return k
+
+
+def bumpcore_integral(x):
+    """Q(t) = int_0^t E(s) ds = t E(t) - E_1(1/t) at t = 1/x, for an
+    array x >= 1 (0 at x = inf), as Q = E(t) t^2 k(t): the exponential
+    integral E_1 on [1, inf) without its cancellation."""
+    t = 1.0 / x
+    q = _e1_k(t)
+    q *= t * t
+    q *= np.exp(-x)
+    return q
+
+
+class BumpProfile:
+    """The squared-radius profile g(u) = A*E(1 - u/r^2) of a bump, the
+    callable of ``bump_u`` at k = 0, with its integral in u."""
+
+    __slots__ = ("radius", "amplitude")
+
+    def __init__(self, radius: float, amplitude: float = 1.0):
+        self.radius, self.amplitude = float(radius), float(amplitude)
+
+    def __call__(self, u):
+        return bump_u(u, self.radius, self.amplitude)
+
+    def integral(self, lo, hi):
+        """int g(u) du over [lo, hi] for matching arrays lo <= hi:
+        A r^2 [Q(t(lo)) - Q(t(hi))] with t(u) = 1 - u/r^2 (0 beyond the
+        support) and Q of ``bumpcore_integral``.  The antiderivative
+        G(u) = A r^2 [Q(1) - Q(t(u))] would carry the constant Q(1) into
+        both ends; the difference of the Q values leaves it out."""
+        r2 = self.radius * self.radius
+        room = r2 - np.stack([lo, hi])
+        x = np.divide(r2, room, out=np.full_like(room, np.inf),
+                      where=room > 0.0)
+        q = bumpcore_integral(x)
+        return (self.amplitude * r2) * (q[0] - q[1])
 
 
 def bump_partial(y, radius: float, amplitude: float, alpha: Sequence[int]):

@@ -28,7 +28,7 @@ from typing import Callable, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import PreconditionViolated, UnsupportedCase
-from .expr import SmoothMap, bump_u, step
+from .expr import BumpProfile, SmoothMap, bump_u, step
 from .quadrature import (
     DEFAULT_SCHEME,
     QuadratureScheme,
@@ -89,7 +89,10 @@ class TestFunction:
 
     def gu(self, k: int = 0):
         """The k-th derivative of the squared-radius profile g(u), as a
-        callable of u."""
+        callable of u; at k = 0 a ``BumpProfile``, which also integrates
+        g in u."""
+        if k == 0:
+            return BumpProfile(self.radius, self.amplitude)
         return partial(bump_u, radius=self.radius, amplitude=self.amplitude,
                        k=k)
 

@@ -7,13 +7,14 @@ integrals plus small tensor rules:
   and a test function f that is rotation invariant about some center c,
   for a whole array of offsets c at once.  In spherical coordinates
   about the kernel center this is omega_{d-1} * int K(rho) rho^(d-1)
-  A(rho) drho, with A the spherical average of f, which is exact in
-  d = 1 and in d >= 2 a Gauss sum over the polar window where the
-  sphere meets f's support (``_sphere_mean``).  With a cutoff
-  w it integrates A(rho) - w(rho) * f(0) instead, the Taylor-subtracted
-  combination of divergence-degree <= 1 extensions (the order-one term
-  averages to zero over the sphere, so one subtraction covers both
-  degrees).
+  A(rho) drho, with A the spherical average of f (``_sphere_mean``):
+  exact in d = 1, in closed form for a d = 3 bump, whose profile
+  integrates itself in u (``expr.BumpProfile``), and otherwise a Gauss
+  sum over the polar window where the sphere meets f's support.  With a
+  cutoff w it integrates A(rho) - w(rho) * f(0) instead, the
+  Taylor-subtracted combination of divergence-degree <= 1 extensions
+  (the order-one term averages to zero over the sphere, so one
+  subtraction covers both degrees).
 
 * ``panel_edges`` and ``panel_rule`` give the composite Gauss-Legendre
   rules of the radial integrals here and in ``triple``: panels split at
@@ -49,7 +50,8 @@ The radial integrals double the panel order until two successive
 levels agree; an integral that does not settle raises
 QuadratureFailure.  These two families, the panels and the bump rule,
 carry every integral of the package; a bump's own integral is the
-mass of ``bump_gauss`` in closed form.
+mass of ``bump_gauss`` in closed form, and so are most of its d = 3
+spherical means.
 
 Spherical averages are computed in the squared-radius variable u (see
 ``expr``), which keeps integrands finite at every sample; quadrature
@@ -351,49 +353,81 @@ def _read_only(*arrays):
     return arrays
 
 
+# rows whose unclipped u-interval, of width 4 c rho, is at least this
+# share of S^2 take a closed-form d = 3 mean; narrower ones keep the
+# windowed rule, where the two antiderivative values would cancel
+_CLOSED_FORM_WIDTH = 0.02
+
+
 def _sphere_mean(gu: Callable, rho, c, d: int, n: int, support: float):
     """Spherical average of x -> g(|x - c e1|^2) over |x| = rho, for
     matching arrays rho and c, where g vanishes for u >= support^2;
     ``gu`` maps an array of u to an array of the same shape.
 
     The sphere meets the support only where the polar cosine mu exceeds
-    mu_min = (rho^2 + c^2 - S^2)/(2 c rho), and the rule of n nodes runs
-    over that window alone, so the support's edge is an end of the
-    interval and not a kink inside it.  In d = 3 the average is, with
-    u = rho^2 + c^2 - 2 c rho mu,
+    mu_min = (rho^2 + c^2 - S^2)/(2 c rho).  Rows with an empty window,
+    S^2 <= (rho - c)^2, average 0 without a call of ``gu``.  In d = 3
+    the average is, with u = rho^2 + c^2 - 2 c rho mu,
 
-        (1/(4 c rho)) int g(u) du  over [(rho - c)^2, min((rho + c)^2, S^2)],
+        (1/(4 c rho)) int g(u) du  over [(rho - c)^2, min((rho + c)^2, S^2)].
 
-    Gauss-Legendre in u.  Unclipped, the interval's half-width is
-    2 c rho exactly, so its rows need no scale and lose no digits as
-    c rho -> 0.  In d = 2 and d >= 4 it is Gauss-Legendre in the polar
-    angle over [0, arccos max(-1, mu_min)] against sin^(d-2), divided
-    by the full sphere's sqrt(pi) Gamma((d-1)/2)/Gamma(d/2).  In d = 1
-    it is the mean of the two poles.
+    A ``gu`` with an ``integral(lo, hi)`` method (the bump's
+    ``expr.BumpProfile``) gives that integral in closed form on every
+    row where 4 c rho >= _CLOSED_FORM_WIDTH * S^2.  Every other row runs
+    a rule of n nodes over the window alone, so the support's edge is an
+    end of the interval and not a kink inside it: in d = 3 Gauss-Legendre
+    in u, whose unclipped half-width is 2 c rho exactly, so its rows need
+    no scale and lose no digits as c rho -> 0; in d = 2 and d >= 4
+    Gauss-Legendre in the polar angle over [0, arccos max(-1, mu_min)]
+    against sin^(d-2), divided by the full sphere's
+    sqrt(pi) Gamma((d-1)/2)/Gamma(d/2).  In d = 1 it is the mean of the
+    two poles.
     """
-    rho, c = rho[:, None], c[:, None]
     if d == 1:
+        rho, c = rho[:, None], c[:, None]
         u = np.concatenate([(rho - c) ** 2, (rho + c) ** 2], axis=1)
         return 0.5 * (gu(u) @ np.ones(2))
-    x, w = gauss_legendre(n)
+    s2 = support * support
     span = 2.0 * c * rho
-    room = support * support - (rho - c) ** 2
+    room = s2 - (rho - c) ** 2
+    out = np.zeros(len(rho))
+    rule = room > 0.0
+    if d == 3 and hasattr(gu, "integral"):
+        closed = rule & (span >= 0.5 * _CLOSED_FORM_WIDTH * s2)
+        if closed.any():
+            rc, cc, sc = rho[closed], c[closed], span[closed]
+            out[closed] = gu.integral(
+                (rc - cc) ** 2, np.minimum((rc + cc) ** 2, s2)) / (2.0 * sc)
+            rule &= ~closed
+    if rule.all():
+        return _windowed_mean(gu, rho, c, span, room, d, n, s2)
+    if rule.any():
+        out[rule] = _windowed_mean(gu, rho[rule], c[rule], span[rule],
+                                   room[rule], d, n, s2)
+    return out
+
+
+def _windowed_mean(gu: Callable, rho, c, span, room, d: int, n: int,
+                   s2: float):
+    """``_sphere_mean`` by the windowed rule of n nodes, on rows whose
+    window is not empty."""
+    rho, c, span, room = rho[:, None], c[:, None], span[:, None], room[:, None]
+    x, w = gauss_legendre(n)
     if d == 3:
         # rows whose interval the support clips run over [(rho - c)^2,
         # S^2], half-width room/2, and carry the scale room/(4 c rho)
         clipped = room < 2.0 * span
-        half = np.where(clipped, 0.5 * np.maximum(room, 0.0), span)
-        mid = np.where(clipped, support * support - half, rho * rho + c * c)
+        half = np.where(clipped, 0.5 * room, span)
+        mid = np.where(clipped, s2 - half, rho * rho + c * c)
         u = half * x
         np.subtract(mid, u, out=u)
         scale = np.where(clipped, half / np.maximum(span, np.finfo(float).tiny),
                          1.0)
         return (gu(np.maximum(u, 0.0, out=u)) @ (0.5 * w)) * scale[:, 0]
     # 1 - mu_min = room / span, so the window is the whole sphere where
-    # room >= 2 span and empty where room <= 0
+    # room >= 2 span
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu_min = np.where(room >= 2.0 * span, -1.0,
-                          np.where(room <= 0.0, 1.0, 1.0 - room / span))
+        mu_min = np.where(room >= 2.0 * span, -1.0, 1.0 - room / span)
     top = np.arccos(mu_min)
     theta = (0.5 * top) * (1.0 + x)
     u = np.cos(theta)

@@ -29,7 +29,10 @@ radii, the joint radii a field marks, and r1 = r2 where the s-window
 closes) and are cut geometrically a few times toward zero.  Two rules,
 orders 10 and 12 per panel (``_RULES``, fixed by a convergence study),
 are compared, and a gap above 5e-4 of the value raises rather than
-returning a silently wrong value; the reduction is deterministic.
+returning a silently wrong value; the reduction is deterministic.  Each
+rule takes the r1 panels of all its r2 nodes in one ``panel_edges``
+call and evaluates the (r1, s) mesh in blocks of at most _TRIPLE_BLOCK
+nodes across r2 nodes, summing the r1 integrals by r2 node at the end.
 
 Phi itself is tabulated once per test triple and scheme on a uniform
 (r1, r2, theta) grid by a ball-Gauss x-integral, summed in x-chunks
@@ -40,8 +43,8 @@ and pi); the radial axes carry a few ghost nodes at negative radii,
 where the tabulation formula remains valid, so interpolation keeps
 interior accuracy through r = 0.  The spline is evaluated one axis at
 a time (de Boor, A Practical Guide to Splines, ch. XVII): a query
-collapses r2 once, r1 once per r1 node, and takes four theta taps per
-s-node, instead of 64 taps per point.
+collapses r2 once per distinct r2, r1 once per r1 node, and takes four
+theta taps per s-node, instead of 64 taps per point.
 
 Paths (two edges sharing a pivot vertex) do not need the grid: each
 leg is a radial profile of the (possibly renormalized) edge pairing
@@ -77,9 +80,11 @@ from .quadrature import (
     PROFILE_SAMPLES,
     ProfileSpline,
     _BLOCK_ENTRIES,
+    _panel_nodes,
     QuadratureScheme,
     ball_rule,
     gauss_legendre,
+    panel_edges,
     panel_rule,
 )
 
@@ -94,19 +99,23 @@ _S_NODES = 24
 # _RULES_RTOL
 _RULES = ((10, 5), (12, 5))
 _RULES_RTOL = 5e-4
+# (r1, s) nodes per block of triple_pairing's batched r2 loop; one block
+# of all r2 nodes raised a `radial` round's peak RSS from 60 to 86 MB
+_TRIPLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
 class TripleField:
     """Evaluation data for Phi(z1, z2) in the concentric frame.
 
-    phi_tilde(r1, r2, s) takes a scalar r2, r1 of shape (P,) or (P, 1)
-    and s of shape (P,) or (P, S), so a whole (r1 panel) x (s node)
-    mesh is one call that shares each r1 node's spline row among its
-    s-nodes; phi2 is the radial profile of Phi(0, z2), the limit of
-    phi_tilde at r1 = 0; phi00 = Phi(0, 0).  r1max / r2max bound the
-    support in each radius.  marks are joint radii sqrt(r1^2 + r2^2)
-    where Phi has structure that the radial rules must split at.
+    phi_tilde(r1, r2, s) takes r1 of shape (P,) or (P, 1), r2 a scalar
+    or one value per r1 row, and s of shape (P,) or (P, S), so a whole
+    (r1 node) x (s node) mesh is one call that shares each r1 node's
+    spline row among its s-nodes; phi2 is the radial profile of
+    Phi(0, z2), the limit of phi_tilde at r1 = 0; phi00 = Phi(0, 0).
+    r1max / r2max bound the support in each radius.  marks are joint
+    radii sqrt(r1^2 + r2^2) where Phi has structure that the radial
+    rules must split at.
     """
 
     phi_tilde: Callable
@@ -199,22 +208,26 @@ def grid_field(f0, f1, f2, scheme: QuadratureScheme = DEFAULT_SCHEME) -> TripleF
         return np.where(r < R2, sum(w * row[i2 + k] for k, w in enumerate(w2)),
                         0.0)
 
-    def phi_tilde(r1, r2: float, s):
+    def phi_tilde(r1, r2, s):
         r1 = np.asarray(r1, dtype=float)
         out = np.zeros(np.broadcast_shapes(r1.shape, np.shape(s)))
-        sel = r1.reshape(-1) < R1
-        if r2 >= R2 or not sel.any():
+        r1v = r1.reshape(-1)
+        r2v = np.broadcast_to(np.asarray(r2, dtype=float), r1.shape).reshape(-1)
+        sel = (r1v < R1) & (r2v < R2)
+        if not sel.any():
             return out
         rows = out.reshape(r1.size, -1)
-        r1v = r1.reshape(-1)[sel]
+        r1v, r2v = r1v[sel], r2v[sel]
         sv = np.broadcast_to(s, out.shape).reshape(rows.shape)[sel]
-        # collapse r2 once, then r1 once per node, then theta per s-node
-        i2, w2 = _cubic_taps((r2 - r2g[0]) / h2 + 2.0)
-        plane = sum(w * cpad[:, i2 + k] for k, w in enumerate(w2))
+        # collapse r2 once per distinct value, then r1 once per node, then
+        # theta per s-node
+        r2u, which = np.unique(r2v, return_inverse=True)
+        i2, w2 = _cubic_taps((r2u - r2g[0]) / h2 + 2.0)
+        plane = sum(w[:, None] * cpad[:, i2 + k] for k, w in enumerate(w2))
         i1, w1 = _cubic_taps((r1v - r1g[0]) / h1 + 2.0)
-        line = sum(w[:, None] * plane[i1 + k] for k, w in enumerate(w1))
-        rr = 2.0 * r1v[:, None] * r2
-        num = r1v[:, None] ** 2 + r2 * r2 - sv * sv
+        line = sum(w[:, None] * plane[i1 + k, which] for k, w in enumerate(w1))
+        rr = 2.0 * r1v[:, None] * r2v[:, None]
+        num = r1v[:, None] ** 2 + r2v[:, None] * r2v[:, None] - sv * sv
         mu_q = np.where(rr < 1e-280, 0.0,
                         np.clip(num / np.where(rr < 1e-280, 1.0, rr),
                                 -1.0, 1.0))
@@ -236,9 +249,10 @@ def analytic_field(V: Callable, r1max: float, r2max: float,
     the joint radii where it is not smooth (its cutoffs' plateau edges
     and radii)."""
     def phi_tilde(r1, r2, s):
-        r1b, sb = np.broadcast_arrays(np.asarray(r1, dtype=float),
-                                      np.asarray(s, dtype=float))
-        return np.asarray(V(np.hypot(r1b, float(r2))), dtype=float)
+        r1b, r2b, _ = np.broadcast_arrays(np.asarray(r1, dtype=float),
+                                          np.asarray(r2, dtype=float),
+                                          np.asarray(s, dtype=float))
+        return np.asarray(V(np.hypot(r1b, r2b)), dtype=float)
 
     return TripleField(phi_tilde=phi_tilde,
                        phi2=lambda r: np.asarray(V(r), dtype=float),
@@ -292,44 +306,48 @@ def triple_pairing(m: float, powers: Tuple[int, int, int],
     sx, sw = gauss_legendre(_S_NODES)
 
     def evaluate(n_panel: int, levels: int) -> float:
-        def inner(r2: float) -> float:
-            k3_r2 = float(np.asarray(K3(np.float64(r2))))
-            base2 = float(np.asarray(phi2(r2)))
-            if W is not None:
-                base2 -= float(np.asarray(W(r2))) * phi00
-            marks = [r2, field.r1max, *w1_marks]
-            # joint-radius spheres, mapped to r1
-            for t in joint_marks:
-                if t > r2:
-                    marks.append(math.sqrt(t * t - r2 * r2))
-            r1n, r1w = panel_rule(0.0, r1_hi, marks, n_panel, levels)
-            half = np.minimum(r1n, r2)
-            mid = np.abs(r1n - r2) + half
-            S = mid[:, None] + half[:, None] * sx[None, :]
-            core = field.phi_tilde(r1n[:, None], r2, S)
-            if W is not None:
-                core = core - (np.asarray(W(np.hypot(r1n, r2)),
-                                          dtype=float) * phi00)[:, None]
-            integ = S * np.asarray(K3(S), dtype=float) * core
-            if e1 is not None:
-                integ = integ - S * (np.asarray(w1(r1n), dtype=float)
-                                     * (k3_r2 * base2))[:, None]
-            vals = r1n * np.asarray(K1(r1n), dtype=float) * half * (integ @ sw)
-            return float(r1w @ vals)
-
         r2n, r2w = panel_rule(0.0, r2_hi, [field.r2max, *joint_marks],
                               n_panel, levels)
-        outer_vals = np.fromiter((inner(float(r2)) for r2 in r2n),
-                                 dtype=float, count=r2n.size)
+        k3w = None
+        if e1 is not None:
+            base2 = np.asarray(phi2(r2n), dtype=float)
+            if W is not None:
+                base2 = base2 - np.asarray(W(r2n), dtype=float) * phi00
+            k3_r2 = np.asarray(K3(r2n), dtype=float)
+            k3w = k3_r2 * base2
+        # the r1 panels of every r2 node at once, split at r2, the field's
+        # and w1's radii and the joint-radius spheres mapped to r1
+        marks = [r2n, field.r1max, *w1_marks]
+        for t in joint_marks:
+            marks.append(np.where(t > r2n, np.sqrt(np.maximum(
+                t * t - r2n * r2n, 0.0)), 0.0))
+        a, b, row = panel_edges(np.zeros_like(r2n), np.full_like(r2n, r1_hi),
+                                marks, levels)
+        r1n, r1w = (v.reshape(-1) for v in _panel_nodes(a, b, n_panel))
+        at = np.repeat(row, n_panel)
+        vals = np.empty_like(r1n)
+        step = _TRIPLE_BLOCK // _S_NODES
+        for lo in range(0, len(r1n), step):
+            sl = slice(lo, lo + step)
+            r1, r2 = r1n[sl], r2n[at[sl]]
+            half = np.minimum(r1, r2)
+            mid = np.abs(r1 - r2) + half
+            S = mid[:, None] + half[:, None] * sx[None, :]
+            core = field.phi_tilde(r1[:, None], r2[:, None], S)
+            if W is not None:
+                core = core - (np.asarray(W(np.hypot(r1, r2)),
+                                          dtype=float) * phi00)[:, None]
+            integ = S * np.asarray(K3(S), dtype=float) * core
+            if k3w is not None:
+                integ = integ - S * (np.asarray(w1(r1), dtype=float)
+                                     * k3w[at[sl]])[:, None]
+            vals[sl] = r1 * np.asarray(K1(r1), dtype=float) * half * (integ @ sw)
+        outer_vals = np.bincount(at, weights=r1w * vals, minlength=len(r2n))
         value = 8.0 * math.pi ** 2 * float(
             r2w @ (r2n * np.asarray(K2(r2n), dtype=float) * outer_vals))
 
         if e1 is not None and c_pair != 0.0:
-            v = np.asarray(phi2(r2n), dtype=float)
-            if W is not None:
-                v = v - np.asarray(W(r2n), dtype=float) * phi00
-            ct = (r2n * r2n * np.asarray(K2(r2n), dtype=float)
-                  * np.asarray(K3(r2n), dtype=float) * v)
+            ct = r2n * r2n * np.asarray(K2(r2n), dtype=float) * k3_r2 * base2
             value += c_pair * 4.0 * math.pi * float(r2w @ ct)
         return value
 

@@ -406,6 +406,22 @@ class TestTripleGrid:
         np.testing.assert_allclose(mesh, self.oracle(field, r1[:, None],
                                                      0.7, s),
                                    rtol=0, atol=1e-13 * np.max(np.abs(mesh)))
+        # an r2 per row, repeated as triple_pairing's batches repeat it and
+        # beyond R2 on some rows, gives each row its scalar-r2 value
+        r2 = np.repeat(np.append(rng.uniform(0.0, self.R2, 7), 1.9), 5)
+        batch = field.phi_tilde(r1[:, None], r2[:, None], s)
+        assert batch.shape == (40, 24)
+        for i in range(40):
+            np.testing.assert_array_equal(
+                batch[i], field.phi_tilde(r1[i:i + 1, None], r2[i], s[i:i + 1])[0])
+        np.testing.assert_array_equal(field.phi_tilde(r1, r2, s[:, 0]),
+                                      batch[:, 0])
+        assert np.any(r2 >= self.R2) and np.all(batch[r2 >= self.R2] == 0.0)
+        dV = lambda r: np.exp(-r * r)  # noqa: E731
+        joint = analytic_field(dV, self.R1, self.R2)
+        np.testing.assert_array_equal(
+            joint.phi_tilde(r1[:, None], r2[:, None], s),
+            np.broadcast_to(dV(np.hypot(r1, r2))[:, None], (40, 24)))
 
     def test_grid_memory_is_bounded(self):
         # the x-sums run in chunks of quadrature._BLOCK_ENTRIES entries;

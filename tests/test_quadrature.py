@@ -8,7 +8,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.spatial.distance import cdist
 
-from eucren import quadrature
+from eucren import expr, quadrature
 from eucren.functionals import TestFunction
 from eucren.kernels import CutoffFunction
 from eucren.propagator import green_function
@@ -31,7 +31,21 @@ from eucren.quadrature import (
     ring_pass,
     sphere_area,
 )
-from helpers import mc_ball, mc_pair, quadpack
+from helpers import mc_ball, mc_pair, polished_leggauss, quadpack
+
+
+def exact_gauss_node(n: int, x0: float):
+    """The Gauss-Legendre node of order n at the float x0 and its weight,
+    polished by Newton's method on the recurrence in mpmath's working
+    precision; call it, and compare with it, inside ``workdps(40)``."""
+    t = mpmath.mpf(float(x0))
+    for _ in range(3):
+        p_prev, p = mpmath.mpf(1), t
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * t * p - (j - 1) * p_prev) / j
+        dp = n * (t * p - p_prev) / (t * t - 1)
+        t -= p / dp
+    return t, 2 / ((1 - t * t) * dp * dp)
 
 
 class TestBasicRules:
@@ -43,8 +57,7 @@ class TestBasicRules:
     @pytest.mark.parametrize("n", [8, 9, 31, 96, 255, 512])
     def test_gauss_legendre_matches_mpmath(self, n):
         # every node and weight within 1e-13 relative of the exact rule
-        # (numpy's leggauss is 1e-10 off at n = 512); the reference polishes
-        # each node by Newton's method on the recurrence at 40 digits
+        # (numpy's leggauss is 1e-10 off at n = 512)
         x, w = gauss_legendre(n)
         assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
         assert np.array_equal(w, w[::-1])
@@ -52,16 +65,21 @@ class TestBasicRules:
         picks = np.arange(n // 2, n)[::1 if n <= 96 else 2]
         with mpmath.workdps(40):
             for i in picks:
-                t = mpmath.mpf(float(x[i]))
-                for _ in range(3):
-                    p_prev, p = mpmath.mpf(1), t
-                    for j in range(2, n + 1):
-                        p_prev, p = p, ((2 * j - 1) * t * p - (j - 1) * p_prev) / j
-                    dp = n * (t * p - p_prev) / (t * t - 1)
-                    t -= p / dp
-                weight = 2 / ((1 - t * t) * dp * dp)
+                t, weight = exact_gauss_node(n, x[i])
                 assert abs(x[i] - t) <= 1e-13 * abs(t) + (0 if t else 1e-300)
                 assert abs(w[i] - weight) <= 1e-13 * weight
+
+    def test_polished_oracle_rule_matches_mpmath(self):
+        # the tests' own 1024-node rule (helpers.polished_leggauss), at
+        # the nodes nearest -1, where leggauss's weights are 1.2e-9 off,
+        # and at the middle
+        n = 1024
+        x, w = polished_leggauss(n)
+        with mpmath.workdps(40):
+            for i in (0, 1, 2, n // 2):
+                t, weight = exact_gauss_node(n, x[i])
+                assert abs(x[i] - t) <= 1e-16
+                assert abs(w[i] - weight) <= 1e-11 * weight
 
     def test_gauss_legendre_integrates_its_degree(self):
         # order n is exact through degree 2n - 1
@@ -146,7 +164,7 @@ class TestAngularAverage:
         # against 2048 Gauss-Legendre nodes over the whole of [0, pi]
         g = self.bump.gu()
         rho = np.linspace(max(0.0, c - self.S) + 1e-3, c + self.S - 1e-3, 41)
-        x, w = np.polynomial.legendre.leggauss(2048)
+        x, w = polished_leggauss(2048)
         theta = 0.5 * np.pi * (x + 1.0)
         w = w * np.sin(theta) ** (d - 2)
         u = rho[:, None] ** 2 + c * c - 2.0 * c * rho[:, None] * np.cos(theta)
@@ -161,6 +179,89 @@ class TestAngularAverage:
         for d in (2, 3, 4):
             assert np.array_equal(_sphere_mean(g, rho, c, d, 96, self.S),
                                   np.zeros(3))
+
+    def test_empty_windows_call_no_profile(self):
+        # rows with S^2 <= (rho - c)^2 average exactly 0, and their u never
+        # reaches gu: the cutoff routes start their rho range at 0, and
+        # 2,216 of the 5,120 rows of a p3-d3-c037 job had such a window
+        rng = np.random.default_rng(5)
+        c, rho = rng.uniform(0.0, 2.0, 60), rng.uniform(0.0, 3.0, 60)
+        empty = self.S ** 2 <= (rho - c) ** 2
+        assert 10 < np.count_nonzero(empty) < 50
+        bump = self.bump.gu()
+        for d in (2, 3, 4):
+            seen = []
+
+            def g(u):
+                seen.append(len(u))
+                return bump(u)
+            got = _sphere_mean(g, rho, c, d, 96, self.S)
+            assert sum(seen) == np.count_nonzero(~empty)
+            assert np.all(got[empty] == 0.0)
+            assert np.array_equal(got[~empty], _sphere_mean(
+                g, rho[~empty], c[~empty], d, 96, self.S))
+
+    def test_e1_fit_matches_mpmath(self):
+        # k(t) = (1 - x e^x E_1(x)) / t and Q(t) = t e^(-1/t) - E_1(1/t) at
+        # t = 1/x, within 1e-15 relative; beyond x = 690 Q is subnormal,
+        # and within half its spacing
+        x = np.concatenate([np.geomspace(1.0, 700.0, 300),
+                            1.0 + np.random.default_rng(6).random(100)])
+        k = expr._e1_k(1.0 / x)
+        q = expr.bumpcore_integral(x)
+        with mpmath.workdps(80):
+            for xi, ki, qi in zip(x, k, q):
+                big_x, t = mpmath.mpf(float(xi)), mpmath.mpf(1.0 / xi)
+                k_ref = (1 - mpmath.exp(1 / t) * mpmath.e1(1 / t) / t) / t
+                q_ref = mpmath.exp(-big_x) / big_x - mpmath.e1(big_x)
+                assert abs(ki - k_ref) <= 1e-15 * k_ref
+                assert abs(qi - q_ref) <= 1e-15 * q_ref + mpmath.mpf(2) ** -1075
+        assert expr.bumpcore_integral(np.array([np.inf]))[0] == 0.0
+
+    def test_closed_form_bump_mean(self):
+        # unclipped rows (rho + c < S), clipped ones, empty ones and
+        # near-concentric ones (4 c rho below _CLOSED_FORM_WIDTH S^2,
+        # which keep the windowed rule), against the 40-digit u-integral
+        rng = np.random.default_rng(8)
+        rho = np.concatenate([rng.uniform(0.05, 0.45, 12), rng.uniform(0.3, 1.4, 12),
+                              [0.05, 1.7, 2.5], [0.1, 0.45, 0.8, 0.3]])
+        c = np.concatenate([rng.uniform(0.05, 0.4, 12), rng.uniform(0.3, 1.0, 12),
+                            [1.2, 0.5, 1.0], [1e-3, 1e-4, 2e-3, 0.0]])
+        s2 = self.S ** 2
+        unclipped = (rho + c) ** 2 < s2
+        empty = (rho - c) ** 2 >= s2
+        narrow = 4.0 * c * rho < quadrature._CLOSED_FORM_WIDTH * s2
+        assert (np.count_nonzero(unclipped & ~narrow) > 5
+                and np.count_nonzero(~unclipped & ~empty & ~narrow) > 5
+                and np.count_nonzero(empty) == 3
+                and np.count_nonzero(narrow & ~empty) == 4)
+        bump = self.bump.gu()
+        assert isinstance(bump, expr.BumpProfile)
+        u = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(bump(u), expr.bump_u(u, self.S, 1.3))
+        rows = []
+
+        class Recording:
+            integral = staticmethod(bump.integral)
+
+            def __call__(self, u):
+                rows.append(len(u))
+                return bump(u)
+        got = _sphere_mean(Recording(), rho, c, 3, 96, self.S)
+        assert sum(rows) == 4  # the windowed rule took the narrow rows only
+        ref = np.zeros_like(got)
+        with mpmath.workdps(40):
+            def g(u):
+                return 1.3 * mpmath.exp(-1 / (1 - u / mpmath.mpf(self.S) ** 2))
+            for i, (r, cc) in enumerate(zip(rho, c)):
+                r, cc = mpmath.mpf(float(r)), mpmath.mpf(float(cc))
+                lo, hi = (r - cc) ** 2, min((r + cc) ** 2, mpmath.mpf(self.S) ** 2)
+                if cc == 0:
+                    ref[i] = g(r * r)
+                elif hi > lo:
+                    ref[i] = mpmath.quad(g, [lo, hi]) / (4 * cc * r)
+        assert np.all(got[empty] == 0.0)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
 
     def test_gaussian_closed_form_3d(self):
         # average of exp(-|x - c e1|^2) over the sphere |x| = rho is
