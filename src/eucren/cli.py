@@ -663,13 +663,13 @@ def _run_verify(config: RunConfig) -> List[ReportSection]:
 
     phi = _verify_background(rng, d)
     F, G, H = _verify_functionals(rng, d, (-3.0, 0.0, 3.0))
+    shifted = replace(scheme, gauss_n=scheme.gauss_n + 4)
     lhs = star_E(F, G, phi, m, config.order, scheme)
-    rhs = star_E(G, F, phi, m, config.order, scheme, rule_shift=4)
+    rhs = star_E(G, F, phi, m, config.order, shifted)
     record("commutativity", _series_rel_diff(lhs, rhs), tol)
 
     left = block_product([F, G, H], {0, 1}, phi, m, config.order, scheme)
-    right = block_product([F, G, H], {1, 2}, phi, m, config.order, scheme,
-                          rule_shift=4)
+    right = block_product([F, G, H], {1, 2}, phi, m, config.order, shifted)
     record("associativity", _series_rel_diff(left, right), tol)
 
     worst = 0.0

@@ -507,8 +507,9 @@ _BINARY_OPS = {ast.Add: add, ast.Sub: lambda a, b: add(a, mul(-1, b)),
                ast.Pow: power}
 _FIELD_FUNCS = ("exp", "sin", "cos")
 # the height of a parsed tree; derivatives and evaluation recurse along
-# their trees, a few times as high
-_MAX_DEPTH = 64
+# their trees, a few times as high, and differentiating an x1**x1**...
+# tower twice takes time that grows faster than the cube of its height
+_MAX_DEPTH = 24
 
 
 def _field_expr(node: ast.AST, text: str, d: int):

@@ -69,12 +69,6 @@ class MultiGraph:
     def total_edges(self) -> int:
         return sum(self.mult)
 
-    def multiplicity(self, i: int, j: int) -> int:
-        if i == j:
-            return 0
-        i, j = min(i, j), max(i, j)
-        return self.mult[vertex_pairs(self.n).index((i, j))]
-
     def degree(self, i: int) -> int:
         """Incident edge count, the derivative order drawn at slot i."""
         return sum(m for (a, b), m in zip(vertex_pairs(self.n), self.mult)

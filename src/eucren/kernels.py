@@ -77,11 +77,8 @@ class ExtensionSpec:
     def default(d: int) -> "ExtensionSpec":
         return ExtensionSpec(CutoffFunction(d))
 
-    def counterterm_dict(self) -> Dict[MultiIndex, float]:
-        return dict(self.counterterms)
-
     def counterterm(self, alpha: MultiIndex) -> float:
-        return self.counterterm_dict().get(tuple(alpha), 0.0)
+        return dict(self.counterterms).get(tuple(alpha), 0.0)
 
     def with_counterterms(self, counterterms: Dict[MultiIndex, float]) -> "ExtensionSpec":
         return ExtensionSpec.make(self.cutoff, counterterms)

@@ -15,10 +15,10 @@ propagator power onto the nodes of the parent's coefficient.
 
 A product plans its messages before it contracts any.  It collects the
 distinct messages of all of its graph terms; a message is keyed by the
-content of its subtree (kernels and edge powers, not vertex indices),
-the parent's rule and the scheme, so the terms and the products of a
-run share it, and those already in the run's memo are reused.  The
-others are batched by the unordered pair of rules they join: a pair is
+content of its subtree (kernels and edge powers, not vertex indices)
+and the parent's rule, so the terms of one product share it and it is
+contracted once per product; nothing is kept across calls.  Messages
+are batched by the unordered pair of rules they join: a pair is
 contracted in one pass over blocks of rows, which evaluates each of its
 kernels once per block for every message on the pair, in both
 directions.  The schedule takes first a pair whose messages all have
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -81,8 +80,6 @@ from .kernels import ScalarDistribution, components
 from .propagator import green_function, pair
 from .quadrature import (DEFAULT_SCHEME, QuadratureScheme, bump_ring_size,
                          bump_rule, contract_pass, ring_pass)
-
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 __all__ = [
     "FormalSeries",
@@ -177,46 +174,6 @@ def _weights(f, residual, phi: FieldConfiguration, scheme: QuadratureScheme):
     return pts, vals
 
 
-class _Memo:
-    """A bounded least-recently-used map with the introspection of
-    ``functools.lru_cache``, for values computed in batches rather than
-    one call at a time."""
-
-    def __init__(self, maxsize: int):
-        self._data: OrderedDict = OrderedDict()
-        self._maxsize = maxsize
-        self._hits = self._misses = 0
-
-    def get(self, key):
-        value = self._data.get(key)
-        if value is None:
-            self._misses += 1
-        else:
-            self._hits += 1
-            self._data.move_to_end(key)
-        return value
-
-    def put(self, key, value):
-        self._data[key] = value
-        while len(self._data) > self._maxsize:
-            self._data.popitem(last=False)
-
-    def cache_info(self):
-        return _CacheInfo(self._hits, self._misses, self._maxsize,
-                          len(self._data))
-
-    def cache_parameters(self):
-        return {"maxsize": self._maxsize, "typed": False}
-
-    def cache_clear(self):
-        self._data.clear()
-        self._hits = self._misses = 0
-
-
-# the run's messages, keyed by (message, phi, m, scheme)
-_message_memo = _Memo(maxsize=256)
-
-
 def _below(children, dk: DKTerm):
     """The messages that a vertex's children send onto the nodes of its
     kernel term dk's coefficient.  A message is (edge power, subtree,
@@ -249,11 +206,11 @@ def _rule_order(nodes_key):
 def _messages(keys, phi: FieldConfiguration, m: float,
               scheme: QuadratureScheme) -> Dict:
     """{message: values on its parent's nodes} for ``keys`` and every
-    message below them.
+    message below them, held for this call only and read-only.
 
-    Messages in the run's memo are reused.  The others are split into
-    columns, one per kernel term of the sending vertex, and grouped by
-    the unordered pair of rules they join.  A pair whose columns all
+    Each distinct message is split into columns, one per kernel term
+    of the sending vertex, and grouped by the unordered pair of rules
+    they join.  A pair whose columns all
     have their children's messages is contracted first; when no pair
     is ready, the pair with the most ready columns is contracted on
     those alone.  Ties go to the first pair in ``_rule_order``.  A pair
@@ -265,11 +222,7 @@ def _messages(keys, phi: FieldConfiguration, m: float,
     stack = list(reversed(keys))
     while stack:
         key = stack.pop()
-        if key in values or key in open_parts:
-            continue
-        hit = _message_memo.get((key, phi, m, scheme))
-        if hit is not None:
-            values[key] = hit
+        if key in open_parts:
             continue
         _, (kernel, children), nodes_key, _ = key
         open_parts[key] = len(kernel.terms)
@@ -301,9 +254,8 @@ def _messages(keys, phi: FieldConfiguration, m: float,
             sums[key] = sums.get(key, 0.0) + float(dk.prefactor) * sent
             open_parts[key] -= 1
             if not open_parts[key]:
-                out = values[key] = sums.pop(key)
-                out.setflags(write=False)
-                _message_memo.put((key, phi, m, scheme), out)
+                values[key] = sums.pop(key)
+                values[key].setflags(write=False)
     return values
 
 
@@ -443,18 +395,11 @@ def _require_pairwise_disjoint(functionals: Sequence[LocalFunctional]):
 
 def product_expansion(functionals: Sequence[LocalFunctional],
                       phi: FieldConfiguration, m: float, order: int,
-                      scheme: QuadratureScheme = DEFAULT_SCHEME,
-                      rule_shift: int = 0) -> ProductResult:
+                      scheme: QuadratureScheme = DEFAULT_SCHEME) -> ProductResult:
     """The graph expansion of the n-fold product at a background
-    configuration, with per-graph provenance.
-
-    ``rule_shift`` offsets the ball-rule order; running the same series
-    on two shifts is the cross-validation handle used by the causality
-    check."""
+    configuration, with per-graph provenance."""
     _require_pairwise_disjoint(functionals)
     _check_arguments(functionals, phi, m)
-    if rule_shift:
-        scheme = replace(scheme, gauss_n=scheme.gauss_n + rule_shift)
     terms = expansion_terms(len(functionals), order)
     values = _graph_values([term.graph for term in terms], functionals, phi,
                            m, scheme)
@@ -469,7 +414,6 @@ def product_expansion(functionals: Sequence[LocalFunctional],
 def E_n(functionals: Sequence[LocalFunctional], phi: FieldConfiguration,
         m: float, order: int,
         scheme: QuadratureScheme = DEFAULT_SCHEME,
-        rule_shift: int = 0,
         renormalizer: Optional[Callable[[ScalarDistribution],
                                         ScalarDistribution]] = None) -> FormalSeries:
     """The n-fold product as a truncated series.
@@ -488,17 +432,15 @@ def E_n(functionals: Sequence[LocalFunctional], phi: FieldConfiguration,
     if len(functionals) == 1:
         return FormalSeries.constant(
             evaluate(functionals[0], phi, scheme), order)
-    return product_expansion(functionals, phi, m, order, scheme,
-                             rule_shift).series
+    return product_expansion(functionals, phi, m, order, scheme).series
 
 
 def star_E(F: LocalFunctional, G: LocalFunctional, phi: FieldConfiguration,
            m: float, order: int,
-           scheme: QuadratureScheme = DEFAULT_SCHEME,
-           rule_shift: int = 0) -> FormalSeries:
+           scheme: QuadratureScheme = DEFAULT_SCHEME) -> FormalSeries:
     """The binary product: ℏ^k carries 1/k! times the k-fold
     contraction of the k-th derivative kernels."""
-    return E_n([F, G], phi, m, order, scheme, rule_shift)
+    return E_n([F, G], phi, m, order, scheme)
 
 
 def _renormalized_product(functionals, phi, m, order, scheme, renormalizer):
@@ -536,8 +478,7 @@ def _split_blocks(functionals, index_set):
 def block_product(functionals: Sequence[LocalFunctional],
                   index_set: Sequence[int],
                   phi: FieldConfiguration, m: float, order: int,
-                  scheme: QuadratureScheme = DEFAULT_SCHEME,
-                  rule_shift: int = 0) -> FormalSeries:
+                  scheme: QuadratureScheme = DEFAULT_SCHEME) -> FormalSeries:
     """The n-fold product assembled through a bracketing: every graph
     is re-derived as (cross edges between the blocks) x (graph inside
     the index set) x (graph inside the complement), each with its own
@@ -551,8 +492,6 @@ def block_product(functionals: Sequence[LocalFunctional],
                     f"supports overlap inside a block: slots {a} and {b}")
     _check_arguments(functionals, phi, m)
     n = len(functionals)
-    if rule_shift:
-        scheme = replace(scheme, gauss_n=scheme.gauss_n + rule_shift)
     pairs = vertex_pairs(n)
     cross_pairs = [(min(i, j), max(i, j)) for i in I for j in Ic]
 
@@ -598,8 +537,8 @@ def causal_factorization_check(functionals: Sequence[LocalFunctional],
     when both vanish; the scale-invariant form keeps the pass
     threshold meaningful across amplitude choices.
     """
-    rhs = block_product(functionals, index_set, phi, m, order, scheme,
-                        rule_shift=3)
+    rhs = block_product(functionals, index_set, phi, m, order,
+                        replace(scheme, gauss_n=scheme.gauss_n + 3))
     lhs = product_expansion(functionals, phi, m, order, scheme).series
     truncation = min(lhs.truncation, rhs.truncation)
     data = {}

@@ -385,7 +385,6 @@ def _common_support_point(tests) -> bool:
     return True
 
 
-@lru_cache(maxsize=64)
 def _leg_profile(d: int, m: float, power: int,
                  extension: Optional[ExtensionSpec], leg, lo: float,
                  hi: float, scheme: QuadratureScheme) -> ProfileSpline:

@@ -499,9 +499,10 @@ class TestMain:
         ("2**-1025*x1", 2),
         ("(-1)**0.5", 2),
         ("x1/0", 2),
-        ("x1**" * 70 + "x1", 2),  # a tree higher than 64 levels
+        ("x1**" * 70 + "x1", 2),  # a tree higher than 24 levels
+        ("x1**" * 24 + "x1", 2),  # overflows (exit 3) unless refused
     ], ids=["neg900", "neg990", "sum3000", "pow100000", "exp4", "tiny",
-            "sqrt-1", "div0", "tower70"])
+            "sqrt-1", "div0", "tower70", "tower24"])
     def test_hostile_background_exit(self, tmp_path, background, code):
         # phi^2 on B(0, 0.9) in d = 1: every background ends in a
         # documented exit code, never in a traceback, and without a

@@ -615,13 +615,6 @@ class TestSchemeCaches:
         g = TestFunction(3, (0.6, 0.0, 0.0), 0.9)
         self.check(propagator._correlation, single(1), (f, g))
 
-    def test_path_leg_profile(self):
-        a = TestFunction(3, (-2.2, 0.0, 0.0), 1.0)
-        piv = TestFunction(3, (0.0, 0.0, 0.0), 1.0)
-        b = TestFunction(3, (0.8, 0.3, 0.0), 0.8)
-        t = ScalarDistribution(3, 3, M, (PropFactor(0, 1, 2), PropFactor(1, 2, 1)))
-        self.check(triple._leg_profile, t, (a, piv, b))
-
     def test_grid_field(self):
         tests = tuple(TestFunction(3, (0.0, 0.0, 0.0), r) for r in (1.0, 0.9, 0.8))
         r1, s = np.linspace(0.05, 1.7, 9), np.full(9, 0.4)

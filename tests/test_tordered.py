@@ -6,6 +6,7 @@ numpy expression.
 """
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -321,10 +322,8 @@ class TestTrees:
 
     @staticmethod
     def record_passes(monkeypatch, record):
-        """Empty the message caches, so that every message is contracted
-        anew, and call ``record(route, x, y, out)`` after every pair
-        pass, dense or ring."""
-        tordered._message_memo.cache_clear()
+        """Empty the weights cache and call ``record(route, x, y, out)``
+        after every pair pass, dense or ring."""
         tordered._weights.cache_clear()
 
         def dense(blocks, x, y, toward_x, toward_y):
@@ -366,7 +365,6 @@ class TestTrees:
             tordered, "ring_pass",
             lambda blocks, x, y, n_phi, *toward: contract_pass(blocks, x, y,
                                                                *toward))
-        tordered._message_memo.cache_clear()
         dense = star_E(F, G, PHI, M, 3, SCHEME)
         for k in range(4):
             np.testing.assert_allclose(ring.coefficient(k),
@@ -399,18 +397,6 @@ class TestTrees:
         assert vectors
         assert len(set(vectors)) == len(vectors)
 
-    def test_products_share_subtree_messages(self, monkeypatch):
-        # the block product over {F, G} | {H} contains the messages
-        # between F and G that their binary product already formed
-        vectors = self.record_contractions(monkeypatch)
-        F, G, H = [LocalFunctional.phi_power(2, f) for f in (F0, F1, F2)]
-        scheme = QuadratureScheme(gauss_n=6)
-        star_E(F, G, PHI, M, 2, scheme)
-        binary = len(vectors)
-        block_product([F, G, H], [0, 1], PHI, M, 2, scheme)
-        assert 0 < binary < len(vectors)
-        assert len(set(vectors)) == len(vectors)
-
     def test_cached_arrays_are_read_only(self):
         scheme = QuadratureScheme(gauss_n=6)
         kernel = derivative_kernel(LocalFunctional.phi_power(2, F1), 1)
@@ -424,10 +410,9 @@ class TestTrees:
 
     def test_message_takes_the_parent_coefficients_rule(self):
         # a bump parent gets the bump rule's nodes, a windowed piece on
-        # the same ball the Gauss-Legendre ones; the message cache keys
-        # on the parent's rule, so the two never share an entry, while
+        # the same ball the Gauss-Legendre ones; a message is keyed by
+        # the parent's rule, so the two never share an entry, while
         # bumps on one ball share it whatever their amplitudes
-        tordered._message_memo.cache_clear()
         scheme = QuadratureScheme(gauss_n=6)
         kernel = derivative_kernel(LocalFunctional.phi_power(2, F1), 1)
         dk, = kernel.terms
@@ -439,17 +424,18 @@ class TestTrees:
         y, w = F1.rule(6)
         sent = float(dk.prefactor) * w * phi_np(y)
         louder = TestFunction(D, F0.center, F0.radius, amplitude=2.5)
-        messages = []
-        for parent, (x, _) in ((F0, F0.rule(6)),
-                               (piece, ball_rule(D, F0.center, F0.radius, 6)),
-                               (louder, F0.rule(6))):
-            key = (1, (kernel, ()), parent.nodes_key, dk.arg_derivs[0])
-            messages.append(tordered._messages([key], PHI, M, scheme)[key])
+        parents = ((F0, F0.rule(6)),
+                   (piece, ball_rule(D, F0.center, F0.radius, 6)),
+                   (louder, F0.rule(6)))
+        keys = [(1, (kernel, ()), parent.nodes_key, dk.arg_derivs[0])
+                for parent, _ in parents]
+        messages = tordered._messages(keys, PHI, M, scheme)
+        assert keys[2] == keys[0] != keys[1]
+        assert len(messages) == 2
+        for key, (_, (x, _)) in zip(keys, parents):
             r = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
-            np.testing.assert_allclose(messages[-1], prop(r) @ sent,
+            np.testing.assert_allclose(messages[key], prop(r) @ sent,
                                        rtol=1e-12)
-        assert messages[2] is messages[0]
-        assert tordered._message_memo.cache_info().misses == 2
         assert len(F0.rule(6)[0]) == 120
         assert len(ball_rule(D, F0.center, F0.radius, 6)[0]) == 432
 
@@ -460,20 +446,15 @@ class TestTrees:
         self.record_passes(monkeypatch, lambda route, x, y, out: sizes.append(
             (len(x), len(y))))
         F, G = (LocalFunctional.phi_power(2, f) for f in (F0, F1))
-        star_E(F, G, PHI, M, 1, QuadratureScheme(gauss_n=6), rule_shift=4)
+        scheme = QuadratureScheme(gauss_n=6)
+        star_E(F, G, PHI, M, 1, replace(scheme, gauss_n=scheme.gauss_n + 4))
         assert sizes and set(sizes) == {(720, 720)}
         assert bump_orders(10) == (5, 9, 16)
 
-    def test_verify_evaluates_each_rule_pair_once(self, monkeypatch):
-        # verify d=3 joins three bumps on the x1 axis pairwise, on gauss_n
-        # and on the shifted gauss_n + 4: the binary product evaluates one
-        # pair, the block product the other two and then the first again
-        # for the messages whose children it needed, so 4 pair passes per
-        # rule size.  Each is a ring pass, which forms P against the
-        # first node of each ring of the y rule only: N * N / n_phi
-        # entries, against N * N for a dense pass.  P is evaluated on no
-        # other matrix
-        tordered._message_memo.cache_clear()
+    @staticmethod
+    def verify_entries(monkeypatch, d):
+        """{columns: entries} of every matrix that P is formed on by
+        ``verify`` in d dimensions at m = 1, seed 3 and gauss_n 4."""
         tordered._weights.cache_clear()
         entries = Counter()
         call = Propagator.__call__
@@ -485,7 +466,19 @@ class TestTrees:
             return call(self, r)
 
         monkeypatch.setattr(Propagator, "__call__", counting)
-        run(parse_config("command=verify d=3 m=1 seed=3 gauss_n=4"))
+        run(parse_config(f"command=verify d={d} m=1 seed=3 gauss_n=4"))
+        return entries
+
+    def test_verify_evaluates_each_rule_pair_once(self, monkeypatch):
+        # verify d=3 joins three bumps on the x1 axis pairwise, on gauss_n
+        # and on the shifted gauss_n + 4: the binary product evaluates one
+        # pair, the block product the other two and then the first again
+        # for the messages whose children it needed, so 4 pair passes per
+        # rule size.  Each is a ring pass, which forms P against the
+        # first node of each ring of the y rule only: N * N / n_phi
+        # entries, against N * N for a dense pass.  P is evaluated on no
+        # other matrix
+        entries = self.verify_entries(monkeypatch, 3)
         small, large = (len(bump_rule(3, (0.0,) * 3, 1.0, n)[0])
                         for n in (4, 8))
         assert (small, large) == (48, 336)
@@ -493,6 +486,16 @@ class TestTrees:
         assert rings == (8, 28)
         assert entries == {rings[0]: 4 * small * rings[0],
                            rings[1]: 4 * large * rings[1]}
+
+    def test_verify_d2_evaluates_each_rule_pair_once(self, monkeypatch):
+        # the same 4 pair passes per rule size in d = 2, where no rule
+        # has rings: each pass is dense and forms P on one N x N block
+        entries = self.verify_entries(monkeypatch, 2)
+        small, large = (len(bump_rule(2, (0.0,) * 2, 1.0, n)[0])
+                        for n in (4, 8))
+        assert (small, large) == (12, 48)
+        assert entries == {small: 4 * small * small,
+                           large: 4 * large * large}
 
 
 class TestCausality:
