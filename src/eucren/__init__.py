@@ -7,7 +7,7 @@ Modules, bottom up:
 - ``errors``: shared failure taxonomy and CLI exit-code table.
 - ``expr``: the one closed-form bump (its profile, partials and cutoff
   steps) and field maps: a background expression tree plus bump terms.
-- ``quadrature``: 1d/ball/tensor rules and the scheme record.
+- ``quadrature``: 1d and ball rules, contraction passes, scheme record.
 - ``bessel``: K_nu for the kernels at integer and half-integer orders:
   series and fitted rational forms of K_0 and K_1, elementary closed
   forms at half-integer orders, upward recurrence above.

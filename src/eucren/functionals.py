@@ -373,24 +373,27 @@ def derivative_kernel(F: LocalFunctional, n: int) -> DerivativeKernel:
         raise ValueError("derivative order must be nonnegative")
     out = []
     for term in F.terms:
-        if n > term.power:
-            continue
-        slot_counts = Counter(term.derivs)
-        # every way to draw n slots as a sub-multiset of the decorations
-        choices = set(
-            tuple(sorted(c))
-            for c in itertools.combinations(term.derivs, n))
-        for chosen in sorted(choices):
-            chosen_counts = Counter(chosen)
-            mult = 1
-            for alpha, na in chosen_counts.items():
-                mult *= math.perm(slot_counts[alpha], na)
-            residual = list(term.derivs)
-            for alpha in chosen:
-                residual.remove(alpha)
+        for chosen, rest, counts in _draws(term.derivs, n):
+            mult = math.prod(math.perm(k, j) for k, j in counts)
             out.append(DKTerm(term.prefactor * mult, term.coefficient,
-                              tuple(sorted(residual)), chosen))
+                              rest, chosen))
     return DerivativeKernel(n, F.d, tuple(out)).canonical()
+
+
+def _draws(derivs, n: int):
+    """Each distinct draw of n slots from the multiset ``derivs``, in the
+    order of its first draw: the draw and the rest, both sorted, and the
+    counts (k_a, j_a) of each drawn index a in ``derivs`` and the draw."""
+    slots = Counter(derivs)
+    seen = set()
+    for combo in itertools.combinations(derivs, n):
+        chosen = tuple(sorted(combo))
+        if chosen in seen:
+            continue
+        seen.add(chosen)
+        drawn = Counter(chosen)
+        yield (chosen, tuple(sorted((slots - drawn).elements())),
+               [(slots[a], j) for a, j in drawn.items()])
 
 
 # -- supports ------------------------------------------------------------
@@ -509,24 +512,11 @@ def taylor_expand(F: LocalFunctional, phi0: FieldConfiguration,
         raise ValueError("background dimension mismatch")
     out = []
     for term in F.terms:
-        slot_counts = Counter(term.derivs)
-        for n in range(0, min(N, term.power) + 1):
-            seen = set()
-            for combo in itertools.combinations(term.derivs, n):
-                chosen = tuple(sorted(combo))
-                if chosen in seen:
-                    continue
-                seen.add(chosen)
-                chosen_counts = Counter(chosen)
-                mult = 1
-                for alpha, na in chosen_counts.items():
-                    mult *= math.comb(slot_counts[alpha], na)
-                residual = list(term.derivs)
-                for alpha in chosen:
-                    residual.remove(alpha)
+        for n in range(min(N, term.power) + 1):
+            for chosen, rest, counts in _draws(term.derivs, n):
+                mult = math.prod(math.comb(k, j) for k, j in counts)
                 out.append(BalancedFieldTerm(
-                    order=n, basis=chosen,
-                    background=tuple(sorted(residual)),
+                    order=n, basis=chosen, background=rest,
                     coefficient=term.coefficient,
                     prefactor=term.prefactor * mult, phi0=phi0))
     return out

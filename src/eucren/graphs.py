@@ -129,13 +129,22 @@ def compositions(total: int, slots: int):
             yield (head,) + rest
 
 
+# the most graphs one call of ``enumerate_graphs`` lists
+GRAPH_BUDGET = 10**6
+
+
 def enumerate_graphs(n: int, l: int) -> List[MultiGraph]:
     """All weak compositions of l edges into the vertex pairs,
-    lexicographic in the multiplicity tuple."""
+    lexicographic in the multiplicity tuple; their number C(l + p - 1, l)
+    for p pairs must not exceed GRAPH_BUDGET."""
     if n < 1 or l < 0:
         raise DomainError("need n >= 1 vertices and l >= 0 edges")
-    return [MultiGraph(n, mult)
-            for mult in compositions(l, n * (n - 1) // 2)]
+    p = n * (n - 1) // 2
+    count = math.comb(l + p - 1, l) if p else int(l == 0)
+    if count > GRAPH_BUDGET:
+        raise DomainError(f"n={n} at order={l} has {count} graphs, more "
+                          f"than the budget of {GRAPH_BUDGET}")
+    return [MultiGraph(n, mult) for mult in compositions(l, p)]
 
 
 def symmetry_factor(graph: MultiGraph) -> int:

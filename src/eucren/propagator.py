@@ -47,8 +47,8 @@ from .quadrature import (
     DEFAULT_SCHEME,
     ProfileSpline,
     QuadratureScheme,
+    contract_pass,
     correlation_profile,
-    pair_tensor,
     radial_pair,
     sphere_area,
 )
@@ -146,13 +146,6 @@ class Propagator:
             r = np.sqrt(u)
             return c * r ** (-order) * besselk(order, self.m * r)
         return deriv
-
-    def block(self, power: int, left=(), right=()) -> Callable:
-        """Kernel matrix (x, y) -> d_x^left d_y^right P^power(|x - y|)
-        between two point sets, as ``quadrature.contract`` takes it: the
-        one-kernel case of ``blocks``."""
-        kernels = self.blocks([(power, left, right)])
-        return lambda x, y: kernels(x, y)[0]
 
     def blocks(self, specs: Sequence[tuple]) -> Callable:
         """Kernel matrices (x, y) -> [d_x^left d_y^right P^power(|x - y|)
@@ -418,6 +411,19 @@ def pair_extension(t: ScalarDistribution, phi,
     return value
 
 
+def _tensor_pair(prop: Propagator, factor: PropFactor, f, g,
+                 scheme: QuadratureScheme) -> float:
+    """<factor, f x g> on the tensor product of the tests' rules
+    (``f.rule``): accurate only where the kernel is smooth on supp f x
+    supp g; the radial routes handle the singular overlapping cases."""
+    xp, fx = f.rule(scheme.gauss_n)
+    yp, gy = g.rule(scheme.gauss_n)
+    (kg,), _ = contract_pass(
+        prop.blocks([(factor.power, factor.left_deriv, factor.right_deriv)]),
+        xp, yp, [gy[:, None]], [np.empty((len(xp), 0))])
+    return float(fx @ kg[:, 0])
+
+
 def _pair_two(t: ScalarDistribution, f, g, scheme: QuadratureScheme,
               method: str) -> float:
     factor = t.factors[0]
@@ -434,8 +440,7 @@ def _pair_two(t: ScalarDistribution, f, g, scheme: QuadratureScheme,
         if overlap:
             raise UnsupportedCase(
                 "decorated factors require disjoint test supports")
-        return pair_tensor(prop.block(factor.power, factor.left_deriv,
-                                      factor.right_deriv), f, g, scheme)
+        return _tensor_pair(prop, factor, f, g, scheme)
 
     if not factor.renormalized:
         rho_div = prop.edge_sd(factor) - prop.d
@@ -447,7 +452,7 @@ def _pair_two(t: ScalarDistribution, f, g, scheme: QuadratureScheme,
             if overlap and prop.sd > 0:
                 raise UnsupportedCase(
                     "tensor route needs disjoint supports for singular kernels")
-            return pair_tensor(prop.block(factor.power), f, g, scheme)
+            return _tensor_pair(prop, factor, f, g, scheme)
 
     prof = _correlation(f, g, t.d, scheme)
     offset = float(np.linalg.norm(np.asarray(f.center) - np.asarray(g.center)))

@@ -16,9 +16,10 @@ integrals plus small tensor rules:
   (the order-one term averages to zero over the sphere, so one
   subtraction covers both degrees).
 
-* ``panel_edges`` and ``panel_rule`` give the composite Gauss-Legendre
-  rules of the radial integrals here and in ``triple``: panels split at
-  the structural radii, cut geometrically toward rho = 0.
+* ``panel_edges`` gives the panels of the composite Gauss-Legendre
+  rules of the radial integrals here and in ``triple``, split at the
+  structural radii and cut geometrically toward rho = 0;
+  ``_panel_nodes`` puts a rule of one order on each panel.
 
 * ``ProfileSpline`` caches a smooth radial profile on a window as a
   not-a-knot cubic spline, the interpolant of scipy's ``CubicSpline``
@@ -27,9 +28,9 @@ integrals plus small tensor rules:
 
 * ``contract_pass`` applies several kernel matrices between two point
   sets to several columns each, toward either set, in one pass over
-  blocks of rows; every graph-term contraction goes through it or
-  through ``ring_pass``, and ``contract`` (one kernel, one column) is
-  what the tensor-rule pairings use.  ``ring_pass`` does the same for
+  blocks of rows; every graph-term contraction and every tensor-rule
+  pairing (``propagator._tensor_pair``) goes through it or through
+  ``ring_pass``.  ``ring_pass`` does the same for
   kernels that are block-circulant in the azimuth, as P is between two
   d = 3 bump rules whose centres differ only in x1: it forms one
   column of each circulant block and applies the blocks by FFT.
@@ -84,14 +85,11 @@ __all__ = [
     "bump_ring_size",
     "bump_gauss",
     "panel_edges",
-    "panel_rule",
     "radial_pair",
     "ProfileSpline",
     "correlation_profile",
-    "contract",
     "contract_pass",
     "ring_pass",
-    "pair_tensor",
 ]
 
 
@@ -185,12 +183,6 @@ def _legendre_theta(n: int, theta):
     return p, n * (dlt - y * p) / np.sin(theta)
 
 
-def _mapped_gauss(a: float, b: float, n: int):
-    x, w = gauss_legendre(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * x, half * w
-
-
 def sphere_area(d: int) -> float:
     """Surface measure of the unit sphere in R^d (2 when d = 1)."""
     return 2.0 * np.pi ** (d / 2.0) / math.gamma(d / 2.0)
@@ -211,10 +203,11 @@ def ball_rule(d: int, center, radius: float, n: int):
 
 @lru_cache(maxsize=32)
 def _ball_rule(d: int, center, radius: float, n: int):
+    lo, hi = ((center[0] - radius, center[0] + radius) if d == 1
+              else (0.0, radius))
+    r, wr = (v[0] for v in _panel_nodes(np.array([lo]), np.array([hi]), n))
     if d == 1:
-        x, w = _mapped_gauss(center[0] - radius, center[0] + radius, n)
-        return _read_only(x.reshape(-1, 1), w)
-    r, wr = _mapped_gauss(0.0, radius, n)
+        return _read_only(r.reshape(-1, 1), wr)
     return _product_rule(d, center, r, wr * r**(d - 1), n, max(2 * n, 8),
                          polar_axis=2)
 
@@ -479,15 +472,6 @@ def _panel_nodes(a, b, n: int):
     x, w = gauss_legendre(n)
     mid, half = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
     return mid + half * x, half * w
-
-
-def panel_rule(lo: float, hi: float, marks: Sequence[float], n: int,
-               levels: int = 0):
-    """The composite Gauss-Legendre rule of order n per panel on the
-    panels ``panel_edges`` gives for [lo, hi]; returns (nodes, weights)."""
-    a, b, _ = panel_edges(lo, hi, marks, levels)
-    nodes, weights = _panel_nodes(a, b, n)
-    return nodes.reshape(-1), weights.reshape(-1)
 
 
 # Gauss-Legendre order per panel of the first level of ``radial_pair``;
@@ -792,29 +776,3 @@ def ring_pass(blocks: Callable, xp: np.ndarray, yp: np.ndarray, n_phi: int,
                 u_hat[k] += k_hat.transpose(0, 2, 1) @ spectra(
                     toward_y[k][rows], rings)
     return out_x, [signal(s, y_rings) for s in u_hat]
-
-
-def contract(block: Callable, xp: np.ndarray, yp: np.ndarray,
-             v: np.ndarray) -> np.ndarray:
-    """K(xp, yp) @ v without forming the whole kernel matrix: the
-    one-kernel, one-column case of ``contract_pass``, with
-    ``block(x, y)`` the kernel matrix between two point sets."""
-    (out,), _ = contract_pass(lambda x, y: (block(x, y),), xp, yp,
-                              [v[:, None]], [np.empty((len(xp), 0))])
-    return out[:, 0]
-
-
-def pair_tensor(block: Callable, f, g,
-                scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
-    """Direct tensor-Gauss evaluation of int int f(x) K(x, y) g(y) dx dy.
-
-    ``block`` is a kernel-matrix callable as ``contract`` takes it; a
-    test is anything whose ``rule(n)`` gives nodes and weights for
-    integrals against it (a bump's is Gauss for the bump weight).
-    Accurate only when K is smooth on supp f x supp g (disjoint
-    supports, or a bounded kernel); the radial routes handle the
-    singular overlapping cases.
-    """
-    xp, fx = f.rule(scheme.gauss_n)
-    yp, gy = g.rule(scheme.gauss_n)
-    return float(fx @ contract(block, xp, yp, gy))

@@ -98,8 +98,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FormalSeries:
-    """Truncated power series; coefficients may be floats or exact
-    rationals, and arithmetic never mixes orders beyond the truncation."""
+    """Truncated power series in ℏ, float or exact rational coefficients,
+    built by ``from_dict`` or ``constant`` and only read after."""
 
     coeffs: Tuple[Tuple[int, object], ...]
     truncation: int
@@ -122,33 +122,6 @@ class FormalSeries:
 
     def as_dict(self) -> Dict[int, object]:
         return dict(self.coeffs)
-
-    def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        trunc = min(self.truncation, other.truncation)
-        data = dict(self.coeffs)
-        for k, v in other.coeffs:
-            data[k] = data.get(k, 0) + v
-        return FormalSeries.from_dict(data, trunc)
-
-    def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "FormalSeries") -> "FormalSeries":
-        trunc = min(self.truncation, other.truncation)
-        data: Dict[int, object] = {}
-        for ka, va in self.coeffs:
-            for kb, vb in other.coeffs:
-                if ka + kb > trunc:
-                    continue
-                data[ka + kb] = data.get(ka + kb, 0) + va * vb
-        return FormalSeries.from_dict(data, trunc)
-
-    def scale(self, factor) -> "FormalSeries":
-        return FormalSeries(tuple((k, factor * v) for k, v in self.coeffs),
-                            self.truncation)
-
-    def max_abs(self) -> float:
-        return max((abs(v) for _, v in self.coeffs), default=0.0)
 
 
 @dataclass(frozen=True)

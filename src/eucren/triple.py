@@ -85,7 +85,6 @@ from .quadrature import (
     ball_rule,
     gauss_legendre,
     panel_edges,
-    panel_rule,
 )
 
 __all__ = ["pair_three", "TripleField", "grid_field", "analytic_field",
@@ -306,8 +305,8 @@ def triple_pairing(m: float, powers: Tuple[int, int, int],
     sx, sw = gauss_legendre(_S_NODES)
 
     def evaluate(n_panel: int, levels: int) -> float:
-        r2n, r2w = panel_rule(0.0, r2_hi, [field.r2max, *joint_marks],
-                              n_panel, levels)
+        a, b, _ = panel_edges(0.0, r2_hi, [field.r2max, *joint_marks], levels)
+        r2n, r2w = (v.reshape(-1) for v in _panel_nodes(a, b, n_panel))
         k3w = None
         if e1 is not None:
             base2 = np.asarray(phi2(r2n), dtype=float)

@@ -91,6 +91,12 @@ def sample_ball(rng, d: int, center, radius: float, n: int) -> np.ndarray:
     return center + z * r[:, None]
 
 
+def kernel_matrix(P, x, y, power: int, left=(), right=()) -> np.ndarray:
+    """The dense matrix d_x^left d_y^right P^power(|x_i - y_j|) between
+    two point sets: the one-kernel case of ``Propagator.blocks``."""
+    return P.blocks([(power, left, right)])(x, y)[0]
+
+
 def mc_ball(f, d: int, center, radius: float, n: int = 200_000, seed: int = 0):
     """Monte Carlo integral of f over a ball; returns (value, stderr)."""
     rng = np.random.default_rng(seed)

@@ -45,6 +45,15 @@ def test_every_cache_is_bounded():
     assert unbounded == UNBOUNDED
 
 
+def test_every_exported_name_resolves():
+    # a stale entry of __all__ would make ``from module import *`` raise
+    for info in pkgutil.iter_modules(eucren.__path__):
+        module = importlib.import_module(f"eucren.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert missing == [], info.name
+
+
 def test_import_builds_no_rule():
     # a fresh interpreter that imports the command line has built no
     # quadrature rule: rules are built lazily, on first use

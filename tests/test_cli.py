@@ -435,6 +435,17 @@ class TestMain:
             "[functional G]\ncenter=0.5\npower=2\n")
         assert main(["--config", str(cfg)]) == 3
 
+    def test_graph_count_over_budget_exit(self, tmp_path, capsys):
+        # C(64, 20), about 2e16 graphs: refused by their count before
+        # any is listed
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "report.txt"
+        cfg.write_text("command=graphs d=3 n=10 order=20\n")
+        assert main(["--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "n=10" in err and "order=20" in err
+        assert not out.exists()
+
     def test_nonintegrable_exit(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -676,8 +687,8 @@ class TestParseFuzz:
 
 def _run_configs():
     """Valid configurations of the commands that need no functional
-    sections: the graph commands, classify, and bare or renormalized
-    kernels on two or three points."""
+    sections: the graph commands, classify, verify, and bare or
+    renormalized kernels on two or three points."""
     graphs = st.builds("command={} d={} n={} order={}".format,
                        st.sampled_from(["graphs", "expand"]),
                        st.integers(1, 5), st.integers(1, 4), st.integers(0, 3))
@@ -691,7 +702,11 @@ def _run_configs():
         "command=renormalize d={} m={} factors={} bare={} gauss_n={}".format,
         st.integers(1, 5), st.sampled_from(["0", "0.5", "1"]), factors,
         st.sampled_from(["true", "false"]), st.integers(2, 6))
-    return st.one_of(graphs, classify, renormalize)
+    verify = st.builds(
+        "command=verify d={} m={} order={} gauss_n={} seed={}".format,
+        st.integers(1, 3), st.sampled_from(["0", "0.3", "1", "2.5"]),
+        st.integers(0, 2), st.integers(2, 12), st.integers(0, 999))
+    return st.one_of(graphs, classify, renormalize, verify)
 
 
 def _point(xs) -> str:

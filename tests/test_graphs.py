@@ -88,6 +88,15 @@ class TestEnumeration:
         assert enumerate_graphs(1, 0)[0].total_edges == 0
         assert enumerate_graphs(1, 2) == []
 
+    def test_count_budget(self, monkeypatch):
+        # the count is checked before any graph is listed: the 56 graphs
+        # of n = 4 at order 3 fit a budget of 56, the 220 of n = 5 do not
+        monkeypatch.setattr("eucren.graphs.GRAPH_BUDGET", 56)
+        assert len(enumerate_graphs(4, 3)) == 56
+        with pytest.raises(DomainError, match="n=5 at order=3"):
+            enumerate_graphs(5, 3)
+        assert enumerate_graphs(1, 5) == []
+
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):
             enumerate_graphs(0, 1)

@@ -19,6 +19,7 @@ from eucren.propagator import (
     wavefront,
 )
 from eucren.quadrature import DEFAULT_SCHEME, QuadratureScheme
+from helpers import kernel_matrix
 
 
 class TestClosedForms:
@@ -203,34 +204,36 @@ class TestKernelBlocks:
 
     def test_plain_power(self):
         _, r, _, _ = self.radial()
-        block = green_function(3, 1.0).block(2)
-        np.testing.assert_allclose(block(self.x, self.y),
+        P = green_function(3, 1.0)
+        np.testing.assert_allclose(kernel_matrix(P, self.x, self.y, 2),
                                    (np.exp(-r) / (4 * np.pi * r)) ** 2,
                                    rtol=1e-13)
 
     def test_first_order(self):
         z, r, p1, _ = self.radial()
         P = green_function(3, 1.0)
-        np.testing.assert_allclose(P.block(1, (0, 0, 1))(self.x, self.y),
-                                   p1 * z[..., 2] / r, rtol=1e-12)
-        np.testing.assert_allclose(P.block(1, (), (0, 1, 0))(self.x, self.y),
-                                   -p1 * z[..., 1] / r, rtol=1e-12)
+        np.testing.assert_allclose(
+            kernel_matrix(P, self.x, self.y, 1, (0, 0, 1)),
+            p1 * z[..., 2] / r, rtol=1e-12)
+        np.testing.assert_allclose(
+            kernel_matrix(P, self.x, self.y, 1, (), (0, 1, 0)),
+            -p1 * z[..., 1] / r, rtol=1e-12)
 
     def test_second_order(self):
         P = green_function(3, 1.0)
         np.testing.assert_allclose(
-            P.block(1, (1, 0, 0), (0, 1, 0))(self.x, self.y),
+            kernel_matrix(P, self.x, self.y, 1, (1, 0, 0), (0, 1, 0)),
             -self.hessian(0, 1), rtol=1e-12)
         np.testing.assert_allclose(
-            P.block(1, (0, 2, 0))(self.x, self.y),
+            kernel_matrix(P, self.x, self.y, 1, (0, 2, 0)),
             self.hessian(1, 1), rtol=1e-12)
 
     def test_limits(self):
         P = green_function(3, 1.0)
         with pytest.raises(UnsupportedCase):
-            P.block(2, (1, 0, 0))
+            P.blocks([(2, (1, 0, 0), ())])
         with pytest.raises(UnsupportedCase):
-            P.block(1, (2, 0, 0), (1, 0, 0))
+            P.blocks([(1, (2, 0, 0), (1, 0, 0))])
 
 
 class TestDistances:

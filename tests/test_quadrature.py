@@ -22,16 +22,25 @@ from eucren.quadrature import (
     bump_orders,
     bump_ring_size,
     bump_rule,
-    contract,
     contract_pass,
     correlation_profile,
     gauss_legendre,
-    pair_tensor,
     radial_pair,
     ring_pass,
     sphere_area,
 )
-from helpers import mc_ball, mc_pair, polished_leggauss, quadpack
+from helpers import (kernel_matrix, mc_ball, mc_pair, polished_leggauss,
+                     quadpack)
+
+
+def tensor_pair(kernel, f, g, n: int = DEFAULT_SCHEME.gauss_n) -> float:
+    """int int f(x) K(|x - y|) g(y) dx dy on the tensor product of the
+    tests' rules of order n, contracted by ``contract_pass``."""
+    xp, fx = f.rule(n)
+    yp, gy = g.rule(n)
+    (kg,), _ = contract_pass(lambda x, y: (kernel(cdist(x, y)),), xp, yp,
+                             [gy[:, None]], [np.empty((len(xp), 0))])
+    return float(fx @ kg[:, 0])
 
 
 def exact_gauss_node(n: int, x0: float):
@@ -422,7 +431,7 @@ class TestProfilesAndTensor:
         f = TestFunction(3, (0, 0, 0), 0.7)
         g = TestFunction(3, (2.5, 0, 0), 0.7, amplitude=1.4)
         kernel = lambda r: np.exp(-r) / (4 * np.pi * r)
-        via_tensor = pair_tensor(lambda x, y: kernel(cdist(x, y)), f, g)
+        via_tensor = tensor_pair(kernel, f, g)
         prof = correlation_profile(f.gu(), 0.7, g.gu(), 0.7, 3)
         via_radial = radial_pair(kernel, prof.profile_u(), prof.support_radius, 2.5, 3)
         assert via_tensor == pytest.approx(via_radial, rel=1e-5, abs=0.0)
@@ -431,41 +440,17 @@ class TestProfilesAndTensor:
         f = TestFunction(2, (0, 0), 0.6)
         g = TestFunction(2, (2.0, 0.5), 0.8)
         kernel = lambda r: 1.0 / (1.0 + r * r)
-        val = pair_tensor(lambda x, y: kernel(cdist(x, y)), f, g)
+        val = tensor_pair(kernel, f, g)
         ref, err = mc_pair(kernel, 2, f.center, 0.6, f, g.center, 0.8, g,
                            n=400_000, seed=3)
         assert val == pytest.approx(ref, abs=4 * err)
 
 
-class TestContract:
-    # 432 nodes in the first rule, 250 in the second: at 256 rows of 250
-    # entries a block, two row blocks, the second partial
-    xp, _ = ball_rule(3, (0.0, 0.0, 0.0), 1.0, 6)
-    yp, yw = ball_rule(3, (2.4, 0.3, 0.0), 0.8, 5)
-    v = yw * np.cos(np.arange(len(yw)))
-
-    @pytest.fixture(autouse=True)
-    def two_blocks(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES",
-                            256 * len(self.yp) + len(self.yp))
-
-    def check(self, block):
-        dense = block(self.xp, self.yp) @ self.v
-        got = contract(block, self.xp, self.yp, self.v)
-        np.testing.assert_allclose(got, dense, rtol=1e-13,
-                                   atol=1e-13 * np.max(np.abs(dense)))
-
-    def test_radial_block(self):
-        self.check(green_function(3, 1.0).block(2))
-
-    def test_decorated_block(self):
-        self.check(green_function(3, 1.0).block(1, (1, 0, 0), (0, 1, 0)))
-
-
 class TestContractPass:
     """``contract_pass`` and ``ring_pass`` against the dense K @ V and
-    K^T @ U of ``Propagator.block``, with rows that the block size does
-    not divide; d = 2 and 4 go through besselk."""
+    K^T @ U of one kernel of ``Propagator.blocks`` at a time
+    (``helpers.kernel_matrix``), with rows that the block size does not
+    divide; d = 2 and 4 go through besselk."""
 
     @staticmethod
     def points(d, center, radius, n, seed):
@@ -506,7 +491,7 @@ class TestContractPass:
         assert len(rows) > 2 and sum(rows) == len(xp)
         assert len(xp) % rows[0] != 0
         for k, (power, left, right) in enumerate(specs):
-            dense = P.block(power, left, right)(xp, yp)
+            dense = kernel_matrix(P, xp, yp, power, left, right)
             for got, ref in ((to_x[k], dense @ toward_x[k]),
                              (to_y[k], dense.T @ toward_y[k])):
                 assert got.shape == ref.shape
@@ -569,7 +554,7 @@ class TestContractPass:
         assert len(rows) > 2 and sum(rows) == len(xp)
         assert rows[0] == 4 * n_phi
         for k, (power, left, right) in enumerate(specs):
-            dense = P.block(power, left, right)(xp, yp)
+            dense = kernel_matrix(P, xp, yp, power, left, right)
             for got, ref in ((to_x[k], dense @ toward_x[k]),
                              (to_y[k], dense.T @ toward_y[k])):
                 assert got.shape == ref.shape
