@@ -675,8 +675,8 @@ def correlation_profile(f_gu: Callable, f_support: float,
 # entries of one row block of ``contract_pass`` (its kernel matrices,
 # their rows of the columns sent toward yp, and the columns sent
 # toward xp; about a 156-row block of one kernel between 3,360-node
-# rules), of one ring block of ``ring_pass`` and of one x-chunk array
-# of ``triple.grid_field`` (about 206 nodes at grid_nodes 48)
+# rules), of one ring block of ``ring_pass`` and of one ring block of
+# ``triple.grid_field`` (about 38 rings at grid_nodes 48)
 _BLOCK_ENTRIES = 1 << 19
 # glibc serves a block above its mmap threshold from fresh mmap pages,
 # which page faults zero on first touch; the threshold starts at 128 KiB

@@ -35,9 +35,14 @@ call and evaluates the (r1, s) mesh in blocks of at most _TRIPLE_BLOCK
 nodes across r2 nodes, summing the r1 integrals by r2 node at the end.
 
 Phi itself is tabulated once per test triple and scheme on a uniform
-(r1, r2, theta) grid by a ball-Gauss x-integral, summed in x-chunks
-whose largest array holds at most quadrature._BLOCK_ENTRIES entries,
-and queried through a prefiltered cubic B-spline.  The theta axis
+(r1, r2, theta) grid and queried through a prefiltered cubic B-spline.
+The x-integral runs over rings about x3: Gauss-Legendre of order
+gauss_n in the radius and the polar cosine, and 2(grid_nodes - 1)
+azimuthal midpoint nodes, so that the theta nodes are lags of the
+azimuth.  Each ring evaluates f1 and f2 once per node, and the sum over
+its azimuth is a circular correlation, taken in frequency space and
+summed over blocks of rings within quadrature._BLOCK_ENTRIES entries;
+one inverse FFT ends it.  The theta axis
 makes the mirror boundary condition exact (Phi is even about theta = 0
 and pi); the radial axes carry a few ghost nodes at negative radii,
 where the tabulation formula remains valid, so interpolation keeps
@@ -62,6 +67,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+from numpy.fft import irfft
 
 from .errors import (
     NonIntegrableSingularity,
@@ -82,7 +88,6 @@ from .quadrature import (
     _BLOCK_ENTRIES,
     _panel_nodes,
     QuadratureScheme,
-    ball_rule,
     gauss_legendre,
     panel_edges,
 )
@@ -163,35 +168,48 @@ def grid_field(f0, f1, f2, scheme: QuadratureScheme = DEFAULT_SCHEME) -> TripleF
     h2 = 1.02 * R2 / (n - 1)
     r1g = np.arange(-_GHOSTS, n) * h1
     r2g = np.arange(-_GHOSTS, n) * h2
-    n_th = n
-    h_th = np.pi / (n_th - 1)
-    theta = np.arange(n_th) * h_th
+    h_th = np.pi / (n - 1)
 
-    pts, wts = ball_rule(3, np.zeros(3), r0, scheme.gauss_n)
-    u0 = np.sum(pts * pts, axis=1)
+    # the x-rule: Gauss-Legendre in the radius and in the polar cosine
+    # about x3, the rings at +-mu folded into one (x3 -> -x3 moves no
+    # argument), and 2(n - 1) azimuthal midpoint nodes phi_k, so that
+    # phi_k - theta_j = phi_(k-j) and theta enters as a lag
+    r, wr = (v[0] for v in _panel_nodes(np.zeros(1), np.full(1, r0),
+                                        scheme.gauss_n))
+    mu, wmu = (v[scheme.gauss_n // 2:] for v in gauss_legendre(scheme.gauss_n))
+    wmu = np.where(mu > 0.0, 2.0, 1.0) * wmu
+    rho2 = np.repeat(r * r, len(mu))
+    s = np.outer(r, np.sqrt(1.0 - mu * mu)).reshape(-1)
     g0u, g1u, g2u = f0.gu(), f1.gu(), f2.gu()
-    F = wts * np.asarray(g0u(u0), dtype=float)
+    # ring weights: radius, polar cosine, the azimuth's h_th and the 4 of
+    # the half-ring spectra below
+    F = (np.outer(wr * r * r, wmu).reshape(-1) * (4.0 * h_th)
+         * np.asarray(g0u(rho2), dtype=float))
 
-    x0, x1 = pts[:, 0], pts[:, 1]
-    mu, si = np.cos(theta), np.sin(theta)
-    proj = np.outer(x0, mu) + np.outer(x1, si)
-
-    n1, n2 = len(r1g), len(r2g)
-    phi = np.zeros((n1, n2 * n_th))
-    # chunk the x-sum: one (chunk, n2, n_th) array within the budget
-    step = max(1, _BLOCK_ENTRIES // (n2 * n_th))
-    for lo in range(0, len(pts), step):
+    # g1 and g2 on a ring are even in the azimuth, so a ring's rfft is a
+    # phase times 2 B[m], B the cosine sums over the half ring
+    # phi_k = (k + 1/2) h_th in (0, pi); the phases cancel in the
+    # correlation sum_k G[k] H[k - j], whose spectrum is then 4 B_G B_H
+    az = (np.arange(n - 1) + 0.5) * h_th
+    basis = np.cos(np.outer(np.arange(n), az))
+    spectrum = np.zeros((n, len(r1g), len(r2g)))
+    per_ring = (2 * n - 1) * (len(r1g) + len(r2g))
+    step = max(1, (_BLOCK_ENTRIES - spectrum.size) // per_ring)
+    for lo in range(0, len(s), step):
         sl = slice(lo, lo + step)
-        G = np.asarray(g1u(u0[sl, None] - 2.0 * np.outer(x0[sl], r1g)
-                           + r1g[None, :] ** 2), dtype=float)
-        arg = (u0[sl, None, None]
-               - 2.0 * proj[sl, None, :] * r2g[None, :, None]
-               + (r2g ** 2)[None, :, None])
-        H = np.asarray(g2u(arg), dtype=float).reshape(len(G), -1)
-        phi += (F[sl, None] * G).T @ H
+        sc = np.multiply.outer(np.cos(az), s[sl])[..., None]
+
+        def half_ring(gu, rg):
+            g = np.asarray(gu(rho2[sl, None] + rg * rg - 2.0 * rg * sc),
+                           dtype=float)
+            return (basis @ g.reshape(n - 1, -1)).reshape(n, -1, len(rg))
+
+        spectrum += ((F[sl, None] * half_ring(g1u, r1g)).transpose(0, 2, 1)
+                     @ half_ring(g2u, r2g))
+    phi = np.moveaxis(irfft(spectrum, 2 * (n - 1), axis=0)[:n], 0, -1)
     # the prefiltered spline, with its mirror boundary as two padded
     # nodes on each side
-    cpad = np.pad(_prefilter(phi.reshape(n1, n2, n_th)), 2, mode="reflect")
+    cpad = np.pad(_prefilter(phi), 2, mode="reflect")
 
     # Phi(0, z2) is the spline's own r1 = 0 row at theta = pi/2, where
     # phi_tilde puts r1 = 0, collapsed once: the subtractions of

@@ -24,7 +24,7 @@ from eucren.errors import (
 )
 from eucren.functionals import TestFunction
 from eucren.kernels import CutoffFunction, ExtensionSpec, PropFactor, ScalarDistribution
-from eucren import propagator, triple
+from eucren import propagator, quadrature, triple
 from eucren.propagator import Propagator, pair, pair_extension, spline_view
 from eucren.quadrature import (
     DEFAULT_SCHEME,
@@ -363,7 +363,7 @@ class TestTripleGrid:
             triple, "_prefilter",
             lambda a: scipy.ndimage.spline_filter(a, order=3, mode="mirror"))
         theirs = rows(grid_field.__wrapped__(*self.tests, TestTripleRules.SCHEME))
-        # measured: 1.0e-13 and 5.0e-13
+        # measured: 3.9e-13 and 2.5e-13
         np.testing.assert_allclose(theirs, ours, rtol=1e-12, atol=0.0)
 
     def test_triangle_leaves_ndimage_unloaded(self):
@@ -424,15 +424,53 @@ class TestTripleGrid:
             np.broadcast_to(dV(np.hypot(r1, r2))[:, None], (40, 24)))
 
     def test_grid_memory_is_bounded(self):
-        # the x-sums run in chunks of quadrature._BLOCK_ENTRIES entries;
-        # chunks of 1,500 nodes peaked at 184 MB at gauss_n 12
-        tracemalloc.start()
-        try:
-            grid_field.__wrapped__(*self.tests, QuadratureScheme(gauss_n=12))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 64 * 2 ** 20
+        # the ring sums run in blocks of rings within
+        # quadrature._BLOCK_ENTRIES entries (5.5 MB peak at each order);
+        # all rings in one block peaked at 52 MB at gauss_n 36
+        for gauss_n in (12, 24, 36):
+            tracemalloc.start()
+            try:
+                grid_field.__wrapped__(*self.tests,
+                                       QuadratureScheme(gauss_n=gauss_n))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 64 * 2 ** 20, gauss_n
+
+    @pytest.mark.parametrize("gauss_n", [12, 7])
+    @pytest.mark.parametrize("grid_nodes", [48, 24])
+    def test_matches_the_x_sum(self, gauss_n, grid_nodes):
+        # the table against the plain sum of f0(x) f1(x - z1) f2(x - z2)
+        # over every node of the same x-rule, unfolded (an odd gauss_n
+        # has its mu = 0 ring once); summed ring by ring, as one flat
+        # sum it carried up to 1.4e-14 of rounding of its own into the
+        # coefficients
+        scheme = QuadratureScheme(gauss_n=gauss_n, grid_nodes=grid_nodes)
+        field = grid_field.__wrapped__(*self.tests, scheme)
+        grid = inspect.getclosurevars(field.phi_tilde).nonlocals
+        r1g, r2g = grid["r1g"], grid["r2g"]
+        n_az = 2 * (grid_nodes - 1)
+        r, wr = (v[0] for v in quadrature._panel_nodes(
+            np.zeros(1), np.full(1, self.tests[0].radius), gauss_n))
+        pts, wts = quadrature._product_rule(3, (0, 0, 0), r, wr * r * r,
+                                            gauss_n, n_az, polar_axis=2)
+        g0, g1, g2 = (f.gu() for f in self.tests)
+        u0 = np.sum(pts * pts, axis=1)
+        a = ((wts * g0(u0))[:, None]
+             * g1(u0[:, None] - 2.0 * pts[:, :1] * r1g + r1g * r1g))
+        a = a.reshape(-1, n_az, len(r1g)).transpose(0, 2, 1)
+        table = np.empty((len(r1g), len(r2g), grid_nodes))
+        for j in range(grid_nodes):
+            theta = j * grid["h_th"]
+            proj = pts[:, 0] * np.cos(theta) + pts[:, 1] * np.sin(theta)
+            h = g2(u0[:, None] - 2.0 * proj[:, None] * r2g + r2g * r2g)
+            rings = a @ h.reshape(-1, n_az, len(r2g))
+            table[..., j] = np.ascontiguousarray(
+                rings.transpose(1, 2, 0)).sum(axis=-1)
+        ref = np.pad(triple._prefilter(table), 2, mode="reflect")
+        assert grid["cpad"].shape == ref.shape
+        assert (np.max(np.abs(grid["cpad"] - ref))
+                <= 1e-14 * np.max(np.abs(ref)))
 
     def test_triangle_makes_no_map_coordinates_call(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -529,10 +567,10 @@ class TestTripleRules:
             assert (self.errors((n - 1, levels))[2]
                     > 2 * self.errors((n, levels))[2]), n
         # the rows' integrand is a C^2 spline, so they converge slowly
-        # (3e-6 at order 32); one order lower on both rules still widens
-        # the gap the check sees by half or more on every value
-        lower = [(n - 1, levels) for n, levels in (coarse, fine)]
-        assert np.all(self.gap(*lower) > 1.5 * self.gap(coarse, fine))
+        # (5e-6 and 8e-6 at order 32, against order 64); one order lower
+        # on the fine rule still raises its error on every value
+        lower = (fine[0] - 1, fine[1])
+        assert np.all(self.errors(lower) > self.errors(fine))
 
     def test_shift_needs_its_marks(self):
         # unmarked, the cutoff edges of W fall inside panels: the fine
@@ -555,8 +593,8 @@ class TestTripleRules:
 
     def test_rows_converge_in_the_grid(self):
         # the worked triangle at the default gauss_n: the rows settle as
-        # the grid refines (-1.9513e-8, -1.9521e-8, -1.9525e-8 at 48, 72
-        # and 96 nodes per axis)
+        # the grid refines (-1.95133e-8, -1.95205e-8, -1.95242e-8 at 48,
+        # 72 and 96 nodes per axis)
         old = [triple_pairing(M, (3, 2, 1), self.spec(0.6, 0.0),
                               self.spec(0.8, 0.0),
                               grid_field(*TestTripleGrid.tests,
