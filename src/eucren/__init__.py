@@ -19,7 +19,7 @@ Modules, bottom up:
 - ``functionals``: local functionals on ``SmoothMap`` fields, additivity.
 - ``graphs``: labelled multigraph expansion terms with exact weights.
 - ``tordered``: the partial product star_E, E_n series, causal
-  factorization, Wick reduction at zero background.
+  factorization.
 - ``renorm``: scaling degrees, extension recursion, power counting.
 - ``cli``: batch front-end with deterministic reports.
 """

@@ -33,7 +33,7 @@ from .graphs import (conjugated_merge_series, cross_edge_series,
                      enumerate_graphs, expansion_terms, symmetry_factor)
 from .kernels import CutoffFunction, ExtensionSpec, PropFactor, ScalarDistribution
 from .propagator import green_function, pair, verify_fundamental_solution
-from .quadrature import DEFAULT_SCHEME
+from .quadrature import DEFAULT_SCHEME, bump_orders
 from .renorm import (DEFAULT_LAMBDAS, classify_theory, degree_of_divergence,
                      recursive_renormalize, scaling_degree_analytic,
                      scaling_degree_numeric)
@@ -52,6 +52,15 @@ __all__ = [
 
 COMMANDS = ("graphs", "expand", "product", "renormalize", "classify",
             "verify")
+
+# the largest rules a configuration may ask for, checked before any rule
+# is built: the size of the largest bump rule a job builds (``_rule_size``,
+# at gauss_n + VERIFY_SHIFT for verify) and the order of the windowed
+# polar rule, angular_n itself
+RULE_BUDGET = 20_000
+POLAR_BUDGET = 2048
+# verify's cross-checks evaluate one side on rules this much finer
+VERIFY_SHIFT = 4
 
 
 # -- configuration ---------------------------------------------------------
@@ -341,6 +350,35 @@ def _parse_lines(text: str):
     return top, sections
 
 
+def _rule_size(d: int, gauss_n: int) -> int:
+    """The size of the bump rule at gauss_n in d, from ``bump_orders``:
+    its node count in d >= 2; in d = 1, where the radial Gauss rule
+    itself has all 2 ceil(n/2) nodes, the entries of the dense Jacobi
+    matrix whose eigenvectors give them."""
+    n_r, n_polar, n_phi = bump_orders(gauss_n)
+    if d == 1:
+        return (2 * n_r) ** 2
+    return n_r * n_phi * (n_polar if d > 2 else 1)
+
+
+def _check_budgets(config: RunConfig, top: Dict[str, _Assignment]):
+    shift = VERIFY_SHIFT if config.command == "verify" else 0
+    size = _rule_size(config.d, config.gauss_n + shift)
+    if size > RULE_BUDGET:
+        at = top["gauss_n"]
+        finer = f" at gauss_n + {shift}" if shift else ""
+        raise ParseError(
+            f"gauss_n={config.gauss_n} in d={config.d} gives a bump rule "
+            f"of size {size}{finer}, more than the budget of {RULE_BUDGET}",
+            at.line, at.column)
+    if config.angular_n > POLAR_BUDGET:
+        at = top["angular_n"]
+        raise ParseError(
+            f"angular_n={config.angular_n} is a polar rule of order "
+            f"{config.angular_n}, more than the budget of {POLAR_BUDGET}",
+            at.line, at.column)
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; every diagnostic carries a location when one
     exists in the source text."""
@@ -371,6 +409,7 @@ def parse_config(text: str) -> RunConfig:
     values["functionals"] = tuple(specs)
 
     config = RunConfig(**values)
+    _check_budgets(config, top)
     if config.command == "product" and not config.functionals:
         raise ParseError(
             "command 'product' needs at least one [functional ...] section")
@@ -663,7 +702,7 @@ def _run_verify(config: RunConfig) -> List[ReportSection]:
 
     phi = _verify_background(rng, d)
     F, G, H = _verify_functionals(rng, d, (-3.0, 0.0, 3.0))
-    shifted = replace(scheme, gauss_n=scheme.gauss_n + 4)
+    shifted = replace(scheme, gauss_n=scheme.gauss_n + VERIFY_SHIFT)
     lhs = star_E(F, G, phi, m, config.order, scheme)
     rhs = star_E(G, F, phi, m, config.order, shifted)
     record("commutativity", _series_rel_diff(lhs, rhs), tol)

@@ -27,18 +27,9 @@ class NonIntegrableSingularity(EucrenError):
     against a test function that does not vanish at the singular locus."""
 
 
-class UnsupportedKernel(EucrenError):
-    """Wave-front data was requested for a kernel class without a rule."""
-
-
 class DomainError(EucrenError):
     """The partial product was invoked outside its domain
     (overlapping supports)."""
-
-
-class NonLinearInput(EucrenError):
-    """An operation restricted to linear functionals received a
-    higher-degree one."""
 
 
 class NotPrimitive(EucrenError):

@@ -9,10 +9,9 @@ total order 2.  The module provides evaluation against closed-form
 field configurations (``expr.SmoothMap``, exported here as
 ``FieldConfiguration``: one class, whose optional support ball the
 additivity check reads), the symbolic functional-derivative kernels
-(delta chains on the thin diagonal with residual field powers),
-support bookkeeping, the additivity defect of support-local
-functionals, and the balanced-field Taylor expansion around a
-background configuration.
+(delta chains on the thin diagonal with residual field powers), the
+coefficient supports, and the additivity defect of support-local
+functionals.
 """
 
 from __future__ import annotations
@@ -23,16 +22,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import PreconditionViolated, UnsupportedCase
-from .expr import BumpProfile, SmoothMap, bump_u, step
+from .errors import PreconditionViolated
+from .expr import BumpProfile, SmoothMap, bump_u
 from .quadrature import (
     DEFAULT_SCHEME,
     QuadratureScheme,
-    ball_rule,
     bump_gauss,
     bump_rule,
     sphere_area,
@@ -45,17 +43,11 @@ __all__ = [
     "LocalFunctional",
     "DerivativeKernel",
     "DKTerm",
-    "BalancedFieldTerm",
-    "CoefficientPiece",
     "evaluate",
     "derivative_kernel",
     "support",
     "supports_disjoint",
     "additivity_check",
-    "taylor_expand",
-    "taylor_evaluate",
-    "split_support",
-    "balanced_basis",
 ]
 
 MultiIndex = Tuple[int, ...]
@@ -102,9 +94,9 @@ class TestFunction:
 
     @property
     def nodes_key(self):
-        """(rule, d, center, radius): the call that gives ``rule``'s
-        nodes, which the amplitude does not change."""
-        return bump_rule, self.d, self.center, self.radius
+        """(d, center, radius): the arguments of ``bump_rule`` that give
+        ``rule``'s nodes, which the amplitude does not change."""
+        return self.d, self.center, self.radius
 
     def rule(self, n: int):
         """Nodes and weights for integrals against f: sum w h(x) ~
@@ -137,36 +129,6 @@ class TestFunction:
 FieldConfiguration = SmoothMap
 
 
-@dataclass(frozen=True)
-class CoefficientPiece:
-    """A windowed coefficient from a partition-of-unity split: ``fn``,
-    a numeric callable of points (..., d) that is the original bump
-    times a smooth slab window, with a bounding ball.  Not radial, so
-    only the tensor evaluation paths apply."""
-
-    fn: Callable
-    d: int
-    center: Tuple[float, ...]
-    radius: float
-
-    def __call__(self, points):
-        return self.fn(points)
-
-    @property
-    def nodes_key(self):
-        """(rule, d, center, radius): the call that gives ``rule``'s
-        nodes."""
-        return ball_rule, self.d, self.center, self.radius
-
-    def rule(self, n: int):
-        """Nodes and weights for integrals against the piece: the
-        Gauss-Legendre ball rule of the bounding ball times its values
-        (the piece is not concentric with the ball, so no rule for the
-        bump weight applies)."""
-        pts, wts = ball_rule(self.d, self.center, self.radius, n)
-        return pts, wts * np.asarray(self(pts), dtype=float)
-
-
 _DERIV_CAP = 2
 
 
@@ -176,7 +138,7 @@ class MonomialTerm:
 
     power: int
     derivs: Tuple[MultiIndex, ...]
-    coefficient: Union[TestFunction, CoefficientPiece]
+    coefficient: TestFunction
     prefactor: Fraction = Fraction(1)
 
     def __post_init__(self):
@@ -247,16 +209,14 @@ def _term_value(term: MonomialTerm, phi: FieldConfiguration,
     f = term.coefficient
     pref = float(term.prefactor)
     if term.power == 0:
-        if isinstance(f, TestFunction):
-            return pref * f.integral()
-    elif phi.is_constant:
+        return pref * f.integral()
+    if phi.is_constant:
         if any(sum(alpha) for alpha in term.derivs):
             return 0.0
         c = phi.constant_value()
         if c == 0.0:
             return 0.0
-        if isinstance(f, TestFunction):
-            return pref * c ** term.power * f.integral()
+        return pref * c ** term.power * f.integral()
     pts, vals = f.rule(scheme.gauss_n)
     # a product that overflows is inf, which the caller reports as a
     # non-finite result; numpy's warning would only repeat that
@@ -290,24 +250,9 @@ class DKTerm:
     """
 
     prefactor: Fraction
-    coefficient: Union[TestFunction, CoefficientPiece]
+    coefficient: TestFunction
     residual: Tuple[MultiIndex, ...]
     arg_derivs: Tuple[MultiIndex, ...]
-
-    @property
-    def residual_power(self) -> int:
-        return len(self.residual)
-
-    def describe(self) -> str:
-        n = len(self.arg_derivs)
-        parts = [f"{self.prefactor} * f(x1)"]
-        if self.residual:
-            parts.append(" ".join(f"(d^{a}phi)(x1)" for a in self.residual))
-        parts.append(" ".join(f"d({i + 1})^{a}" for i, a in
-                              enumerate(self.arg_derivs) if sum(a)))
-        parts.append(" ".join(f"delta(x{i}-x{i + 1})"
-                              for i in range(1, n)))
-        return " ".join(p for p in parts if p)
 
 
 @dataclass(frozen=True)
@@ -340,30 +285,6 @@ class DerivativeKernel:
         return DerivativeKernel(self.order, self.d, new_terms).canonical()
 
 
-def kernel_pair(K: DerivativeKernel, phi: FieldConfiguration,
-                tests: Sequence[FieldConfiguration],
-                scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
-    """<F^(n)(phi), psi_1 x ... x psi_n> with the delta chain collapsed
-    onto the coefficient variable.  Numeric companion to the symbolic
-    kernels: equals the n-th directional derivative of evaluate."""
-    if len(tests) != K.order:
-        raise ValueError(f"kernel of order {K.order} paired with "
-                         f"{len(tests)} arguments")
-    total = 0.0
-    for t in K.terms:
-        pts, vals = t.coefficient.rule(scheme.gauss_n)
-        for alpha in t.residual:
-            vals = vals * np.asarray(phi.diff(alpha)(pts), dtype=float)
-        arranged = np.zeros(len(pts))
-        for perm in set(itertools.permutations(t.arg_derivs)):
-            block = np.ones(len(pts))
-            for psi, alpha in zip(tests, perm):
-                block = block * np.asarray(psi.diff(alpha)(pts), dtype=float)
-            arranged += block
-        total += float(t.prefactor) * float(vals @ arranged)
-    return total
-
-
 @lru_cache(maxsize=256)
 def derivative_kernel(F: LocalFunctional, n: int) -> DerivativeKernel:
     """F^(n): each monomial of degree k contributes the delta-chain
@@ -373,27 +294,20 @@ def derivative_kernel(F: LocalFunctional, n: int) -> DerivativeKernel:
         raise ValueError("derivative order must be nonnegative")
     out = []
     for term in F.terms:
-        for chosen, rest, counts in _draws(term.derivs, n):
-            mult = math.prod(math.perm(k, j) for k, j in counts)
+        # each distinct draw of n slots from the multiset of derivs
+        slots = Counter(term.derivs)
+        seen = set()
+        for combo in itertools.combinations(term.derivs, n):
+            chosen = tuple(sorted(combo))
+            if chosen in seen:
+                continue
+            seen.add(chosen)
+            drawn = Counter(chosen)
+            mult = math.prod(math.perm(slots[a], j) for a, j in drawn.items())
+            rest = tuple(sorted((slots - drawn).elements()))
             out.append(DKTerm(term.prefactor * mult, term.coefficient,
                               rest, chosen))
     return DerivativeKernel(n, F.d, tuple(out)).canonical()
-
-
-def _draws(derivs, n: int):
-    """Each distinct draw of n slots from the multiset ``derivs``, in the
-    order of its first draw: the draw and the rest, both sorted, and the
-    counts (k_a, j_a) of each drawn index a in ``derivs`` and the draw."""
-    slots = Counter(derivs)
-    seen = set()
-    for combo in itertools.combinations(derivs, n):
-        chosen = tuple(sorted(combo))
-        if chosen in seen:
-            continue
-        seen.add(chosen)
-        drawn = Counter(chosen)
-        yield (chosen, tuple(sorted((slots - drawn).elements())),
-               [(slots[a], j) for a, j in drawn.items()])
 
 
 # -- supports ------------------------------------------------------------
@@ -451,181 +365,3 @@ def additivity_check(F: LocalFunctional, phi: FieldConfiguration,
         acc = rows[0] - rows[1] + rows[2] - rows[3]
         total += float(term.prefactor) * float(wts @ acc)
     return abs(total)
-
-
-# -- balanced-field Taylor expansion --------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _multi_indices(d: int, cap: int) -> Tuple[MultiIndex, ...]:
-    out = [alpha for alpha in itertools.product(range(cap + 1), repeat=d)
-           if sum(alpha) <= cap]
-    return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def balanced_basis(n: int, d: int) -> Tuple[Tuple[MultiIndex, ...], ...]:
-    """Lexicographic enumeration of the order-n derivative monomials
-    (sorted n-tuples of multi-indices up to the order cap); the index
-    into this tuple is the basis label reported in output metadata."""
-    singles = _multi_indices(d, _DERIV_CAP)
-    return tuple(itertools.combinations_with_replacement(singles, n))
-
-
-@dataclass(frozen=True)
-class BalancedFieldTerm:
-    """One order-n term of the Taylor expansion of F around phi0:
-
-        prefactor * int f(x) prod(d^{background} phi0)(x)
-                          * prod(d^{basis} eta)(x) dx
-
-    with eta the displacement field.  ``basis_index`` locates the
-    derivative monomial in the lexicographic basis for (order, d).
-    """
-
-    order: int
-    basis: Tuple[MultiIndex, ...]
-    background: Tuple[MultiIndex, ...]
-    coefficient: Union[TestFunction, CoefficientPiece]
-    prefactor: Fraction
-    phi0: FieldConfiguration
-
-    @property
-    def d(self) -> int:
-        return self.coefficient.d
-
-    @property
-    def basis_index(self) -> int:
-        return balanced_basis(self.order, self.d).index(self.basis)
-
-
-def taylor_expand(F: LocalFunctional, phi0: FieldConfiguration,
-                  N: int) -> list:
-    """Terms of the order-N Taylor polynomial of F around phi0.
-
-    Polynomial functionals terminate: with N >= max field power the
-    expansion reproduces F exactly.
-    """
-    if N < 0:
-        raise ValueError("truncation order must be nonnegative")
-    if phi0.d != F.d:
-        raise ValueError("background dimension mismatch")
-    out = []
-    for term in F.terms:
-        for n in range(min(N, term.power) + 1):
-            for chosen, rest, counts in _draws(term.derivs, n):
-                mult = math.prod(math.comb(k, j) for k, j in counts)
-                out.append(BalancedFieldTerm(
-                    order=n, basis=chosen, background=rest,
-                    coefficient=term.coefficient,
-                    prefactor=term.prefactor * mult, phi0=phi0))
-    return out
-
-
-def taylor_evaluate(terms: Sequence[BalancedFieldTerm],
-                    phi: FieldConfiguration,
-                    scheme: QuadratureScheme = DEFAULT_SCHEME) -> float:
-    """Sum of the expansion terms at phi.
-
-    Terms sharing a coefficient are combined on one quadrature rule, so
-    the binomial recombination of the expansion cancels pointwise and
-    polynomial exactness survives quadrature.
-    """
-    groups: dict = {}
-    order = []
-    for t in terms:
-        key = id(t.coefficient)
-        if key not in groups:
-            groups[key] = (t.coefficient, [])
-            order.append(key)
-        groups[key][1].append(t)
-    total = 0.0
-    for key in order:
-        f, group = groups[key]
-        pts, wts = f.rule(scheme.gauss_n)
-        acc = np.zeros(len(pts))
-        for t in group:
-            eta = phi - t.phi0
-            factors = ([(t.phi0, a) for a in t.background]
-                       + [(eta, a) for a in t.basis])
-            constant = 1.0
-            pending = []
-            zero = False
-            for cfg, alpha in factors:
-                if cfg.is_constant:
-                    if sum(alpha):
-                        zero = True
-                        break
-                    constant *= cfg.constant_value()
-                else:
-                    pending.append((cfg, alpha))
-            if zero or constant == 0.0:
-                continue
-            vals = np.full(len(pts), float(t.prefactor) * constant)
-            for cfg, alpha in pending:
-                vals = vals * np.asarray(cfg.diff(alpha)(pts), dtype=float)
-            acc += vals
-        total += float(wts @ acc)
-    return total
-
-
-# -- partition-of-unity splitting ------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Windowed:
-    """The bump ``parent`` times the slab window of ``split_support``
-    along ``axis``: the rising smooth step of width ``tau`` centred at
-    the cut ``left``, minus the one at ``right``; an infinite cut is no
-    cut."""
-
-    parent: TestFunction
-    axis: int
-    left: float
-    right: float
-    tau: float
-
-    def __call__(self, points):
-        x = np.asarray(points, dtype=float)[..., self.axis]
-        window = (step(0.5 - (x - self.left) / self.tau)
-                  - step(0.5 - (x - self.right) / self.tau))
-        return self.parent(points) * window
-
-
-def split_support(F: LocalFunctional, pieces: int,
-                  axis: int = 0) -> list:
-    """Split every coefficient bump into ``pieces`` slab-windowed
-    parts along one axis with an exact partition of unity; the
-    returned functionals sum to F pointwise on the integrand level.
-
-    The pieces have product (bump * window) coefficients, so they are
-    not radial; evaluation falls back to the tensor rules.
-    """
-    if pieces < 1:
-        raise ValueError("need at least one piece")
-    if pieces == 1:
-        return [F]
-    out_terms = [[] for _ in range(pieces)]
-    for term in F.terms:
-        f = term.coefficient
-        if not isinstance(f, TestFunction):
-            raise UnsupportedCase("only bump coefficients can be split")
-        d, c, r = f.d, np.asarray(f.center), f.radius
-        lo, hi = f.center[axis] - r, f.center[axis] + r
-        width = (hi - lo) / pieces
-        # wide transitions keep the windows quadrature-friendly
-        tau = 0.75 * width
-        cuts = [-math.inf, *(lo + k * width for k in range(1, pieces)),
-                math.inf]
-        for k in range(pieces):
-            # rising steps at both cuts; the telescoping sum is 1 on supp f
-            piece_fn = _Windowed(f, axis, cuts[k], cuts[k + 1], tau)
-            # bounding ball of (slab + transition) intersected with the bump
-            a, b = max(lo, cuts[k] - tau), min(hi, cuts[k + 1] + tau)
-            mid = np.array(c, dtype=float)
-            mid[axis] = 0.5 * (a + b)
-            radius = math.hypot(0.5 * (b - a), r) if d > 1 else 0.5 * (b - a)
-            piece = CoefficientPiece(piece_fn, d, tuple(mid), radius)
-            out_terms[k].append(MonomialTerm(term.power, term.derivs,
-                                             piece, term.prefactor))
-    return [LocalFunctional(ts) for ts in out_terms]

@@ -93,17 +93,6 @@ class MultiGraph:
     def to_text(self) -> str:
         return f"{self.n}; " + ",".join(str(m) for m in self.mult)
 
-    @staticmethod
-    def from_text(line: str) -> "MultiGraph":
-        try:
-            head, _, tail = line.partition(";")
-            n = int(head.strip())
-            tail = tail.strip()
-            mult = tuple(int(p.strip()) for p in tail.split(",")) if tail else ()
-        except ValueError as exc:
-            raise DomainError(f"unreadable graph line {line!r}") from exc
-        return MultiGraph(n, mult)
-
 
 @dataclass(frozen=True)
 class WeightedTerm:

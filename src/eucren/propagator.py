@@ -35,13 +35,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .bessel import besselk
-from .errors import (
-    DomainError,
-    NonIntegrableSingularity,
-    UnsupportedCase,
-    UnsupportedKernel,
-)
-from .kernels import DeltaKernel, PropFactor, ScalarDistribution
+from .errors import DomainError, NonIntegrableSingularity, UnsupportedCase
+from .kernels import PropFactor, ScalarDistribution
 from .quadrature import (
     _BLOCK_ENTRIES,
     DEFAULT_SCHEME,
@@ -56,12 +51,10 @@ from .quadrature import (
 __all__ = [
     "Propagator",
     "QuadratureScheme",
-    "WaveFrontDescriptor",
     "green_function",
     "verify_fundamental_solution",
     "pair",
     "pair_extension",
-    "wavefront",
     "RadialTestView",
 ]
 
@@ -269,41 +262,6 @@ def verify_fundamental_solution(P: Propagator, phi,
                       scheme)
     at_zero = float(phi(np.zeros(P.d)))
     return abs(val - at_zero)
-
-
-# -- wave front bookkeeping -------------------------------------------
-
-
-@dataclass(frozen=True)
-class WaveFrontDescriptor:
-    """Symbolic wave-front content: which points coincide, and the
-    linear covector constraint over the coinciding points."""
-
-    base: str
-    covectors: str
-
-
-_DELTA_TYPE_WF = WaveFrontDescriptor(base="x1 = x2", covectors="k1 + k2 = 0")
-
-
-def wavefront(kernel) -> WaveFrontDescriptor:
-    """Wave front set of a delta-type kernel or a single propagator.
-
-    The fundamental solution shares the wave front of the delta it
-    solves for; derivative decorations cannot enlarge it.  Products
-    need a genuine microlocal calculus and are refused.
-    """
-    if isinstance(kernel, DeltaKernel):
-        return _DELTA_TYPE_WF
-    if isinstance(kernel, Propagator):
-        return _DELTA_TYPE_WF
-    if isinstance(kernel, ScalarDistribution):
-        if (kernel.n_points == 2 and len(kernel.factors) == 1
-                and kernel.factors[0].power == 1 and kernel.is_bare):
-            return _DELTA_TYPE_WF
-        raise UnsupportedKernel(
-            "wave front sets of propagator products are out of scope")
-    raise UnsupportedKernel(f"no wave front rule for {type(kernel).__name__}")
 
 
 # -- pairing front end -------------------------------------------------

@@ -44,8 +44,8 @@ integrals plus small tensor rules:
   b = max(n-2, floor(n/2)+1) (``bump_orders``; in d = 1 the diameter
   carries 2 ceil(n/2) nodes).  ``ball_rule`` is Gauss-Legendre of order
   n in the radius and the polar cosine about x3 with max(2n, 8)
-  azimuthal nodes (n on the diameter in d = 1); it serves integrands
-  that carry no centred bump.
+  azimuthal nodes (n on the diameter in d = 1); no package code calls
+  it, and it stays as the tests' reference rule.
 
 The radial integrals double the panel order until two successive
 levels agree; an integral that does not settle raises
@@ -126,8 +126,8 @@ PROFILE_SAMPLES = 360
 
 def quad(*args, **kwargs):
     """Not an integrator: eucren makes no QUADPACK call.  The name stays
-    because ``perfbench/tracer.py`` wraps ``eucren.quadrature.quad``
-    when it installs; calling it raises."""
+    only as a target of ``perfbench/tracer.py``, which wraps
+    ``eucren.quadrature.quad`` when it installs; calling it raises."""
     raise NotImplementedError("eucren integrates on its own Gauss rules")
 
 
@@ -196,6 +196,11 @@ def ball_rule(d: int, center, radius: float, n: int):
     strictly interior, so integrands that are nan exactly on the
     support boundary are safe to evaluate.  Each rule is built once and
     its arrays are read-only.
+
+    No package code calls it.  It stays because the tests take it as a
+    reference rule that shares no axis with ``bump_rule``, and because
+    ``perfbench/tracer.py`` wraps ``eucren.quadrature.ball_rule`` when
+    it installs.
     """
     center = tuple(float(c) for c in np.atleast_1d(center))
     return _ball_rule(d, center, float(radius), n)

@@ -9,7 +9,7 @@ is lowered by ``graphs.graph_to_amplitude`` and is a product over
 connected components.  Every component that is a tree (an isolated
 vertex, a multi-edge, a path, a star, ...) is summed by one message
 pass toward its lowest vertex: each vertex's weights on the rule of its
-coefficient (``rule``: Gauss for the bump weight on a bump), times the
+coefficient (``rule``, Gauss for the bump weight), times the
 messages of its own children, are contracted through the edge's
 propagator power onto the nodes of the parent's coefficient.
 
@@ -36,16 +36,6 @@ by FFT.  Every other pair takes the dense ``contract_pass``.
 Components with a cycle are outside the numeric envelope, and
 derivative decorations are evaluated only on a component that is a
 single power-one edge.
-
-The result of multiplying two local functionals is not local: the
-second derivative of the pointwise product contains a cross kernel
-supported on pairs of points, one in each factor's support, and
-``product_cross_support`` exposes that as a checkable structure.
-
-The n-fold product over a configuration space region is determined by
-its restrictions to small-support functionals; the computational
-content of that gluing is the partition of a coefficient bump into
-sub-bumps, re-exported here as ``split_support``.
 """
 
 from __future__ import annotations
@@ -55,29 +45,22 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NonLinearInput,
-    PreconditionViolated,
-    UnsupportedCase,
-)
+from .errors import DomainError, PreconditionViolated, UnsupportedCase
 from .functionals import (
     DKTerm,
     FieldConfiguration,
     LocalFunctional,
-    derivative_kernel,
     evaluate,
-    split_support,
     supports_disjoint,
 )
 from .graphs import (MultiGraph, compositions, expansion_terms,
                      graph_to_amplitude, vertex_pairs)
-from .kernels import ScalarDistribution, components
-from .propagator import green_function, pair
+from .kernels import components
+from .propagator import green_function
 from .quadrature import (DEFAULT_SCHEME, QuadratureScheme, bump_ring_size,
                          bump_rule, contract_pass, ring_pass)
 
@@ -88,11 +71,6 @@ __all__ = [
     "E_n",
     "block_product",
     "causal_factorization_check",
-    "wick_expansion",
-    "WickTerm",
-    "wick_order_pair",
-    "product_cross_support",
-    "split_support",
 ]
 
 
@@ -166,14 +144,7 @@ def _sent(children, dk: DKTerm, values, phi, scheme):
 
 
 def _nodes(nodes_key, scheme: QuadratureScheme):
-    rule, d, center, radius = nodes_key
-    return rule(d, center, radius, scheme.gauss_n)[0]
-
-
-def _rule_order(nodes_key):
-    """A sort key of a coefficient rule that does not depend on the run."""
-    rule, d, center, radius = nodes_key
-    return rule.__qualname__, d, center, radius
+    return bump_rule(*nodes_key, scheme.gauss_n)[0]
 
 
 def _messages(keys, phi: FieldConfiguration, m: float,
@@ -183,12 +154,13 @@ def _messages(keys, phi: FieldConfiguration, m: float,
 
     Each distinct message is split into columns, one per kernel term
     of the sending vertex, and grouped by the unordered pair of rules
-    they join.  A pair whose columns all
-    have their children's messages is contracted first; when no pair
-    is ready, the pair with the most ready columns is contracted on
-    those alone.  Ties go to the first pair in ``_rule_order``.  A pair
-    is one pass (``_contract``): each of its kernels is evaluated once
-    per block, for all of its columns in both directions.
+    they join.  A pair whose columns all have their children's messages
+    is contracted first; when no pair is ready, the pair with the most
+    ready columns is contracted on those alone.  Ties go to the first
+    pair in the order of the rules' ``nodes_key`` (d, center, radius),
+    which does not depend on the run.  A pair is one pass
+    (``_contract``): each of its kernels is evaluated once per block,
+    for all of its columns in both directions.
     """
     values, sums, open_parts = {}, {}, {}
     columns: Dict[tuple, list] = {}
@@ -200,8 +172,7 @@ def _messages(keys, phi: FieldConfiguration, m: float,
         _, (kernel, children), nodes_key, _ = key
         open_parts[key] = len(kernel.terms)
         for dk in kernel.terms:
-            pair = tuple(sorted((nodes_key, dk.coefficient.nodes_key),
-                                key=_rule_order))
+            pair = tuple(sorted((nodes_key, dk.coefficient.nodes_key)))
             columns.setdefault(pair, []).append((key, dk))
             stack.extend(reversed(_below(children, dk)))
 
@@ -211,7 +182,7 @@ def _messages(keys, phi: FieldConfiguration, m: float,
 
     while columns:
         best = None
-        for pair in sorted(columns, key=lambda p: [_rule_order(k) for k in p]):
+        for pair in sorted(columns):
             now = [c for c in columns[pair] if ready(c)]
             if len(now) == len(columns[pair]):
                 best = pair, now
@@ -264,13 +235,11 @@ def _contract(pair, columns, values, phi, m, scheme):
 
 def _ring_size(pair, specs, scheme: QuadratureScheme) -> int:
     """The azimuthal ring size of the pair's rules when every kernel on
-    it is block-circulant, else 0: both rules are bump rules that
-    ``bump_ring_size`` finds block-circulant, and no kernel carries a
-    derivative decoration (its x_i - y_i factors turn with the
-    azimuth)."""
-    (rule_a, d, center_a, _), (rule_b, _, center_b, _) = pair
-    if rule_a is rule_b is bump_rule and not any(
-            sum(left) + sum(right) for _, left, right in specs):
+    it is block-circulant, else 0: ``bump_ring_size`` finds the two
+    bump rules block-circulant, and no kernel carries a derivative
+    decoration (its x_i - y_i factors turn with the azimuth)."""
+    (d, center_a, _), (_, center_b, _) = pair
+    if not any(sum(left) + sum(right) for _, left, right in specs):
         return bump_ring_size(d, center_a, center_b, scheme.gauss_n)
     return 0
 
@@ -386,22 +355,14 @@ def product_expansion(functionals: Sequence[LocalFunctional],
 
 def E_n(functionals: Sequence[LocalFunctional], phi: FieldConfiguration,
         m: float, order: int,
-        scheme: QuadratureScheme = DEFAULT_SCHEME,
-        renormalizer: Optional[Callable[[ScalarDistribution],
-                                        ScalarDistribution]] = None) -> FormalSeries:
+        scheme: QuadratureScheme = DEFAULT_SCHEME) -> FormalSeries:
     """The n-fold product as a truncated series.
 
-    The empty product is 1 and a single argument evaluates to itself.
-    Without a ``renormalizer`` the supports must be pairwise disjoint.
-    With one, the expansion runs through the scalar-kernel reduction at
-    zero background: every kernel is passed through ``renormalizer``
-    before pairing, and arbitrary supports are allowed.
+    The empty product is 1 and a single argument evaluates to itself;
+    the supports must be pairwise disjoint.
     """
     if not functionals:
         return FormalSeries.constant(1.0, order)
-    if renormalizer is not None:
-        return _renormalized_product(functionals, phi, m, order, scheme,
-                                     renormalizer)
     if len(functionals) == 1:
         return FormalSeries.constant(
             evaluate(functionals[0], phi, scheme), order)
@@ -414,20 +375,6 @@ def star_E(F: LocalFunctional, G: LocalFunctional, phi: FieldConfiguration,
     """The binary product: ℏ^k carries 1/k! times the k-fold
     contraction of the k-th derivative kernels."""
     return E_n([F, G], phi, m, order, scheme)
-
-
-def _renormalized_product(functionals, phi, m, order, scheme, renormalizer):
-    if not (phi.is_constant and phi.constant_value() == 0.0):
-        raise UnsupportedCase(
-            "the renormalized product is evaluated at zero background")
-    zero_order = 1.0
-    for F in functionals:
-        zero_order *= evaluate(F, phi, scheme)
-    data: Dict[int, float] = {0: zero_order}
-    for term in wick_expansion(functionals, m, order):
-        value = pair(renormalizer(term.kernel), term.tests, scheme)
-        data[term.order] = data.get(term.order, 0.0) + float(term.weight) * value
-    return FormalSeries.from_dict(data, order)
 
 
 # -- Euclidean causality ---------------------------------------------------
@@ -520,87 +467,3 @@ def causal_factorization_check(functionals: Sequence[LocalFunctional],
         scale = max(abs(a), abs(b))
         data[k] = abs(a - b) / scale if scale else 0.0
     return FormalSeries.from_dict(data, truncation)
-
-
-# -- the scalar-kernel reduction -------------------------------------------
-
-
-@dataclass(frozen=True)
-class WickTerm:
-    """One graph term of the zero-background expansion: an exact
-    rational weight, the coefficient tests to integrate against, and
-    the translation-invariant scalar kernel."""
-
-    weight: Fraction
-    tests: Tuple
-    kernel: ScalarDistribution
-
-    @property
-    def order(self) -> int:
-        return self.kernel.total_edges
-
-
-def wick_expansion(functionals: Sequence[LocalFunctional], m: float,
-                   order: int) -> List[WickTerm]:
-    """Split the zero-background n-fold product into scalar kernels:
-    graph terms whose slots are exactly saturated survive, each as a
-    propagator-power product against the coefficient tests."""
-    if not functionals:
-        return []
-    d = functionals[0].d
-    out: List[WickTerm] = []
-    for term in expansion_terms(len(functionals), order):
-        if term.order == 0:
-            continue
-        amp = graph_to_amplitude(term.graph, functionals)
-        # at zero background only fully contracted slots survive
-        survivors = [[dk for dk in k.terms if not dk.residual]
-                     for k in amp.kernels]
-        if not all(survivors):
-            continue
-        kernel = ScalarDistribution(term.graph.n, d, m, amp.factors)
-        for combo in itertools.product(*survivors):
-            if any(sum(a) != 0 for dk in combo for a in dk.arg_derivs):
-                raise UnsupportedCase(
-                    "derivative-decorated scalar kernels are outside the "
-                    "numeric envelope")
-            weight = term.weight * math.prod(
-                (dk.prefactor for dk in combo), start=Fraction(1))
-            tests = tuple(dk.coefficient for dk in combo)
-            out.append(WickTerm(weight=weight, tests=tests, kernel=kernel))
-    return out
-
-
-def wick_order_pair(F: LocalFunctional, G: LocalFunctional,
-                    phi: FieldConfiguration, m: float,
-                    scheme: QuadratureScheme = DEFAULT_SCHEME) -> FormalSeries:
-    """The inverse-ordering quadratic correction for linear arguments:
-    ℏ^0 is the pointwise product, ℏ^1 subtracts the propagator pairing
-    of the two smearing functions."""
-    for X in (F, G):
-        if len(X.terms) != 1 or X.terms[0].power != 1 or \
-                any(sum(a) for a in X.terms[0].derivs):
-            raise NonLinearInput(
-                "ordering corrections are defined for plain linear "
-                "functionals")
-    d = F.d
-    f = F.terms[0].coefficient
-    g = G.terms[0].coefficient
-    pref = float(F.terms[0].prefactor * G.terms[0].prefactor)
-    cross = pair(ScalarDistribution.single_power(d, m, 1), (f, g), scheme)
-    return FormalSeries.from_dict(
-        {0: evaluate(F, phi, scheme) * evaluate(G, phi, scheme),
-         1: -pref * cross}, 1)
-
-
-def product_cross_support(F: LocalFunctional, G: LocalFunctional):
-    """Support rectangles of the cross part of the second derivative
-    of the pointwise product FG: one ball from each factor.  For
-    disjoint arguments every rectangle misses the diagonal, which is
-    the non-locality of the product in checkable form."""
-    KF = derivative_kernel(F, 1)
-    KG = derivative_kernel(G, 1)
-    return tuple(
-        ((tf.coefficient.center, tf.coefficient.radius),
-         (tg.coefficient.center, tg.coefficient.radius))
-        for tf in KF.terms for tg in KG.terms)

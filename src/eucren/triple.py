@@ -148,12 +148,15 @@ def _cubic_taps(x):
 def _prefilter(a):
     """Cubic B-spline coefficients that interpolate the samples ``a``:
     on each axis, a solve of the collocation matrix (1, 4, 1)/6 under
-    the mirror boundary c[-1] = c[1], c[n] = c[n-2]."""
+    the mirror boundary c[-1] = c[1], c[n] = c[n-2], factored once per
+    axis with the other axes as its right-hand sides."""
     for axis in range(a.ndim):
         n = a.shape[axis]
         m = (4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 6.0
         m[0, 1] = m[-1, -2] = 2.0 / 6.0
-        a = np.moveaxis(np.linalg.solve(m, np.moveaxis(a, axis, -2)), -2, axis)
+        b = np.moveaxis(a, axis, 0)
+        c = np.linalg.solve(m, b.reshape(n, -1)).reshape(b.shape)
+        a = np.moveaxis(c, 0, axis)
     return a
 
 

@@ -8,6 +8,7 @@ no longer imports.
 """
 
 import functools
+import itertools
 import math
 import os
 import subprocess
@@ -20,6 +21,7 @@ from scipy.integrate import quad
 from sympy.printing.numpy import NumPyPrinter
 
 import eucren
+from eucren.quadrature import DEFAULT_SCHEME
 
 
 def fresh_run(code: str) -> str:
@@ -95,6 +97,29 @@ def kernel_matrix(P, x, y, power: int, left=(), right=()) -> np.ndarray:
     """The dense matrix d_x^left d_y^right P^power(|x_i - y_j|) between
     two point sets: the one-kernel case of ``Propagator.blocks``."""
     return P.blocks([(power, left, right)])(x, y)[0]
+
+
+def kernel_pair(K, phi, tests, scheme=DEFAULT_SCHEME) -> float:
+    """<F^(n)(phi), psi_1 x ... x psi_n> for the derivative kernel K of
+    ``functionals.derivative_kernel``, with the delta chain collapsed
+    onto the coefficient variable: the numeric reading of the symbolic
+    kernel, which equals the n-th directional derivative of evaluate."""
+    if len(tests) != K.order:
+        raise ValueError(f"kernel of order {K.order} paired with "
+                         f"{len(tests)} arguments")
+    total = 0.0
+    for t in K.terms:
+        pts, vals = t.coefficient.rule(scheme.gauss_n)
+        for alpha in t.residual:
+            vals = vals * np.asarray(phi.diff(alpha)(pts), dtype=float)
+        arranged = np.zeros(len(pts))
+        for perm in set(itertools.permutations(t.arg_derivs)):
+            block = np.ones(len(pts))
+            for psi, alpha in zip(tests, perm):
+                block = block * np.asarray(psi.diff(alpha)(pts), dtype=float)
+            arranged += block
+        total += float(t.prefactor) * float(vals @ arranged)
+    return total
 
 
 def mc_ball(f, d: int, center, radius: float, n: int = 200_000, seed: int = 0):

@@ -11,8 +11,7 @@ import eucren
 from helpers import fresh_run
 
 # keyed only by small integers (orders, dimensions) or by nothing
-UNBOUNDED = {"quadrature.gauss_legendre", "functionals._multi_indices",
-             "functionals.balanced_basis"}
+UNBOUNDED = {"quadrature.gauss_legendre"}
 BOUNDED = {"cli._parser", "functionals.derivative_kernel",
            "propagator._correlation", "quadrature._ball_rule",
            "quadrature._bump_rule", "quadrature.bump_gauss",

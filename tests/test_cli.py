@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eucren import cli
+from eucren import cli, quadrature
 from eucren.cli import Report, RunConfig, main, parse_config, run
 from eucren.errors import (EucrenError, IllConditionedFit, NotPrimitive,
                            ParseError, exit_code_for)
@@ -184,6 +184,21 @@ class TestParse:
     def test_renormalize_needs_factors(self):
         with pytest.raises(ParseError):
             parse_config("command=renormalize d=3")
+
+    def test_rule_budget_edges(self):
+        # the largest admitted gauss_n in each d, and verify's
+        # cross-checks on gauss_n + 4 counted against the same budget
+        for d, top in ((1, 140), (2, 142), (3, 28)):
+            parse_config(f"command=graphs d={d} gauss_n={top}")
+            with pytest.raises(ParseError):
+                parse_config(f"command=graphs d={d} gauss_n={top + 1}")
+            parse_config(f"command=verify d={d} gauss_n={top - 4}")
+            with pytest.raises(ParseError) as err:
+                parse_config(f"command=verify d={d} gauss_n={top - 3}")
+            assert "at gauss_n + 4" in str(err.value)
+        parse_config("command=graphs d=3 angular_n=2048")
+        with pytest.raises(ParseError):
+            parse_config("command=graphs d=3 angular_n=2049")
 
     def test_bad_background_reported_at_its_line(self):
         text = "command=graphs\nd=3\nbackground = 1 +* x1\n"
@@ -444,6 +459,46 @@ class TestMain:
         assert main(["--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "n=10" in err and "order=20" in err
+        assert not out.exists()
+
+    def test_bump_rule_over_budget_exit(self, tmp_path, capsys, monkeypatch):
+        # d = 3 at gauss_n 100 is 50 radial x 99 polar x 196 azimuthal
+        # nodes: refused by that count before any bump rule is built
+        def refuse(*args):
+            pytest.fail("a bump rule was built")
+
+        monkeypatch.setattr(quadrature, "_bump_rule", refuse)
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "report.txt"
+        cfg.write_text(
+            "command=product d=3 order=1 gauss_n=100\n"
+            "[functional F]\ncenter=0,0,0\npower=2\n"
+            "[functional G]\ncenter=2.5,0,0\npower=2\n")
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "gauss_n=100" in err and "970200" in err
+        assert not out.exists()
+
+    def test_polar_rule_over_budget_exit(self, tmp_path, capsys, monkeypatch):
+        # a polar rule of order 100000 is refused by its order before
+        # its nodes are computed
+        gauss_legendre = quadrature.gauss_legendre
+
+        def guarded(n):
+            if n == 100_000:
+                pytest.fail("the polar rule was built")
+            return gauss_legendre(n)
+
+        monkeypatch.setattr(quadrature, "gauss_legendre", guarded)
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "report.txt"
+        cfg.write_text(
+            "command=renormalize d=2 m=1 factors=0-1:2 angular_n=100000\n"
+            "[functional f]\ncenter=0,0\nradius=0.8\n"
+            "[functional g]\ncenter=0.5,0\nradius=0.8\n")
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "angular_n=100000" in err and "order 100000" in err
         assert not out.exists()
 
     def test_nonintegrable_exit(self, tmp_path):

@@ -1,5 +1,5 @@
-"""Tests for local functionals: evaluation, derivative kernels, supports,
-additivity, the balanced-field Taylor expansion, and coefficient splitting.
+"""Tests for local functionals: evaluation, derivative kernels, supports
+and additivity.
 
 Numeric oracles are independent scipy quadratures on the raw integrands.
 """
@@ -16,7 +16,6 @@ from scipy.integrate import quad
 
 from eucren.errors import PreconditionViolated
 from eucren.functionals import (
-    BalancedFieldTerm,
     DerivativeKernel,
     DKTerm,
     FieldConfiguration,
@@ -24,20 +23,15 @@ from eucren.functionals import (
     MonomialTerm,
     TestFunction,
     additivity_check,
-    balanced_basis,
     derivative_kernel,
     evaluate,
-    kernel_pair,
-    split_support,
     support,
     supports_disjoint,
-    taylor_evaluate,
-    taylor_expand,
 )
 from eucren import expr
 from eucren.cli import parse_config, run
 from eucren.quadrature import DEFAULT_SCHEME, QuadratureScheme
-from helpers import quadpack, sphere_area, sympy_partial
+from helpers import kernel_pair, quadpack, sphere_area, sympy_partial
 
 TIGHT = QuadratureScheme(gauss_n=48)
 
@@ -154,17 +148,8 @@ class TestDerivativeKernel:
         F = LocalFunctional.phi_power(5, f, Fraction(1, 120))
         K = derivative_kernel(F, 2)
         (t,) = K.terms
-        assert t.residual_power == 3
+        assert len(t.residual) == 3
         assert t.prefactor == Fraction(20, 120)
-
-    def test_thin_diagonal_structure(self):
-        # one coefficient variable per term; the delta chain shows in
-        # the rendered form
-        f = TestFunction(1, (0.0,), 1.0)
-        F = LocalFunctional([MonomialTerm(3, ((0,), (0,), (1,)), f)])
-        K = derivative_kernel(F, 2)
-        for t in K.terms:
-            assert "delta(x1-x2)" in t.describe()
 
     def test_pairing_matches_directional_derivative(self):
         f = TestFunction(1, (0.1,), 0.9, 1.4)
@@ -489,86 +474,3 @@ class TestAdditivity:
                 float(rng.uniform(1.5, 3.0)), float(rng.normal()))
             worst = max(worst, additivity_check(F, phi, psi, chi, TIGHT))
         assert worst <= 1e-5
-
-
-class TestTaylor:
-    def test_quadratic_exact_at_order_two(self):
-        f = TestFunction(1, (0.0,), 1.0)
-        F = LocalFunctional.phi_power(2, f, Fraction(1, 2))
-        phi0 = FieldConfiguration.zero(1)
-        terms = taylor_expand(F, phi0, 2)
-        phi = FieldConfiguration.from_expression("cos(x1)", 1)
-        assert taylor_evaluate(terms, phi, TIGHT) == pytest.approx(
-            evaluate(F, phi, TIGHT), rel=1e-12, abs=0.0)
-
-    def test_truncation_below_degree(self):
-        f = TestFunction(1, (0.0,), 1.0)
-        F = LocalFunctional.phi_power(2, f, Fraction(1, 2))
-        terms = taylor_expand(F, FieldConfiguration.zero(1), 1)
-        assert all(t.order <= 1 for t in terms)
-        phi = FieldConfiguration.from_expression("x1", 1)
-        # around 0, orders 0 and 1 of a pure square vanish
-        assert taylor_evaluate(terms, phi, TIGHT) == pytest.approx(0.0,
-                                                                   abs=0.0)
-
-    def test_cubic_around_constant_background(self):
-        f = TestFunction(1, (0.0,), 1.0)
-        F = LocalFunctional.phi_power(3, f, Fraction(1, 6))
-        one = FieldConfiguration.constant(1, 1)
-        terms = taylor_expand(F, one, 3)
-        samples = [FieldConfiguration.from_expression(s, 1)
-                   for s in ("cos(x1)", "x1**2 - 1", "exp(-x1**2)")]
-        for phi in samples:
-            assert taylor_evaluate(terms, phi, TIGHT) == pytest.approx(
-                evaluate(F, phi, TIGHT), rel=1e-9, abs=1e-12)
-
-    def test_exactness_at_five_random_configurations(self):
-        rng = np.random.default_rng(5)
-        f = TestFunction(2, (0.2, -0.1), 1.1, 0.9)
-        F = LocalFunctional([
-            MonomialTerm(2, ((0, 0), (0, 1)), f, Fraction(1, 2)),
-            MonomialTerm(4, ((0, 0),) * 4, f, Fraction(1, 24)),
-        ])
-        phi0 = FieldConfiguration.bump(2, (0.0, 0.0), 2.0, 0.7)
-        terms = taylor_expand(F, phi0, 4)
-        for _ in range(5):
-            a, b, c = rng.normal(size=3)
-            phi = FieldConfiguration.from_expression(
-                f"{a:.6f}*x1 + {b:.6f}*sin(x2) + {c:.6f}", 2)
-            assert taylor_evaluate(terms, phi, TIGHT) == pytest.approx(
-                evaluate(F, phi, TIGHT), rel=1e-9, abs=1e-12)
-
-    def test_basis_index_is_lexicographic(self):
-        basis = balanced_basis(2, 1)
-        assert basis[0] == ((0,), (0,))
-        assert all(basis[i] <= basis[i + 1] for i in range(len(basis) - 1))
-        f = TestFunction(1, (0.0,), 1.0)
-        F = LocalFunctional([MonomialTerm(2, ((1,), (0,)), f)])
-        orders = {t.basis: t.basis_index
-                  for t in taylor_expand(F, FieldConfiguration.zero(1), 2)
-                  if t.order == 2}
-        assert orders == {((0,), (1,)): basis.index(((0,), (1,)))}
-
-
-class TestSplitSupport:
-    def test_pieces_sum_to_whole(self):
-        sch = QuadratureScheme(gauss_n=64)
-        f = TestFunction(1, (0.0,), 1.0)
-        F = LocalFunctional.phi_power(2, f, Fraction(1, 2))
-        phi = FieldConfiguration.from_expression("cos(x1)", 1)
-        pieces = split_support(F, 3)
-        assert len(pieces) == 3
-        total = sum(evaluate(p, phi, sch) for p in pieces)
-        assert total == pytest.approx(evaluate(F, phi, sch), rel=1e-6)
-
-    def test_pieces_have_smaller_support(self):
-        f = TestFunction(2, (0.0, 0.0), 1.0)
-        F = LocalFunctional.phi_power(2, f)
-        for piece in split_support(F, 4):
-            (center, radius), = support(piece)
-            assert radius < 1.5
-            assert abs(center[0]) > 0
-
-    def test_single_piece_is_identity(self):
-        F = LocalFunctional.phi_power(2, TestFunction(1, (0.0,), 1.0))
-        assert split_support(F, 1) == [F]

@@ -1,5 +1,5 @@
-"""Tests for the Helmholtz fundamental solutions, their self-verification,
-and the symbolic wave-front descriptors."""
+"""Tests for the Helmholtz fundamental solutions and their
+self-verification."""
 
 import math
 
@@ -8,15 +8,13 @@ import pytest
 from scipy.spatial.distance import cdist
 from scipy.special import k0, kv
 
-from eucren.errors import UnsupportedCase, UnsupportedKernel
+from eucren.errors import UnsupportedCase
 from eucren.functionals import TestFunction
-from eucren.kernels import DeltaKernel, PropFactor, ScalarDistribution
 from eucren.propagator import (
     Propagator,
     distances,
     green_function,
     verify_fundamental_solution,
-    wavefront,
 )
 from eucren.quadrature import DEFAULT_SCHEME, QuadratureScheme
 from helpers import kernel_matrix
@@ -153,32 +151,6 @@ class TestVerifyFundamentalSolution:
         r1 = verify_fundamental_solution(P, phi, DEFAULT_SCHEME)
         r5 = verify_fundamental_solution(P, phi5, DEFAULT_SCHEME)
         assert r5 <= 5 * r1 + 1e-12
-
-
-class TestWavefront:
-    def test_delta_descriptor(self):
-        wf = wavefront(DeltaKernel(3))
-        assert wf.base == "x1 = x2"
-        assert wf.covectors == "k1 + k2 = 0"
-
-    def test_propagator_matches_delta(self):
-        wf_p = wavefront(green_function(3, 1.0))
-        wf_d = wavefront(DeltaKernel(3))
-        assert (wf_p.base, wf_p.covectors) == (wf_d.base, wf_d.covectors)
-
-    def test_derivative_decorated_delta(self):
-        wf = wavefront(DeltaKernel(3, deriv=(1, 0, 0)))
-        assert (wf.base, wf.covectors) == ("x1 = x2", "k1 + k2 = 0")
-
-    def test_single_bare_power_one_kernel(self):
-        t = ScalarDistribution(2, 3, 1.0, (PropFactor(0, 1, 1),))
-        wf = wavefront(t)
-        assert wf.base == "x1 = x2"
-
-    def test_products_rejected(self):
-        t = ScalarDistribution(2, 3, 1.0, (PropFactor(0, 1, 2),))
-        with pytest.raises(UnsupportedKernel):
-            wavefront(t)
 
 
 class TestKernelBlocks:

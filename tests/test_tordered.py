@@ -1,4 +1,4 @@
-"""Product expansion at a background field, causality, Wick reduction.
+"""Product expansion at a background field and causality.
 
 Oracles: Monte Carlo pairings with the closed-form d=3 propagator
 written inline, and the background polynomial mirrored as a plain
@@ -14,19 +14,16 @@ import pytest
 
 from eucren import tordered
 from eucren.cli import parse_config, run
-from eucren.errors import (DomainError, NonLinearInput,
-                           PreconditionViolated, UnsupportedCase)
-from eucren.functionals import (CoefficientPiece, FieldConfiguration,
-                                LocalFunctional, MonomialTerm, TestFunction,
-                                derivative_kernel, evaluate,
-                                supports_disjoint)
+from eucren.errors import DomainError, PreconditionViolated, UnsupportedCase
+from eucren.functionals import (FieldConfiguration, LocalFunctional,
+                                MonomialTerm, TestFunction, derivative_kernel,
+                                evaluate, supports_disjoint)
 from eucren.propagator import Propagator
-from eucren.quadrature import (QuadratureScheme, ball_rule, bump_orders,
-                               bump_rule, contract_pass, ring_pass)
+from eucren.quadrature import (QuadratureScheme, bump_orders, bump_rule,
+                               contract_pass, ring_pass)
 from eucren.tordered import (E_n, FormalSeries, block_product,
                              causal_factorization_check, product_expansion,
-                             star_E, wick_expansion, wick_order_pair,
-                             product_cross_support, split_support)
+                             star_E)
 from helpers import mc_ball, mc_graph, mc_pair, mc_triple
 
 D = 3
@@ -401,35 +398,25 @@ class TestTrees:
                 array[0] = 0.0
 
     def test_message_takes_the_parent_coefficients_rule(self):
-        # a bump parent gets the bump rule's nodes, a windowed piece on
-        # the same ball the Gauss-Legendre ones; a message is keyed by
-        # the parent's rule, so the two never share an entry, while
-        # bumps on one ball share it whatever their amplitudes
+        # a message lands on the nodes of its parent's bump rule and is
+        # keyed by that rule's ball, so bumps on one ball share it
+        # whatever their amplitudes
         scheme = QuadratureScheme(gauss_n=6)
         kernel = derivative_kernel(LocalFunctional.phi_power(2, F1), 1)
         dk, = kernel.terms
-
-        def unused(points):
-            pytest.fail("a message's parent weights were computed")
-
-        piece = CoefficientPiece(unused, D, F0.center, F0.radius)
         y, w = F1.rule(6)
         sent = float(dk.prefactor) * w * phi_np(y)
         louder = TestFunction(D, F0.center, F0.radius, amplitude=2.5)
-        parents = ((F0, F0.rule(6)),
-                   (piece, ball_rule(D, F0.center, F0.radius, 6)),
-                   (louder, F0.rule(6)))
         keys = [(1, (kernel, ()), parent.nodes_key, dk.arg_derivs[0])
-                for parent, _ in parents]
+                for parent in (F0, louder)]
         messages = tordered._messages(keys, PHI, M, scheme)
-        assert keys[2] == keys[0] != keys[1]
-        assert len(messages) == 2
-        for key, (_, (x, _)) in zip(keys, parents):
-            r = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
-            np.testing.assert_allclose(messages[key], prop(r) @ sent,
-                                       rtol=1e-12)
-        assert len(F0.rule(6)[0]) == 120
-        assert len(ball_rule(D, F0.center, F0.radius, 6)[0]) == 432
+        assert keys[1] == keys[0]
+        assert len(messages) == 1
+        x, _ = F0.rule(6)
+        r = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=-1)
+        np.testing.assert_allclose(messages[keys[0]], prop(r) @ sent,
+                                   rtol=1e-12)
+        assert len(x) == 120
 
     def test_rule_shift_reaches_the_rules(self, monkeypatch):
         # the shifted product contracts on the bump rules of gauss_n + 4,
@@ -525,95 +512,3 @@ class TestCausality:
         Fs = [self.Fs[0], LocalFunctional.linear(near), self.Fs[2]]
         with pytest.raises(PreconditionViolated):
             causal_factorization_check(Fs, [2], PHI, M, 1, SCHEME)
-
-
-class TestWickReduction:
-    def test_cubic_pair_reduces_to_single_kernel(self):
-        F = LocalFunctional.phi_power(3, F0)
-        G = LocalFunctional.phi_power(3, F1)
-        terms = wick_expansion([F, G], M, 3)
-        assert len(terms) == 1
-        t = terms[0]
-        assert t.weight == Fraction(6)
-        assert t.order == 3
-        assert t.tests == (F0, F1)
-        assert t.kernel.factors[0].power == 3
-
-    def test_normalized_quadratic_pair(self):
-        F = LocalFunctional.phi_power(2, F0, prefactor=Fraction(1, 2))
-        G = LocalFunctional.phi_power(2, F1, prefactor=Fraction(1, 2))
-        terms = wick_expansion([F, G], M, 2)
-        assert len(terms) == 1
-        assert terms[0].weight == Fraction(1, 2)
-        assert terms[0].kernel.factors[0].power == 2
-
-    def test_three_vertex_saturation_is_unique(self):
-        Fs = [LocalFunctional.phi_power(5, F0, prefactor=Fraction(1, 120)),
-              LocalFunctional.phi_power(4, F1, prefactor=Fraction(1, 24)),
-              LocalFunctional.phi_power(3, F2, prefactor=Fraction(1, 6))]
-        terms = wick_expansion(Fs, M, 6)
-        assert len(terms) == 1
-        t = terms[0]
-        assert t.weight == Fraction(1, 12)
-        powers = {(f.i, f.j): f.power for f in t.kernel.factors}
-        assert powers == {(0, 1): 3, (0, 2): 2, (1, 2): 1}
-
-    def test_renormalized_mode_matches_direct_at_zero(self):
-        zero = FieldConfiguration.zero(D)
-        Fs = [LocalFunctional.phi_power(2, F0, prefactor=Fraction(1, 2)),
-              LocalFunctional.phi_power(2, F1, prefactor=Fraction(1, 2))]
-        direct = E_n(Fs, zero, M, 2, SCHEME)
-        wick = E_n(Fs, zero, M, 2, SCHEME, renormalizer=lambda k: k)
-        np.testing.assert_allclose(wick.coefficient(2),
-                                   direct.coefficient(2), rtol=1e-4)
-        assert wick.coefficient(0) == 0.0
-        assert wick.coefficient(1) == 0
-
-    def test_renormalized_mode_requires_zero_background(self):
-        Fs = [LocalFunctional.phi_power(2, F0),
-              LocalFunctional.phi_power(2, F1)]
-        with pytest.raises(UnsupportedCase):
-            E_n(Fs, PHI, M, 2, SCHEME, renormalizer=lambda k: k)
-
-
-class TestOrderingPair:
-    def test_against_mc(self):
-        F = LocalFunctional.linear(F0)
-        G = LocalFunctional.linear(F1)
-        one = FieldConfiguration.constant(1.0, D)
-        series = wick_order_pair(F, G, one, M, SCHEME)
-        np.testing.assert_allclose(
-            series.coefficient(0),
-            F0.integral() * F1.integral(), rtol=1e-9)
-        ref, err = mc_pair(prop, D, F0.center, F0.radius, F0,
-                           F1.center, F1.radius, F1, seed=61)
-        close_to_mc(series.coefficient(1), -ref, err)
-
-    def test_self_pairing_is_negative(self):
-        F = LocalFunctional.linear(F0)
-        series = wick_order_pair(F, F, FieldConfiguration.zero(D), M, SCHEME)
-        assert series.coefficient(1) < 0.0
-
-    def test_nonlinear_input_rejected(self):
-        quad = LocalFunctional.phi_power(2, F0)
-        lin = LocalFunctional.linear(F1)
-        with pytest.raises(NonLinearInput):
-            wick_order_pair(quad, lin, PHI, M, SCHEME)
-        deriv = LocalFunctional([MonomialTerm(1, ((0, 1, 0),), F0)])
-        with pytest.raises(NonLinearInput):
-            wick_order_pair(deriv, lin, PHI, M, SCHEME)
-
-
-class TestNonLocality:
-    def test_cross_kernel_lives_off_diagonal(self):
-        F = LocalFunctional.phi_power(2, F0)
-        G = LocalFunctional.phi_power(3, F1)
-        rects = product_cross_support(F, G)
-        assert len(rects) == 1
-        (cf, rf), (cg, rg) = rects[0]
-        gap = np.linalg.norm(np.asarray(cf) - np.asarray(cg))
-        assert gap > rf + rg
-
-    def test_split_support_reexported(self):
-        from eucren.functionals import split_support as original
-        assert split_support is original
