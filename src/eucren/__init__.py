@@ -17,7 +17,7 @@ Modules, bottom up:
   kernels, fundamental-solution verification.
 - ``triple``: the reduced three-point pairing in d = 3.
 - ``functionals``: local functionals on ``SmoothMap`` fields, additivity.
-- ``graphs``: labelled multigraph expansion terms with exact weights.
+- ``graphs``: pure combinatorics, multigraph terms by stars and bars.
 - ``tordered``: the partial product star_E, E_n series, causal
   factorization.
 - ``renorm``: scaling degrees, extension recursion, power counting.

@@ -29,7 +29,7 @@ from . import __version__
 from .errors import DomainError, EucrenError, ParseError, exit_code_for
 from .functionals import (FieldConfiguration, LocalFunctional, MonomialTerm,
                           TestFunction, additivity_check)
-from .graphs import (conjugated_merge_series, cross_edge_series,
+from .graphs import (GRAPH_BUDGET, conjugated_merge_series, cross_edge_series,
                      enumerate_graphs, expansion_terms, symmetry_factor)
 from .kernels import CutoffFunction, ExtensionSpec, PropFactor, ScalarDistribution
 from .propagator import green_function, pair, verify_fundamental_solution
@@ -59,6 +59,9 @@ COMMANDS = ("graphs", "expand", "product", "renormalize", "classify",
 # polar rule, angular_n itself
 RULE_BUDGET = 20_000
 POLAR_BUDGET = 2048
+# the largest edge order: a weight 1/order! must still print (1000! has
+# 2,568 digits, under Python's 4,300-digit limit on int to str)
+ORDER_BUDGET = 1000
 # verify's cross-checks evaluate one side on rules this much finer
 VERIFY_SHIFT = 4
 
@@ -377,6 +380,16 @@ def _check_budgets(config: RunConfig, top: Dict[str, _Assignment]):
             f"angular_n={config.angular_n} is a polar rule of order "
             f"{config.angular_n}, more than the budget of {POLAR_BUDGET}",
             at.line, at.column)
+    # the tables a command lists, checked before any is built: the edge
+    # order, the vertex pairs of n and classify's rows n = 2..n_max
+    for key, size, unit, budget in (
+            ("order", config.order, "edges", ORDER_BUDGET),
+            ("n", config.n * (config.n - 1) // 2, "vertex pairs", GRAPH_BUDGET),
+            ("n_max", config.n_max - 1, "table rows", GRAPH_BUDGET)):
+        if size > budget:
+            raise ParseError(
+                f"{key}={getattr(config, key)} asks for {size} {unit}, more "
+                f"than the budget of {budget}", top[key].line, top[key].column)
 
 
 def parse_config(text: str) -> RunConfig:

@@ -11,33 +11,32 @@ Vertices are labelled (they are argument slots), so no isomorphism
 quotient is taken; two relabelings of the same shape are distinct
 terms and their weights add up to the unlabelled coefficient.
 
-``graph_to_amplitude`` is the one lowering of a graph against
-functional slots (the slots' derivative kernels plus one propagator
-power per populated pair); every numeric product route reads its
-graph terms through it.
+The module is pure combinatorics: ``compositions`` lists the
+multiplicities of l edges over p pairs by stars and bars, and
+``pair_expansion``, the one enumeration every caller uses, walks them
+by edge count with their weights, for a whole product or for a block.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .errors import DomainError
-from .functionals import DerivativeKernel, LocalFunctional, derivative_kernel
-from .kernels import PropFactor
 
 __all__ = [
     "MultiGraph",
     "WeightedTerm",
-    "AmplitudeTerm",
     "vertex_pairs",
     "compositions",
     "enumerate_graphs",
     "symmetry_factor",
+    "check_graph_budget",
+    "pair_expansion",
     "expansion_terms",
-    "graph_to_amplitude",
     "conjugated_merge_series",
     "cross_edge_series",
 ]
@@ -83,11 +82,11 @@ class MultiGraph:
         """Graph with vertex i renamed perm[i]."""
         if sorted(perm) != list(range(self.n)):
             raise DomainError("relabelling must be a permutation")
-        new = [0] * len(self.mult)
         pairs = vertex_pairs(self.n)
+        index = {pair: k for k, pair in enumerate(pairs)}
+        new = [0] * len(pairs)
         for (i, j), m in zip(pairs, self.mult):
-            a, b = perm[i], perm[j]
-            new[pairs.index((min(a, b), max(a, b)))] = m
+            new[index[tuple(sorted((perm[i], perm[j])))]] = m
         return MultiGraph(self.n, tuple(new))
 
     def to_text(self) -> str:
@@ -108,32 +107,45 @@ class WeightedTerm:
 
 def compositions(total: int, slots: int):
     """Weak compositions of ``total`` into ``slots`` nonnegative parts,
-    lexicographic."""
+    lexicographic: stars and bars, the parts being the gaps between
+    slots - 1 bars placed among total + slots - 1 positions."""
     if slots == 0:
         if total == 0:
             yield ()
         return
-    for head in range(total + 1):
-        for rest in compositions(total - head, slots - 1):
-            yield (head,) + rest
+    for bars in itertools.combinations(range(total + slots - 1), slots - 1):
+        ends = bars + (total + slots - 1,)
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, ends))
 
 
-# the most graphs one call of ``enumerate_graphs`` lists
+# the most graphs one enumeration lists, and multiplicities they hold
 GRAPH_BUDGET = 10**6
+ENTRY_BUDGET = 10**7
+
+
+def check_graph_budget(n: int, order: int, exact: bool = False) -> None:
+    """Refuse, before any is made, the graphs on the p vertex pairs of n
+    vertices with at most ``order`` edges, or exactly ``order`` if
+    ``exact``, when they are more than GRAPH_BUDGET or hold more than
+    ENTRY_BUDGET multiplicities, p each."""
+    p = n * (n - 1) // 2
+    # as many graphs of l edges on p pairs as of <= l edges on p - 1
+    count = math.comb(order + p - exact, order) if p else 1
+    what = f"n={n} {'at' if exact else 'through'} order={order}"
+    for size, unit, budget in ((count, "graphs", GRAPH_BUDGET),
+                               (count * p, "multiplicities", ENTRY_BUDGET)):
+        if size > budget:
+            raise DomainError(f"{what} has {size} {unit}, more than the "
+                              f"budget of {budget}")
 
 
 def enumerate_graphs(n: int, l: int) -> List[MultiGraph]:
     """All weak compositions of l edges into the vertex pairs,
-    lexicographic in the multiplicity tuple; their number C(l + p - 1, l)
-    for p pairs must not exceed GRAPH_BUDGET."""
+    lexicographic in the multiplicity tuple."""
     if n < 1 or l < 0:
         raise DomainError("need n >= 1 vertices and l >= 0 edges")
-    p = n * (n - 1) // 2
-    count = math.comb(l + p - 1, l) if p else int(l == 0)
-    if count > GRAPH_BUDGET:
-        raise DomainError(f"n={n} at order={l} has {count} graphs, more "
-                          f"than the budget of {GRAPH_BUDGET}")
-    return [MultiGraph(n, mult) for mult in compositions(l, p)]
+    check_graph_budget(n, l, exact=True)
+    return [MultiGraph(n, mult) for mult in compositions(l, n * (n - 1) // 2)]
 
 
 def symmetry_factor(graph: MultiGraph) -> int:
@@ -141,49 +153,22 @@ def symmetry_factor(graph: MultiGraph) -> int:
     return math.prod(math.factorial(m) for m in graph.mult)
 
 
+def pair_expansion(pairs: Sequence, max_order: int):
+    """(edge count, 1/Sym, multiplicity tuple) for every multigraph on
+    ``pairs`` with at most ``max_order`` edges, ordered by edge count,
+    then lexicographically; the caller checks their number
+    C(max_order + p, p) for p pairs with ``check_graph_budget``."""
+    return ((l, Fraction(1, math.prod(map(math.factorial, mult))), mult)
+            for l in range(max_order + 1)
+            for mult in compositions(l, len(pairs)))
+
+
 def expansion_terms(n: int, max_order: int) -> List[WeightedTerm]:
     """All graph terms through the given number of edges, each with
     weight 1/Sym; ordered by edge count, then lexicographically."""
-    terms: List[WeightedTerm] = []
-    for l in range(max_order + 1):
-        for graph in enumerate_graphs(n, l):
-            terms.append(WeightedTerm(graph, Fraction(1, symmetry_factor(graph))))
-    return terms
-
-
-@dataclass(frozen=True)
-class AmplitudeTerm:
-    """A graph lowered against concrete functional slots.
-
-    ``kernels[i]`` is the degree(i)-th derivative kernel of the i-th
-    functional; ``factors`` carry one merged propagator power per
-    populated pair.  The term is zero when some slot cannot supply
-    enough field powers.
-    """
-
-    graph: MultiGraph
-    kernels: Tuple[DerivativeKernel, ...]
-    factors: Tuple[PropFactor, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return any(k.is_zero for k in self.kernels)
-
-
-def graph_to_amplitude(graph: MultiGraph,
-                       functionals: Sequence[LocalFunctional]) -> AmplitudeTerm:
-    """Lower a graph against functional slots: slot i contributes its
-    degree(i)-th derivative kernel, each populated pair a propagator
-    power.  Saturating a slot beyond its field power yields the zero
-    term rather than an error."""
-    if len(functionals) != graph.n:
-        raise DomainError(
-            f"graph on {graph.n} vertices lowered against "
-            f"{len(functionals)} functionals")
-    kernels = tuple(derivative_kernel(F, graph.degree(i))
-                    for i, F in enumerate(functionals))
-    factors = tuple(PropFactor(i, j, m) for i, j, m in graph.edges())
-    return AmplitudeTerm(graph=graph, kernels=kernels, factors=factors)
+    check_graph_budget(n, max_order)
+    return [WeightedTerm(MultiGraph(n, mult), weight) for _, weight, mult
+            in pair_expansion(vertex_pairs(n), max_order)]
 
 
 # -- tadpole cancellation on abstract two-slot states ----------------------
@@ -210,28 +195,12 @@ def conjugated_merge_series(order: int) -> TwoSlotSeries:
     if order < 0:
         raise DomainError("order must be >= 0")
     out: TwoSlotSeries = {k: {} for k in range(order + 1)}
-    rng = range(order + 1)
-    for a in rng:
-        for b in rng:
-            for p in rng:
-                for q in rng:
-                    for x in rng:
-                        k = a + b + p + q + x
-                        if k > order:
-                            continue
-                        coeff = Fraction(
-                            (-1) ** (a + b),
-                            math.factorial(a) * math.factorial(b)
-                            * math.factorial(p) * math.factorial(q)
-                            * math.factorial(x))
-                        state = (a + p, b + q, x)
-                        tgt = out[k]
-                        val = tgt.get(state, Fraction(0)) + coeff
-                        if val == 0:
-                            tgt.pop(state, None)
-                        else:
-                            tgt[state] = val
-    return out
+    for a, b, p, q, x in itertools.product(range(order + 1), repeat=5):
+        if a + b + p + q + x <= order:
+            tgt, state = out[a + b + p + q + x], (a + p, b + q, x)
+            weight = math.prod(map(math.factorial, (a, b, p, q, x)))
+            tgt[state] = tgt.get(state, 0) + Fraction((-1) ** (a + b), weight)
+    return {k: {s: c for s, c in tgt.items() if c} for k, tgt in out.items()}
 
 
 def cross_edge_series(order: int) -> TwoSlotSeries:

@@ -4,8 +4,9 @@ The product of two functionals with disjoint supports is a formal
 power series whose k-th coefficient contracts the k-th derivative
 kernels through k propagators; the n-fold version sums tadpole-free
 multigraphs with reciprocal-symmetry-factor weights.  Both are
-evaluated numerically at a background configuration: each graph term
-is lowered by ``graphs.graph_to_amplitude`` and is a product over
+evaluated numerically at a background configuration: a graph term
+takes the degree(i)-th derivative kernel of the i-th functional at slot
+i and a propagator power per populated pair, and is a product over
 connected components.  Every component that is a tree (an isolated
 vertex, a multi-edge, a path, a star, ...) is summed by one message
 pass toward its lowest vertex: each vertex's weights on the rule of its
@@ -41,7 +42,6 @@ single power-one edge.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -54,11 +54,12 @@ from .functionals import (
     DKTerm,
     FieldConfiguration,
     LocalFunctional,
+    derivative_kernel,
     evaluate,
     supports_disjoint,
 )
-from .graphs import (MultiGraph, compositions, expansion_terms,
-                     graph_to_amplitude, vertex_pairs)
+from .graphs import (MultiGraph, check_graph_budget, expansion_terms,
+                     pair_expansion, vertex_pairs)
 from .kernels import components
 from .propagator import green_function
 from .quadrature import (DEFAULT_SCHEME, QuadratureScheme, bump_ring_size,
@@ -256,28 +257,31 @@ def _tree(kernels, adj, v: int, parent: Optional[int]):
 
 def _trees(graph: MultiGraph, functionals: Sequence[LocalFunctional]):
     """One graph term's connected components, each a tree rooted at its
-    lowest vertex, or None when the term vanishes."""
-    amp = graph_to_amplitude(graph, functionals)
-    if amp.is_zero:
+    lowest vertex, or None when the term vanishes: when some slot cannot
+    supply its degree in field powers."""
+    kernels = [derivative_kernel(F, graph.degree(i))
+               for i, F in enumerate(functionals)]
+    if any(k.is_zero for k in kernels):
         return None
+    edges = graph.edges()
     trees = []
-    for verts in components(graph.n, [f.pair for f in amp.factors]):
-        edges = [f for f in amp.factors if f.i in verts]
-        if len(edges) != len(verts) - 1:
+    for verts in components(graph.n, [(i, j) for i, j, _ in edges]):
+        inside = [e for e in edges if e[0] in verts]
+        if len(inside) != len(verts) - 1:
             raise UnsupportedCase(
                 "graph components with a cycle are outside the "
                 "numeric envelope")
-        single_edge = len(edges) == 1 and edges[0].power == 1
+        single_edge = len(inside) == 1 and inside[0][2] == 1
         if not single_edge and any(
-                sum(a) for v in verts for dk in amp.kernels[v].terms
+                sum(a) for v in verts for dk in kernels[v].terms
                 for a in dk.arg_derivs):
             raise UnsupportedCase(
                 "derivative decorations are evaluated only on a "
                 "component that is a single power-one edge")
         adj: Dict[int, Dict[int, int]] = {v: {} for v in verts}
-        for f in edges:
-            adj[f.i][f.j] = adj[f.j][f.i] = f.power
-        trees.append(_tree(amp.kernels, adj, verts[0], None))
+        for i, j, power in inside:
+            adj[i][j] = adj[j][i] = power
+        trees.append(_tree(kernels, adj, verts[0], None))
     return trees
 
 
@@ -413,28 +417,21 @@ def block_product(functionals: Sequence[LocalFunctional],
     _check_arguments(functionals, phi, m)
     n = len(functionals)
     pairs = vertex_pairs(n)
-    cross_pairs = [(min(i, j), max(i, j)) for i in I for j in Ic]
-
-    def block_terms(block, budget):
-        for wt in expansion_terms(len(block), budget):
-            mult = [0] * len(pairs)
-            for (a, b), mv in zip(vertex_pairs(len(block)), wt.graph.mult):
-                mult[pairs.index((block[a], block[b]))] = mv
-            yield wt.order, wt.weight, mult
+    check_graph_budget(n, order)
+    cross = [(min(i, j), max(i, j)) for i in I for j in Ic]
+    inside_I = [(I[a], I[b]) for a, b in vertex_pairs(len(I))]
+    inside_Ic = [(Ic[a], Ic[b]) for a, b in vertex_pairs(len(Ic))]
+    # each pair's place in the joint multiplicities (cross, I, Ic)
+    index = {pair: t for t, pair in enumerate(cross + inside_I + inside_Ic)}
+    where = [index[pair] for pair in pairs]
 
     terms = []
-    for k in range(order + 1):
-        for cross in compositions(k, len(cross_pairs)):
-            cross_weight = Fraction(1)
-            for c in cross:
-                cross_weight /= math.factorial(c)
-            for l_i, w_i, mult_i in block_terms(I, order - k):
-                for l_c, w_c, mult_c in block_terms(Ic, order - k - l_i):
-                    mult = [a + b for a, b in zip(mult_i, mult_c)]
-                    for (a, b), c in zip(cross_pairs, cross):
-                        mult[pairs.index((a, b))] += c
-                    terms.append((k + l_i + l_c, cross_weight * w_i * w_c,
-                                  MultiGraph(n, tuple(mult))))
+    for k, w_x, m_x in pair_expansion(cross, order):
+        for l_i, w_i, m_i in pair_expansion(inside_I, order - k):
+            for l_c, w_c, m_c in pair_expansion(inside_Ic, order - k - l_i):
+                joint = m_x + m_i + m_c
+                terms.append((k + l_i + l_c, w_x * w_i * w_c,
+                              MultiGraph(n, tuple(joint[t] for t in where))))
 
     values = _graph_values([graph for _, _, graph in terms], functionals,
                            phi, m, scheme)

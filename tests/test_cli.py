@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eucren import cli, quadrature
+from eucren import cli, graphs, quadrature, renorm
 from eucren.cli import Report, RunConfig, main, parse_config, run
 from eucren.errors import (EucrenError, IllConditionedFit, NotPrimitive,
                            ParseError, exit_code_for)
@@ -460,6 +460,76 @@ class TestMain:
         err = capsys.readouterr().err
         assert "n=10" in err and "order=20" in err
         assert not out.exists()
+
+    def test_many_vertex_pairs_listed(self, tmp_path):
+        # 46 vertices have 1,035 pairs: one empty graph at order 0, listed
+        # without a recursion through the pairs
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "report.txt"
+        cfg.write_text("command=graphs d=3 n=46 order=0\n")
+        assert main(["--config", str(cfg), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "count = 1\n" in text
+        assert "46; " + ",".join(["0"] * 1035) in text
+
+    def test_order_over_budget_exit(self, tmp_path, capsys):
+        # a weight 1/2000! has more digits than Python prints from an int
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "report.txt"
+        cfg.write_text("command=graphs d=3 n=2 order=2000\n")
+        assert main(["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "order=2000" in err and "budget of 1000" in err
+        assert not out.exists()
+
+    def test_vertex_pairs_over_budget_exit(self, tmp_path, capsys,
+                                           monkeypatch):
+        # 100000 vertices have 4,999,950,000 pairs: refused by that
+        # count before the pairs or a graph are listed
+        def refuse(*args):
+            pytest.fail("the vertex pairs were listed")
+
+        monkeypatch.setattr(graphs, "vertex_pairs", refuse)
+        monkeypatch.setattr(graphs, "compositions", refuse)
+        for command in ("graphs", "expand"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"command={command} d=3 n=100000 order=0\n")
+            assert main(["--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert "n=100000" in err and "4999950000" in err
+
+    def test_graph_size_over_budget_exit(self, tmp_path, capsys,
+                                         monkeypatch):
+        # the 998,991 pairs of 1,414 vertices are admitted, but a million
+        # graphs of a million multiplicities each are refused by that
+        # size before the pairs or a graph are listed
+        def refuse(*args):
+            pytest.fail("a graph was listed")
+
+        monkeypatch.setattr(graphs, "vertex_pairs", refuse)
+        monkeypatch.setattr(graphs, "compositions", refuse)
+        for command, size in (("graphs", 997983018081),
+                              ("expand", 997984017072)):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"command={command} d=3 n=1414 order=1\n")
+            assert main(["--config", str(cfg)]) == 3
+            err = capsys.readouterr().err
+            assert "n=1414" in err and f"{size} multiplicities" in err
+
+    def test_classify_table_over_budget_exit(self, tmp_path, capsys,
+                                             monkeypatch):
+        # n_max 10**9 is a table of 999,999,999 rows: refused before
+        # the classification is called
+        def refuse(*args):
+            pytest.fail("the theory was classified")
+
+        monkeypatch.setattr(renorm, "classify_theory", refuse)
+        monkeypatch.setattr(cli, "classify_theory", refuse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command=classify d=4 k=4 n_max=1000000000\n")
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "n_max=1000000000" in err and "999999999" in err
 
     def test_bump_rule_over_budget_exit(self, tmp_path, capsys, monkeypatch):
         # d = 3 at gauss_n 100 is 50 radial x 99 polar x 196 azimuthal

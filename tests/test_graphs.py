@@ -1,4 +1,5 @@
-"""Multigraph enumeration, symmetry factors, and amplitude lowering.
+"""Multigraph enumeration, symmetry factors, and the lowering of a
+graph term against functional slots.
 
 Combinatorial claims are checked against brute-force oracles built
 from raw itertools enumeration, and the tadpole cancellation against
@@ -14,19 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eucren.errors import DomainError
-from eucren.functionals import LocalFunctional, TestFunction
+from eucren.functionals import LocalFunctional, TestFunction, derivative_kernel
 from eucren.graphs import (
-    AmplitudeTerm,
     MultiGraph,
-    WeightedTerm,
+    compositions,
     conjugated_merge_series,
     cross_edge_series,
     enumerate_graphs,
     expansion_terms,
-    graph_to_amplitude,
     symmetry_factor,
     vertex_pairs,
 )
+from eucren.tordered import _trees
 
 from coproduct_oracle import conjugated_product, expected_series
 
@@ -73,6 +73,16 @@ class TestEnumeration:
             seen.add(tuple(sorted(copies)))
         assert seen == brute_force_multisets(4, 2)
 
+    def test_compositions_match_product_filter(self):
+        # stars and bars against the lexicographic product filtered to
+        # the total, empty slot lists included
+        for total in range(7):
+            for slots in range(6):
+                oracle = [c for c in itertools.product(range(total + 1),
+                                                       repeat=slots)
+                          if sum(c) == total]
+                assert list(compositions(total, slots)) == oracle
+
     def test_output_is_lexicographic(self):
         mults = [g.mult for g in enumerate_graphs(3, 3)]
         assert mults == sorted(mults)
@@ -96,6 +106,18 @@ class TestEnumeration:
         with pytest.raises(DomainError, match="n=5 at order=3"):
             enumerate_graphs(5, 3)
         assert enumerate_graphs(1, 5) == []
+
+    def test_multiplicity_budget(self, monkeypatch):
+        # the 56 graphs of n = 4 at order 3 hold 6 multiplicities each,
+        # 336 in all; one less is refused, though the count fits
+        monkeypatch.setattr("eucren.graphs.ENTRY_BUDGET", 336)
+        assert len(enumerate_graphs(4, 3)) == 56
+        monkeypatch.setattr("eucren.graphs.ENTRY_BUDGET", 335)
+        with pytest.raises(DomainError, match="has 336 multiplicities"):
+            enumerate_graphs(4, 3)
+        with pytest.raises(DomainError, match="n=4 through order=3 has 504"):
+            expansion_terms(4, 3)
+        assert len(enumerate_graphs(1, 0)) == 1
 
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):
@@ -189,6 +211,10 @@ class TestSerialization:
 
 
 class TestAmplitudeLowering:
+    """Slot i of a graph term takes the degree(i)-th derivative kernel of
+    the i-th functional, and each populated pair one propagator power;
+    ``tordered._trees`` roots each component at its lowest vertex."""
+
     f = TestFunction(3, (0.0, 0.0, 0.0), 1.0)
     g = TestFunction(3, (3.0, 0.0, 0.0), 1.0)
     h = TestFunction(3, (6.0, 0.0, 0.0), 1.0)
@@ -197,36 +223,44 @@ class TestAmplitudeLowering:
         F = LocalFunctional.phi_power(5, self.f, prefactor=Fraction(1, 120))
         G = LocalFunctional.phi_power(4, self.g, prefactor=Fraction(1, 24))
         H = LocalFunctional.phi_power(3, self.h, prefactor=Fraction(1, 6))
-        term = graph_to_amplitude(MultiGraph(3, (3, 2, 1)), [F, G, H])
-        assert not term.is_zero
-        assert [k.order for k in term.kernels] == [5, 4, 3]
+        graph = MultiGraph(3, (3, 2, 1))
+        kernels = [derivative_kernel(F_i, graph.degree(i))
+                   for i, F_i in enumerate([F, G, H])]
+        assert [k.order for k in kernels] == [5, 4, 3]
         # saturated monomials: exact unit prefactor, no residual field
-        for k in term.kernels:
+        for k in kernels:
             (dk,) = k.terms
             assert dk.prefactor == 1
             assert dk.residual == ()
-        assert {(p.i, p.j): p.power for p in term.factors} == {
-            (0, 1): 3, (0, 2): 2, (1, 2): 1}
+        assert graph.edges() == ((0, 1, 3), (0, 2, 2), (1, 2, 1))
 
     def test_single_edge_linear(self):
         F = LocalFunctional.linear(self.f)
         G = LocalFunctional.linear(self.g)
-        term = graph_to_amplitude(MultiGraph(2, (1,)), [F, G])
-        assert not term.is_zero
-        assert [k.order for k in term.kernels] == [1, 1]
-        assert term.factors == (term.factors[0],)
-        assert term.factors[0].power == 1
+        (tree,) = _trees(MultiGraph(2, (1,)), [F, G])
+        assert tree == (derivative_kernel(F, 1),
+                        ((1, (derivative_kernel(G, 1), ())),))
 
     def test_over_saturated_vertex_is_zero(self):
         F = LocalFunctional.phi_power(2, self.f)
         G = LocalFunctional.phi_power(4, self.g)
-        term = graph_to_amplitude(MultiGraph(2, (3,)), [F, G])
-        assert term.is_zero
+        graph = MultiGraph(2, (3,))
+        assert derivative_kernel(F, graph.degree(0)).is_zero
+        assert _trees(graph, [F, G]) is None
 
-    def test_slot_count_mismatch(self):
-        F = LocalFunctional.linear(self.f)
-        with pytest.raises(DomainError):
-            graph_to_amplitude(MultiGraph(3, (1, 0, 0)), [F])
+    def test_path_tree_kernels_and_powers(self):
+        # the path 0 -1- 1 -2- 2 rooted at vertex 0: slot degrees 1, 3, 2
+        Fs = [LocalFunctional.phi_power(2, self.f),
+              LocalFunctional.phi_power(3, self.g),
+              LocalFunctional.phi_power(4, self.h)]
+        graph = MultiGraph(3, (1, 0, 2))
+        k0, k1, k2 = (derivative_kernel(F, deg)
+                      for F, deg in zip(Fs, (1, 3, 2)))
+        assert _trees(graph, Fs) == [(k0, ((1, (k1, ((2, (k2, ())),))),))]
+        # one isolated vertex is a tree of its own
+        k1, k2 = derivative_kernel(Fs[1], 2), derivative_kernel(Fs[2], 2)
+        assert _trees(MultiGraph(3, (0, 0, 2)), Fs) == [
+            (derivative_kernel(Fs[0], 0), ()), (k1, ((2, (k2, ())),))]
 
 
 class TestTadpoleCancellation:

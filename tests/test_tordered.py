@@ -496,6 +496,26 @@ class TestCausality:
         for k in range(3):
             assert res.coefficient(k) < 1e-4
 
+    def test_graph_budget_refuses_before_listing(self, monkeypatch):
+        # n = 3 through order 2 is C(5, 3) = 10 graphs.  Over a budget of
+        # 9 both routes refuse before a graph is listed, although each
+        # block of the bracketing alone (at most C(4, 2) = 6) fits.
+        monkeypatch.setattr("eucren.graphs.GRAPH_BUDGET", 10)
+        assert len(tordered.expansion_terms(3, 2)) == 10
+
+        def refuse(*args):
+            pytest.fail("a graph was listed")
+
+        monkeypatch.setattr("eucren.graphs.GRAPH_BUDGET", 9)
+        monkeypatch.setattr("eucren.graphs.compositions", refuse)
+        monkeypatch.setattr(tordered, "_graph_values", refuse)
+        with pytest.raises(DomainError, match="n=3 through order=2 has 10"):
+            tordered.expansion_terms(3, 2)
+        for split in ([0], [1, 2]):
+            with pytest.raises(DomainError,
+                               match="n=3 through order=2 has 10"):
+                block_product(self.Fs, split, PHI, M, 2, SCHEME)
+
     def test_index_set_must_be_proper(self):
         for bad in ([], [0, 1, 2], [5]):
             with pytest.raises(PreconditionViolated):
