@@ -32,8 +32,9 @@ integrals plus small tensor rules:
   pairing (``propagator._tensor_pair``) goes through it or through
   ``ring_pass``.  ``ring_pass`` does the same for
   kernels that are block-circulant in the azimuth, as P is between two
-  d = 3 bump rules whose centres differ only in x1: it forms one
-  column of each circulant block and applies the blocks by FFT.
+  d = 3 bump rules whose centres differ only in x1: it forms each
+  circulant block on half its azimuthal lags, takes the block's real
+  spectrum as one cosine product and applies the blocks by FFT.
 
 * ``bump_rule`` and ``ball_rule`` are product rules on a ball: radius,
   polar cosine (d = 3) and azimuth (d = 2, 3).  ``bump_rule`` serves
@@ -680,8 +681,10 @@ def correlation_profile(f_gu: Callable, f_support: float,
 # entries of one row block of ``contract_pass`` (its kernel matrices,
 # their rows of the columns sent toward yp, and the columns sent
 # toward xp; about a 156-row block of one kernel between 3,360-node
-# rules), of one ring block of ``ring_pass`` and of one ring block of
-# ``triple.grid_field`` (about 38 rings at grid_nodes 48)
+# rules), of one ring block of ``ring_pass`` (its kernel columns on the
+# lags 0..n_phi // 2, one real spectrum and its rows of the columns
+# sent toward yp) and of one ring block of ``triple.grid_field`` (about
+# 38 rings at grid_nodes 48)
 _BLOCK_ENTRIES = 1 << 19
 # glibc serves a block above its mmap threshold from fresh mmap pages,
 # which page faults zero on first touch; the threshold starts at 128 KiB
@@ -733,15 +736,21 @@ def ring_pass(blocks: Callable, xp: np.ndarray, yp: np.ndarray, n_phi: int,
     Two bump rules of one order in d = 3 whose centres differ only in
     x1 are such a pair for every undecorated kernel (``bump_rule``).
 
-    Only the first column of each block is formed, K_k(xp, yp[::n_phi]).
     A circulant block is diagonal in the azimuthal Fourier basis, with
-    the (real) spectrum of that column on its diagonal, so K @ V and
-    K^T @ U become an rfft of the columns over the azimuth, one real
-    batched matrix product per frequency, and an irfft.  Rings of xp are
-    taken a block at a time, each block's kernel columns, one kernel's
-    spectrum and its rows of ``toward_y`` within _BLOCK_ENTRIES entries
-    besides the spectra of ``toward_x`` and of the K^T @ U sums, which
-    accumulate in frequency space.
+    the spectrum of its first column on its diagonal.  That column is
+    even in the lag, so only its lags 0..n_phi // 2 are formed: K_k
+    between the nodes of those lags in each ring of xp and
+    yp[::n_phi].  Its spectrum is real, the cosine sums
+    k[f] = sum_l c_l K_l cos(2 pi f l / n_phi) with c_l = 1 at l = 0
+    and l = n_phi / 2 and 2 at every other lag, which stands also for
+    its mirror n_phi - l; one matrix product over the lags gives them
+    for all rings.  K @ V and K^T @ U then become an rfft of V and U
+    over the azimuth, one real batched matrix product per frequency,
+    and an irfft.  Rings of xp are taken a block at a time, each block's
+    half-lag kernel columns, one kernel's spectrum and its rows of
+    ``toward_y`` within _BLOCK_ENTRIES entries besides the spectra of
+    ``toward_x`` and of the K^T @ U sums, which accumulate in frequency
+    space.
     """
     if len(xp) % n_phi or len(yp) % n_phi:
         raise ValueError(f"point sets of {len(xp)} and {len(yp)} nodes do "
@@ -760,21 +769,29 @@ def ring_pass(blocks: Callable, xp: np.ndarray, yp: np.ndarray, n_phi: int,
         z = (s[..., :c] + 1j * s[..., c:]).transpose(1, 0, 2)
         return irfft(z, n_phi, axis=1).reshape(rings * n_phi, c)
 
+    # the lags 0..n_phi // 2 are as many as the frequencies
+    lag = np.arange(n_freq)
+    cosines = (np.where((lag == 0) | (2 * lag == n_phi), 1.0, 2.0)
+               * np.cos((2.0 * np.pi / n_phi)
+                        * (np.outer(lag, lag) % n_phi)))
     v_hat = [spectra(v, y_rings) for v in toward_x]
     u_hat = [np.zeros((n_freq, y_rings, 2 * u.shape[1])) for u in toward_y]
     fixed = sum(s.size for s in v_hat + u_hat)
-    per_ring = (n_phi * (len(toward_x) * y_rings
-                         + sum(u.shape[1] for u in toward_y))
-                + 2 * n_freq * y_rings)
+    per_ring = (n_freq * len(toward_x) * y_rings
+                + n_phi * sum(u.shape[1] for u in toward_y)
+                + n_freq * y_rings)
     step = max(1, (_BLOCK_ENTRIES - fixed) // per_ring)
     out_x = [np.empty((len(xp), v.shape[1])) for v in toward_x]
     first = yp[::n_phi]
     for lo in range(0, x_rings, step):
         rings = min(step, x_rings - lo)
         rows = slice(lo * n_phi, (lo + rings) * n_phi)
-        for k, kernel in enumerate(blocks(xp[rows], first)):
-            k_hat = rfft(kernel.reshape(rings, n_phi, y_rings), axis=1)
-            k_hat = np.ascontiguousarray(k_hat.real.transpose(1, 0, 2))
+        # the x nodes of lags 0..n_phi // 2 in each ring, lag-major
+        half = xp[rows].reshape(rings, n_phi, -1)[:, :n_freq]
+        half = half.transpose(1, 0, 2).reshape(n_freq * rings, -1)
+        for k, kernel in enumerate(blocks(half, first)):
+            k_hat = (cosines @ kernel.reshape(n_freq, -1)).reshape(
+                n_freq, rings, y_rings)
             if toward_x[k].shape[1]:
                 out_x[k][rows] = signal(k_hat @ v_hat[k], rings)
             if toward_y[k].shape[1]:

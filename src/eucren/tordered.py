@@ -30,9 +30,11 @@ The route of a pass follows from the pair's geometry.  Two d = 3 bump
 rules, whose polar axis is x1, with centres that differ only in x1
 make every undecorated kernel between them block-circulant in the
 azimuth (``quadrature.bump_ring_size``); such a pair takes
-``quadrature.ring_pass``, which forms the
-kernels against one node per ring of the second rule and applies them
-by FFT.  Every other pair takes the dense ``contract_pass``.
+``quadrature.ring_pass``, which forms the kernels between the nodes of
+half the azimuthal lags of each ring of the first rule and one node per
+ring of the second, takes their real spectra as one cosine product and
+applies them by FFT.  Every other pair takes the dense
+``contract_pass``.
 
 Components with a cycle are outside the numeric envelope, and
 derivative decorations are evaluated only on a component that is a

@@ -538,7 +538,7 @@ class TestContractPass:
         # toward yp, P^3 none toward xp
         toward_x = [rng.normal(size=(len(yp), c)) for c in (2, 1, 0)]
         toward_y = [rng.normal(size=(len(xp), c)) for c in (1, 0, 2)]
-        # four of the 15 rings of xp a block
+        # six of the 15 rings of xp a block
         monkeypatch.setattr(quadrature, "_BLOCK_ENTRIES",
                             {7: 1100, 8: 1300}[n_phi])
         shapes = []
@@ -549,10 +549,12 @@ class TestContractPass:
             return kernels(x, y)
 
         to_x, to_y = ring_pass(recording, xp, yp, n_phi, toward_x, toward_y)
+        # P is formed on the lags 0..n_phi // 2 of each ring of xp
         rows = [x for x, _ in shapes]
+        n_lag = n_phi // 2 + 1
         assert {y for _, y in shapes} == {len(yp) // n_phi}
-        assert len(rows) > 2 and sum(rows) == len(xp)
-        assert rows[0] == 4 * n_phi
+        assert len(rows) > 2 and sum(rows) == len(xp) // n_phi * n_lag
+        assert rows[0] == 6 * n_lag
         for k, (power, left, right) in enumerate(specs):
             dense = kernel_matrix(P, xp, yp, power, left, right)
             for got, ref in ((to_x[k], dense @ toward_x[k]),
@@ -564,10 +566,32 @@ class TestContractPass:
         with pytest.raises(ValueError):
             ring_pass(kernels, xp[:-1], yp, n_phi, toward_x, toward_y)
 
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_ring_pass_matches_contract_pass_on_bump_rules(self, n):
+        # the bump rules of verify's production orders, n_phi 20 and 28,
+        # with centres 3 apart on x1: P, P^2 and P^3 toward both rules
+        xp = bump_rule(3, (-3.0, 0.0, 0.0), 0.9, n)[0]
+        yp = bump_rule(3, (0.0, 0.0, 0.0), 1.05, n)[0]
+        n_phi = bump_ring_size(3, (-3.0, 0.0, 0.0), (0.0, 0.0, 0.0), n)
+        assert n_phi == {12: 20, 16: 28}[n]
+        kernels = green_function(3, 1.0).blocks(
+            [(1, (), ()), (2, (), ()), (3, (), ())])
+        rng = np.random.default_rng(n)
+        toward_x = [rng.normal(size=(len(yp), 2)) for _ in range(3)]
+        toward_y = [rng.normal(size=(len(xp), 2)) for _ in range(3)]
+        got = ring_pass(kernels, xp, yp, n_phi, toward_x, toward_y)
+        ref = contract_pass(kernels, xp, yp, toward_x, toward_y)
+        for got_side, ref_side in zip(got, ref):
+            for g, r in zip(got_side, ref_side):
+                assert g.shape == r.shape
+                np.testing.assert_allclose(
+                    g, r, rtol=1e-13, atol=1e-13 * np.max(np.abs(r)))
+
     def test_ring_block_entries_bound_the_rings(self, monkeypatch):
-        # a block holds its kernel columns, one kernel's spectrum and its
-        # rows of U, besides the spectra of V and of the K^T U sums:
-        # 4 frequencies of 6 azimuths, 4 rings of yp, 10 of xp
+        # a block holds its kernel columns on the 4 lags 0..3 of each
+        # ring, one kernel's real spectrum and its rows of U, besides the
+        # spectra of V and of the K^T U sums: 4 frequencies of 6
+        # azimuths, 4 rings of yp, 10 of xp
         xp = self.rings((0.0, 0.0, 0.0), 1.0, 5, 2, 6)
         yp = self.rings((3.0, 0.0, 0.0), 1.0, 2, 2, 6)
         toward_x = [np.ones((24, 3)), np.ones((24, 0))]
@@ -577,12 +601,13 @@ class TestContractPass:
         rows = []
 
         def recording(x, y):
-            rows.append(len(x) // 6)
+            rows.append(len(x) // 4)
             return kernels(x, y)
 
         ring_pass(recording, xp, yp, 6, toward_x, toward_y)
+        assert sum(rows) == 10
         fixed = 4 * 4 * 2 * (3 + 0) + 4 * 4 * 2 * (1 + 2)
-        per_ring = 6 * (2 * 4 + 3) + 2 * 4 * 4
+        per_ring = 4 * 2 * 4 + 6 * 3 + 4 * 4
         assert max(rows) * per_ring + fixed <= 600
         assert (max(rows) + 1) * per_ring + fixed > 600
 

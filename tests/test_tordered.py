@@ -453,18 +453,21 @@ class TestTrees:
         # and on the shifted gauss_n + 4: the binary product evaluates one
         # pair, the block product the other two and then the first again
         # for the messages whose children it needed, so 4 pair passes per
-        # rule size.  Each is a ring pass, which forms P against the
-        # first node of each ring of the y rule only: N * N / n_phi
-        # entries, against N * N for a dense pass.  P is evaluated on no
-        # other matrix
+        # rule size.  Each is a ring pass, which forms P between the
+        # nodes of azimuthal lags 0..n_phi // 2 of each ring of the x
+        # rule and the first node of each ring of the y rule only:
+        # (N / n_phi) (n_phi // 2 + 1) (N / n_phi) entries, against
+        # N * N for a dense pass.  P is evaluated on no other matrix
         entries = self.verify_entries(monkeypatch, 3)
         small, large = (len(bump_rule(3, (0.0,) * 3, 1.0, n)[0])
                         for n in (4, 8))
         assert (small, large) == (48, 336)
-        rings = small // bump_orders(4)[2], large // bump_orders(8)[2]
+        n_phi = bump_orders(4)[2], bump_orders(8)[2]
+        rings = small // n_phi[0], large // n_phi[1]
         assert rings == (8, 28)
-        assert entries == {rings[0]: 4 * small * rings[0],
-                           rings[1]: 4 * large * rings[1]}
+        assert entries == {
+            r: 4 * r * (n // 2 + 1) * r for r, n in zip(rings, n_phi)}
+        assert entries == {8: 1024, 28: 21952}
 
     def test_verify_d2_evaluates_each_rule_pair_once(self, monkeypatch):
         # the same 4 pair passes per rule size in d = 2, where no rule
